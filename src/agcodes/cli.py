@@ -19,10 +19,10 @@ import sys
 import tempfile
 import time
 
-from . import bounds
+from . import bounds, kernels
 from .codes import build_goppa, code_from_text, code_to_text, exact_min_distance
 from .combined import CombinedParams, build_combined
-from .curves import build_curve, default_eval_points
+from .curves import build_curve, default_eval_points, distinct_points
 from .errors import PreconditionError, VerificationError
 from .field import make_field_q
 from .sections import canonical_twists, enumerate_sections, multiplicity_census
@@ -61,7 +61,7 @@ def _resolve_points(curve, D, spec: str | None):
     if spec is None:
         return default_eval_points(curve, D)
     idx = [int(t) for t in spec.split(",") if t.strip() != ""]
-    return tuple(curve.points[i] for i in idx)
+    return distinct_points(curve.points[i] for i in idx)
 
 
 def _manifest(command: str, params: dict, extra: dict, artifact: str, text: str,
@@ -301,6 +301,9 @@ def cmd_verify_distance(args) -> int:
     measured = exact_min_distance(code)
     print(f"words={code.size} claimed={claimed} measured={measured}")
     if code.size >= 2 and claimed is not None and measured < claimed:
+        _, pair = kernels.pairwise_min_distance(code.as_array())
+        for k in pair:
+            print(f"witness word {k}: " + ",".join(str(s) for s in code.words[k]))
         print("distance guarantee FAILED")
         return EXIT_VERIFICATION
     print("distance guarantee holds")

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .curves import Divisor, default_eval_points
+from .curves import Divisor, default_eval_points, distinct_points
 from .errors import PreconditionError, VerificationError
 from .field import FieldSpec, make_field
 
@@ -110,7 +110,7 @@ def exact_min_distance(code: Code) -> int | None:
     arr = code.as_array()
     if code.metadata.get("linear") and _closure_audit(code):
         return kernels.min_nonzero_weight(arr)
-    return kernels.pairwise_min_distance(arr)
+    return kernels.pairwise_min_distance(arr)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def build_goppa(curve, D: Divisor, points=None, measure: bool = True) -> Code:
         raise PreconditionError("divisor lives on a different curve")
     if points is None:
         points = default_eval_points(curve, D)
-    points = tuple(points)
+    points = distinct_points(points)
     n = len(points)
     supp = set(D.support)
     for p in points:
@@ -166,7 +166,10 @@ def build_goppa(curve, D: Divisor, points=None, measure: bool = True) -> Code:
     code = make_code(Alphabet("field", F.q), n, [tuple(int(s) for s in w) for w in uniq],
                      field=F, metadata=metadata)
     if measure:
-        code.metadata["measured_distance"] = exact_min_distance(code)
+        d = exact_min_distance(code)
+        code.metadata["measured_distance"] = d
+        if d is not None and d < n - D.degree:
+            raise VerificationError(f"measured distance {d} below the floor {n - D.degree}")
     return code
 
 

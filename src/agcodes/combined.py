@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import kernels
 from .codes import Alphabet, Code, exact_min_distance, make_code
-from .curves import Divisor, ProjectiveLine
+from .curves import Divisor, ProjectiveLine, distinct_points
 from .errors import PreconditionError, VerificationError
 from .field import INF, local_expand
 from .sections import (
@@ -161,7 +161,7 @@ def build_combined(
     the survivors through the first-order word."""
     if points is None:
         points = curve.points
-    points = tuple(points)
+    points = distinct_points(points)
     n = len(points)
     q = curve.field.q
     params.validate(n, q)

@@ -685,3 +685,13 @@ def default_eval_points(curve, D: Divisor) -> tuple[Point, ...]:
     """All rational points whose place avoids supp(D), in canonical order."""
     supp = set(D.support)
     return tuple(p for p in curve.points if curve.place_of_point(p) not in supp)
+
+
+def distinct_points(points) -> tuple[Point, ...]:
+    """The evaluation points as a tuple. A repeated point would repeat a
+    coordinate of every word and void each distance claim, so it is
+    rejected."""
+    points = tuple(points)
+    if len(set(points)) != len(points):
+        raise PreconditionError("repeated evaluation point")
+    return points

@@ -1,17 +1,18 @@
 """numpy kernels for the exhaustive-search hot paths: spanning a linear
-space of words, pairwise minimum distance, and ball-center search.
+space of words, and one exact agreement kernel behind both the pairwise
+minimum distance and the exhaustive ball-center search.
 
-Every kernel is deterministic. Reductions are pure minima/maxima with
-first-occurrence tie-breaks that do not depend on chunk size, and the
-optional thread fan-out (AGCODES_THREADS) only splits commutative
-reductions across row blocks.
+`agreements` counts the equal positions of every pair of rows as a float32
+product of one-hot encodings. A count never exceeds the word length, far
+below 2^24, so every product is an exact integer. Work is split into blocks
+of at most _CHUNK_CELLS elements, and every reduction keeps the first
+extremum in ascending index order, so no result depends on the block size.
 """
 
 from __future__ import annotations
 
-import os
+import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +22,9 @@ from .errors import PreconditionError
 EXHAUSTIVE_CENTER_CAP = 1 << 24
 SPAN_CELL_CAP = 1 << 26
 
+_CHUNK_CELLS = 1 << 22
+
 _TABLE_CACHE: dict = {}
-
-
-def thread_count() -> int:
-    raw = os.environ.get("AGCODES_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def field_tables(field):
@@ -75,29 +70,42 @@ def words_array(words, alphabet_size: int) -> np.ndarray:
     return np.array(list(words), dtype=dtype).reshape(len(words), -1)
 
 
-def pairwise_min_distance(arr: np.ndarray) -> int | None:
-    """Exact minimum pairwise Hamming distance; None for fewer than 2 rows."""
-    m = arr.shape[0]
+def _one_hot(arr: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """(M, n * alphabet_size) float32: column j * alphabet_size + s is 1
+    where position j holds symbol s."""
+    hot = arr[:, :, None] == np.arange(alphabet_size, dtype=arr.dtype)
+    return hot.reshape(arr.shape[0], -1).astype(np.float32)
+
+
+def agreements(a: np.ndarray, b: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """Exact number of equal positions between every row of `a` and every
+    row of `b`, as a (len(a), len(b)) int32 array."""
+    hot_b = _one_hot(b, alphabet_size).T
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.int32)
+    step = max(1, _CHUNK_CELLS // max(1, hot_b.shape[0] + b.shape[0]))
+    for lo in range(0, a.shape[0], step):
+        out[lo : lo + step] = _one_hot(a[lo : lo + step], alphabet_size) @ hot_b
+    return out
+
+
+def pairwise_min_distance(arr: np.ndarray) -> tuple[int, tuple[int, int]] | None:
+    """Exact minimum pairwise Hamming distance and the first pair (i, j),
+    i < j in row-major order, at that distance; None for fewer than 2 rows."""
+    m, n = arr.shape
     if m < 2:
         return None
-    block = max(1, (1 << 22) // max(1, m))
-    starts = list(range(0, m - 1, block))
-
-    def scan(start):
-        stop = min(start + block, m - 1)
-        best = arr.shape[1] + 1
-        for i in range(start, stop):
-            d = (arr[i + 1 :] != arr[i]).sum(axis=1)
-            lo = int(d.min())
-            if lo < best:
-                best = lo
-        return best
-
-    workers = thread_count()
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return min(pool.map(scan, starts))
-    return min(scan(s) for s in starts)
+    alphabet = int(arr.max()) + 1
+    tile = max(2, math.isqrt(_CHUNK_CELLS))
+    # (agreement, -i, -j): the maximum is the closest pair, first in row-major order
+    best = (-1, 0, 0)
+    for i0 in range(0, m - 1, tile):
+        for j0 in range(i0, m, tile):
+            agr = agreements(arr[i0 : i0 + tile], arr[j0 : j0 + tile], alphabet)
+            if j0 == i0:
+                agr[np.tri(*agr.shape, dtype=bool)] = -1  # keep only j > i
+            r, c = divmod(int(agr.argmax()), agr.shape[1])
+            best = max(best, (int(agr[r, c]), -(i0 + r), -(j0 + c)))
+    return n - best[0], (-best[1], -best[2])
 
 
 def min_nonzero_weight(arr: np.ndarray) -> int:
@@ -118,27 +126,54 @@ class SearchOutcome:
     strategy: str
     n_candidates: int
     census_total: int | None = None
-    n_centers_space: int | None = None
 
 
 def _survivor_mask(word_arrays, radii, center_digits, n):
-    mask = None
-    for r, words in enumerate(word_arrays):
-        c = np.asarray(center_digits[r * n : (r + 1) * n], dtype=words.dtype)
-        d = (words != c).sum(axis=1)
-        m = d <= radii[r]
-        mask = m if mask is None else (mask & m)
-    return mask
+    centers = np.asarray(center_digits, dtype=word_arrays[0].dtype).reshape(-1, n)
+    within = [(w != c).sum(axis=1) <= s for w, c, s in zip(word_arrays, centers, radii)]
+    return np.logical_and.reduce(within)
 
 
-def _count_chunk(word_arrays, radii, centers: np.ndarray, n) -> np.ndarray:
-    counts = None
-    for r, words in enumerate(word_arrays):
-        c = centers[:, r * n : (r + 1) * n]
-        d = (words[None, :, :] != c[:, None, :]).sum(axis=2)
-        m = d <= radii[r]
-        counts = m if counts is None else (counts & m)
-    return counts.sum(axis=1)
+def _exhaustive_search(word_arrays, radii, q: int):
+    """(best count, first maximizing center, census total) over every center.
+
+    The m*N center digits split into a leading and a trailing part. Per
+    order r, an agreement table per part counts the positions of each word
+    that a part value matches; a word survives a center when its two counts
+    reach N - s_r at every order. Centers are scored in ascending order, one
+    block of leading values at a time.
+    """
+    n = word_arrays[0].shape[1]
+    total = len(word_arrays) * n
+    lead = (total + 1) // 2
+    # every value of each part, ascending with the first digit most significant
+    lead_values, trail_values = (
+        np.indices((q,) * k).reshape(k, q ** k).T for k in (lead, total - lead)
+    )
+    have, need = [], []
+    for r, (words, radius) in enumerate(zip(word_arrays, radii)):
+        digits = np.arange(r * n, (r + 1) * n)
+        in_lead = digits < lead
+        head = agreements(lead_values[:, digits[in_lead]], words[:, in_lead], q)
+        tail = agreements(trail_values[:, digits[~in_lead] - lead], words[:, ~in_lead], q)
+        # (words, values) in C order, so the sum over words adds whole rows;
+        # the lead count must reach N - s_r minus the trail count, clipped to
+        # [0, N + 1] so it fits uint8
+        have.append(np.ascontiguousarray(head.T, dtype=np.uint8))
+        need.append(np.ascontiguousarray(np.clip(n - radius - tail.T, 0, n + 1), dtype=np.uint8))
+    n_words, n_trail = need[0].shape
+    step = max(1, _CHUNK_CELLS // max(1, n_words * n_trail))
+    best_count, best_index, census_total = -1, 0, 0
+    for lo in range(0, lead_values.shape[0], step):
+        ok = have[0][:, lo : lo + step, None] >= need[0][:, None, :]
+        for h, t in zip(have[1:], need[1:]):
+            ok &= h[:, lo : lo + step, None] >= t[:, None, :]
+        counts = ok.sum(axis=0, dtype=np.int32).ravel()
+        census_total += int(counts.sum())
+        k = int(np.argmax(counts))
+        if counts[k] > best_count:
+            best_count, best_index = int(counts[k]), lo * n_trail + k
+    return best_count, np.unravel_index(best_index, (q,) * total), census_total
 
 
 def center_search(
@@ -153,7 +188,7 @@ def center_search(
     """Find a center tuple maximizing the number of rows within the given
     Hamming radii of it, simultaneously for every word array.
 
-    exhaustive scans all alphabet_size^(m*N) tuples in ascending symbol
+    exhaustive scores all alphabet_size^(m*N) tuples in ascending symbol
     order and keeps the first maximizer (the lexicographically least one).
     random scores the all-zeros tuple plus `trials` seeded tuples. greedy
     starts from one seeded tuple and accepts strict single-coordinate
@@ -167,20 +202,10 @@ def center_search(
     n = word_arrays[0].shape[1]
     total_positions = m * n
 
-    def outcome(best_count, digits, n_cand, census_total=None, space=None):
-        per_r = tuple(
-            tuple(int(x) for x in digits[r * n : (r + 1) * n]) for r in range(m)
-        )
-        mask = _survivor_mask(word_arrays, radii, digits, n)
-        return SearchOutcome(
-            best_count=int(best_count),
-            centers=per_r,
-            survivor_indices=np.nonzero(mask)[0],
-            strategy=strategy,
-            n_candidates=n_cand,
-            census_total=census_total,
-            n_centers_space=space,
-        )
+    def outcome(best_count, digits, n_cand, census_total=None):
+        per_r = tuple(tuple(int(x) for x in digits[r * n : (r + 1) * n]) for r in range(m))
+        survivors = np.nonzero(_survivor_mask(word_arrays, radii, digits, n))[0]
+        return SearchOutcome(int(best_count), per_r, survivors, strategy, n_cand, census_total)
 
     if strategy == "exhaustive":
         space = alphabet_size ** total_positions
@@ -188,29 +213,8 @@ def center_search(
             raise PreconditionError(
                 f"exhaustive center space {space} exceeds cap {EXHAUSTIVE_CENTER_CAP}"
             )
-        weights = [
-            alphabet_size ** (total_positions - 1 - k) for k in range(total_positions)
-        ]
-        dtype = np.uint8 if alphabet_size <= 256 else np.uint16
-        chunk = max(1, (1 << 22) // max(1, word_arrays[0].shape[0]))
-        best_count = -1
-        best_digits = None
-        census_total = 0
-        for start in range(0, space, chunk):
-            idx = np.arange(start, min(start + chunk, space), dtype=np.int64)
-            centers = np.empty((idx.shape[0], total_positions), dtype=dtype)
-            for k, w in enumerate(weights):
-                centers[:, k] = (idx // w) % alphabet_size
-            counts = _count_chunk(word_arrays, radii, centers, n)
-            if census:
-                census_total += int(counts.sum())
-            top = int(counts.max())
-            if top > best_count:
-                best_count = top
-                best_digits = tuple(int(x) for x in centers[int(np.argmax(counts))])
-        return outcome(
-            best_count, best_digits, space, census_total if census else None, space
-        )
+        count, digits, census_total = _exhaustive_search(word_arrays, radii, alphabet_size)
+        return outcome(count, digits, space, census_total if census else None)
 
     rng = random.Random(seed)
 
@@ -223,14 +227,9 @@ def center_search(
             tuple(rng.randrange(alphabet_size) for _ in range(total_positions))
             for _ in range(trials)
         ]
-        best_digits = None
-        best_count = -1
-        for cand in candidates:
-            c = count_one(cand)
-            if c > best_count:
-                best_count = c
-                best_digits = cand
-        return outcome(best_count, best_digits, len(candidates))
+        scores = [count_one(cand) for cand in candidates]
+        k = scores.index(max(scores))
+        return outcome(scores[k], candidates[k], len(candidates))
 
     if strategy == "greedy":
         current = [rng.randrange(alphabet_size) for _ in range(total_positions)]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .codes import Alphabet, Code, exact_min_distance, make_code
-from .curves import Divisor, default_eval_points
+from .curves import Divisor, default_eval_points, distinct_points
 from .errors import PreconditionError, VerificationError
 
 
@@ -108,6 +108,20 @@ def _word_spaces(curve, D: Divisor, points, r_max: int):
     return basis, spaces
 
 
+def _eval_points(curve, D: Divisor, params: XingParams, points) -> tuple:
+    """The given or default evaluation points, checked against the params
+    and supp(D)."""
+    if points is None:
+        points = default_eval_points(curve, D)
+    points = distinct_points(points)
+    params.validate(len(points), curve.field.q)
+    supp = set(D.support)
+    for p in points:
+        if curve.place_of_point(p) in supp:
+            raise PreconditionError("supp(D) meets the evaluation points")
+    return points
+
+
 def search_centers(
     curve, D: Divisor, params: XingParams, points=None, census: bool = False
 ) -> CenterSearchResult:
@@ -117,17 +131,15 @@ def search_centers(
     #L(D) * prod_r ball(N, s_r, q) / q^(mN), recorded as a rational; the
     exhaustive strategy must return at least its ceiling.
     """
-    if points is None:
-        points = default_eval_points(curve, D)
-    points = tuple(points)
-    n = len(points)
-    q = curve.field.q
-    params.validate(n, q)
-    supp = set(D.support)
-    for p in points:
-        if curve.place_of_point(p) in supp:
-            raise PreconditionError("supp(D) meets the evaluation points")
+    points = _eval_points(curve, D, params, points)
     basis, spaces = _word_spaces(curve, D, points, params.m - 1)
+    return _search(curve.field.q, len(basis), spaces, params, census)
+
+
+def _search(q: int, dim: int, spaces, params: XingParams, census: bool) -> CenterSearchResult:
+    """Center search over the order-0..m-1 word spaces of an L(D) of the
+    given dimension."""
+    n = spaces[0].shape[1]
     outcome = kernels.center_search(
         spaces,
         params.radii,
@@ -137,8 +149,7 @@ def search_centers(
         trials=params.trials,
         census=census,
     )
-    n_l = q ** len(basis)
-    prod = n_l
+    prod = q ** dim
     for s in params.radii:
         prod *= ball_size(n, s, q)
     average = Fraction(prod, q ** (params.m * n))
@@ -186,19 +197,16 @@ def build_xing(
 ) -> XingBuild:
     """Build the order-m code: survivors of the ball constraints mapped
     through the order-m expansion word."""
-    if points is None:
-        points = default_eval_points(curve, D)
-    points = tuple(points)
+    points = _eval_points(curve, D, params, points)
     n = len(points)
     q = curve.field.q
-    params.validate(n, q)
     d0 = distance_floor(n, params.m, params.radii, D.degree)
     if d0 <= 0:
         raise PreconditionError(
             f"divisor degree {D.degree} too large: distance floor {d0} <= 0"
         )
-    search = search_centers(curve, D, params, points, census=census)
     basis, spaces = _word_spaces(curve, D, points, params.m)
+    search = _search(q, len(basis), spaces[: params.m], params, census)
     final = spaces[params.m]
     survivor_words = final[search.survivor_indices]
     uniq = np.unique(survivor_words, axis=0)

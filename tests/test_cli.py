@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -62,6 +63,36 @@ def test_verify_distance_catches_false_claim(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text(tampered)
     assert main(["verify", "distance", "--code", str(bad)]) == EXIT_VERIFICATION
+
+
+def test_verify_distance_names_witness_pair(tmp_path, capsys):
+    # words 1 and 2 differ in one position; the claim of 2 is too high
+    bad = tmp_path / "hand.txt"
+    bad.write_text(
+        "agcodes-code v1\nalphabet: field\nq: 3\nlength: 4\n"
+        "claimed_distance: 2\nmeasured_distance: none\nwords: 4\n"
+        "0,0,0,0\n0,1,1,1\n0,1,2,1\n2,2,0,2\n"
+    )
+    assert main(["verify", "distance", "--code", str(bad)]) == EXIT_VERIFICATION
+    out = capsys.readouterr().out
+    measured = int(re.search(r"measured=(\d+)", out)[1])
+    witnesses = re.findall(r"witness word (\d+): ([\d,]+)", out)
+    assert measured == 1 and [int(k) for k, _ in witnesses] == [1, 2]
+    (_, a), (_, b) = witnesses
+    assert sum(x != y for x, y in zip(a.split(","), b.split(","))) == measured
+
+
+@pytest.mark.parametrize("argv", [
+    ["goppa", "build", "--q", "5", "--divisor", "inf:2", "--points", "0,0,1,2,3"],
+    ["xing", "build", "--q", "2", "--divisor", "1,1,0,1:1;1,1,1:-1", "--m", "1",
+     "--radii", "1", "--points", "0,1,1"],
+    ["combined", "build", "--q", "3", "--h", "1", "--s0", "1", "--d0", "2",
+     "--points", "0,1,2,2"],
+])
+def test_repeated_points_exit_precondition(tmp_path, argv):
+    out = tmp_path / "r"
+    assert main(argv + ["--out", str(out)]) == EXIT_PRECONDITION
+    assert not out.exists()
 
 
 def test_verify_averaging_both_kinds():

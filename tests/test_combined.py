@@ -129,6 +129,14 @@ def test_build_combined_gf3_instance():
     assert res.code.size == len(res.survivors) >= math.ceil(res.exact_average)
 
 
+def test_build_combined_rejects_repeated_points():
+    curve = _p1(3)
+    p = curve.points
+    params = CombinedParams(h=1, s0=1, d0=2, strategy="exhaustive")
+    with pytest.raises(PreconditionError, match="repeated"):
+        build_combined(curve, curve.zero_divisor(), params, points=(p[0], p[0], p[1], p[2]))
+
+
 def test_build_combined_nontrivial_divisor():
     curve = _p1(3)
     from agcodes.field import enumerate_irreducibles

@@ -13,7 +13,7 @@ from agcodes.codes import (
     Alphabet,
 )
 from agcodes.curves import build_curve, default_eval_points
-from agcodes.errors import PreconditionError
+from agcodes.errors import PreconditionError, VerificationError
 from agcodes.field import make_field
 from agcodes.xing import function_from_index
 from conftest import naive_min_distance
@@ -53,7 +53,7 @@ def test_hermitian_q0_3_code():
     assert code.metadata["claimed_distance"] == 22
     # dual route: linear weight shortcut against full pairwise scan
     weight_route = exact_min_distance(code)
-    pairwise_route = kernels.pairwise_min_distance(code.as_array())
+    pairwise_route, _ = kernels.pairwise_min_distance(code.as_array())
     assert weight_route == pairwise_route >= 22
 
 
@@ -138,18 +138,38 @@ def test_linear_shortcut_agrees_with_pairwise():
     curve = build_curve("p1", make_field(5, 1))
     code = build_goppa(curve, curve.divisor({curve.place_inf(): 2}))
     assert code.metadata["linear"]
-    assert exact_min_distance(code) == kernels.pairwise_min_distance(code.as_array())
+    assert exact_min_distance(code) == kernels.pairwise_min_distance(code.as_array())[0]
 
 
-def test_thread_fanout_is_deterministic(monkeypatch):
+def test_distance_independent_of_chunk_size(monkeypatch):
     curve = build_curve("hermitian", make_field(3, 2))
     code = build_goppa(curve, curve.one_point_divisor(5), measure=False)
     arr = code.as_array()
     base = kernels.pairwise_min_distance(arr)
-    monkeypatch.setenv("AGCODES_THREADS", "4")
-    assert kernels.pairwise_min_distance(arr) == base
-    monkeypatch.setenv("AGCODES_THREADS", "not-a-number")
-    assert kernels.pairwise_min_distance(arr) == base
+    for cells in (1, 4096, 1 << 16):
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", cells)
+        assert kernels.pairwise_min_distance(arr) == base
+
+
+def test_repeated_points_rejected():
+    curve = build_curve("p1", make_field(5, 1))
+    D = curve.divisor({curve.place_inf(): 2})
+    p = curve.points
+    with pytest.raises(PreconditionError, match="repeated"):
+        build_goppa(curve, D, points=(p[0], p[0], p[1], p[2], p[3]))
+
+
+def test_build_goppa_checks_measured_against_claimed(monkeypatch):
+    # with the point check bypassed, a repeated point drops the distance to
+    # 2 below the claimed N - deg(D) = 3, and the build must refuse it
+    from agcodes import codes as codes_mod
+
+    monkeypatch.setattr(codes_mod, "distinct_points", tuple)
+    curve = build_curve("p1", make_field(5, 1))
+    D = curve.divisor({curve.place_inf(): 2})
+    p = curve.points
+    with pytest.raises(VerificationError, match="measured distance 2 below the floor 3"):
+        build_goppa(curve, D, points=(p[0], p[0], p[1], p[2], p[3]))
 
 
 def test_code_file_roundtrip(tmp_path):

@@ -245,6 +245,17 @@ def test_radius_bound_validation():
         build_xing(curve, D, XingParams(m=1, radii=(2,)))  # 2*2 >= 3*1
 
 
+def test_build_xing_rejects_repeated_points():
+    curve = build_curve("p1", make_field(2, 1))
+    D = _deg1_divisor_gf2(curve)
+    p = default_eval_points(curve, D)
+    params = XingParams(m=1, radii=(1,))
+    with pytest.raises(PreconditionError, match="repeated"):
+        build_xing(curve, D, params, points=(p[0], p[0], p[1]))
+    with pytest.raises(PreconditionError, match="repeated"):
+        search_centers(curve, D, params, points=(p[0], p[1], p[1]))
+
+
 # ---------------------------------------------------------------------------
 # degeneration to the evaluation code
 
