@@ -20,7 +20,6 @@ from .field import (
     make_field,
     make_field_q,
     rational_valuation,
-    reduce_fraction,
 )
 from .curves import (
     Divisor,

@@ -57,10 +57,61 @@ def _resolve_curve(args):
     return build_curve(args.curve, field)
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise PreconditionError(f"cannot read {path}: {exc.strerror}") from None
+
+
+# argparse types: a syntax error in an argument exits 2 like any usage
+# error; the text is returned unchanged so manifests record what was typed
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _ints(text: str) -> list[int]:
+    return [int(t) for t in text.split(",") if t.strip() != ""]
+
+
+def _int_list_arg(text: str) -> str:
+    if not all(_is_int(t) for t in text.split(",") if t.strip() != ""):
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return text
+
+
+def _divisor_arg(text: str) -> str:
+    """'0', or entries place:coefficient joined by ';', where a place is
+    'inf' or the comma-separated coefficients of a polynomial."""
+    if text.strip() in ("", "0"):
+        return text
+    for entry in text.strip().split(";"):
+        place, sep, coeff = entry.rpartition(":")
+        tokens = [] if place.strip() in ("", "inf") else place.split(",")
+        if not sep or not all(_is_int(t) for t in tokens + [coeff]):
+            raise argparse.ArgumentTypeError(f"malformed divisor entry {entry!r}")
+    return text
+
+
+def _nonnegative_int(text: str) -> int:
+    if not _is_int(text) or int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _resolve_points(curve, D, spec: str | None):
     if spec is None:
         return default_eval_points(curve, D)
-    idx = [int(t) for t in spec.split(",") if t.strip() != ""]
+    idx = _ints(spec)
+    for i in idx:
+        if not 0 <= i < len(curve.points):
+            raise PreconditionError(f"point index {i} outside [0, {len(curve.points)})")
     return distinct_points(curve.points[i] for i in idx)
 
 
@@ -169,7 +220,7 @@ def cmd_xing_build(args) -> int:
     points = _resolve_points(curve, D, args.points)
     params = XingParams(
         m=args.m,
-        radii=tuple(int(t) for t in args.radii.split(",")),
+        radii=tuple(_ints(args.radii)),
         strategy=args.strategy,
         seed=args.seed,
         trials=args.trials,
@@ -294,8 +345,7 @@ def cmd_bounds_crossing(args) -> int:
 
 
 def cmd_verify_distance(args) -> int:
-    with open(args.code) as fh:
-        code = code_from_text(fh.read())
+    code = code_from_text(_read_text(args.code))
     claimed = code.metadata.get("claimed_distance")
     code.metadata["linear"] = False  # recompute pairwise, trusting nothing
     measured = exact_min_distance(code)
@@ -317,7 +367,7 @@ def cmd_verify_averaging(args) -> int:
     if args.kind == "xing":
         params = XingParams(
             m=args.m,
-            radii=tuple(int(t) for t in args.radii.split(",")),
+            radii=tuple(_ints(args.radii)),
             strategy="exhaustive",
         )
         res = search_centers(curve, D, params, census=True)
@@ -335,8 +385,13 @@ def cmd_verify_averaging(args) -> int:
 
 
 def cmd_replay_manifest(args) -> int:
-    with open(args.manifest) as fh:
-        doc = json.load(fh)
+    try:
+        doc = json.loads(_read_text(args.manifest))
+    except json.JSONDecodeError as exc:
+        raise PreconditionError(f"manifest is not JSON: {exc}") from None
+    fields = {"command": str, "params": dict, "artifact": str, "artifact_sha256": str}
+    if not isinstance(doc, dict) or any(not isinstance(doc.get(k), t) for k, t in fields.items()):
+        raise PreconditionError("manifest needs " + ", ".join(fields))
     command = doc["command"]
     params = doc["params"]
     out_dir = args.out or tempfile.mkdtemp(prefix="agcodes-replay-")
@@ -350,8 +405,7 @@ def cmd_replay_manifest(args) -> int:
     if rc != EXIT_OK:
         return rc
     artifact = os.path.join(out_dir, doc["artifact"])
-    with open(artifact) as fh:
-        text = fh.read()
+    text = _read_text(artifact)
     if _sha256(text) != doc["artifact_sha256"]:
         print("replay diverged from the recorded artifact")
         return EXIT_VERIFICATION
@@ -385,33 +439,33 @@ def _parser() -> argparse.ArgumentParser:
     p = add(goppa_g, "build", cmd_goppa_build)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--curve", choices=("p1", "hermitian"), default="p1")
-    p.add_argument("--divisor", required=True)
-    p.add_argument("--points", default=None)
+    p.add_argument("--divisor", type=_divisor_arg, required=True)
+    p.add_argument("--points", type=_int_list_arg, default=None)
     p.add_argument("--out", default="artifacts")
 
     xing_g = sub.add_parser("xing").add_subparsers(dest="sub", required=True)
     p = add(xing_g, "build", cmd_xing_build)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--curve", choices=("p1", "hermitian"), default="p1")
-    p.add_argument("--divisor", required=True)
+    p.add_argument("--divisor", type=_divisor_arg, required=True)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--radii", required=True)
+    p.add_argument("--radii", type=_int_list_arg, required=True)
     p.add_argument("--strategy", choices=("exhaustive", "random", "greedy"),
                    default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--points", default=None)
+    p.add_argument("--trials", type=_nonnegative_int, default=64)
+    p.add_argument("--points", type=_int_list_arg, default=None)
     p.add_argument("--out", default="artifacts")
 
     sections_g = sub.add_parser("sections").add_subparsers(dest="sub", required=True)
     p = add(sections_g, "enumerate", cmd_sections_enumerate)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--divisor", default="0")
+    p.add_argument("--divisor", type=_divisor_arg, default="0")
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--out", default="artifacts")
     p = add(sections_g, "proposition", cmd_sections_proposition)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--divisor", default="0")
+    p.add_argument("--divisor", type=_divisor_arg, default="0")
     p.add_argument("--h-max", type=int, default=6)
     p.add_argument("--pairs", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
@@ -419,15 +473,15 @@ def _parser() -> argparse.ArgumentParser:
     combined_g = sub.add_parser("combined").add_subparsers(dest="sub", required=True)
     p = add(combined_g, "build", cmd_combined_build)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--divisor", default="0")
+    p.add_argument("--divisor", type=_divisor_arg, default="0")
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--s0", type=int, required=True)
     p.add_argument("--d0", type=int, required=True)
     p.add_argument("--strategy", choices=("exhaustive", "random", "greedy"),
                    default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--points", default=None)
+    p.add_argument("--trials", type=_nonnegative_int, default=64)
+    p.add_argument("--points", type=_int_list_arg, default=None)
     p.add_argument("--out", default="artifacts")
 
     bounds_g = sub.add_parser("bounds").add_subparsers(dest="sub", required=True)
@@ -445,9 +499,9 @@ def _parser() -> argparse.ArgumentParser:
     p = add(verify_g, "averaging", cmd_verify_averaging)
     p.add_argument("--kind", choices=("xing", "combined"), required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--divisor", default="0")
+    p.add_argument("--divisor", type=_divisor_arg, default="0")
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--radii", default="1")
+    p.add_argument("--radii", type=_int_list_arg, default="1")
     p.add_argument("--h", type=int, default=1)
     p.add_argument("--s0", type=int, default=1)
     p.add_argument("--d0", type=int, default=1)

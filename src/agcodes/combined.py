@@ -30,7 +30,7 @@ from .sections import (
     TwistFamily,
     canonical_twists,
     enumerate_sections,
-    phi0_projective,
+    phi0_words,
 )
 from .xing import ball_size
 
@@ -104,8 +104,7 @@ def averaging_census(curve: ProjectiveLine, D: Divisor, h: int, s0: int,
     if not 0 <= s0 <= n:
         raise PreconditionError("radius must lie in [0, N]")
     sections = enumerate_sections(curve, D, h)
-    words0 = [phi0_projective(curve, s, points, twists) for s in sections]
-    arr0 = kernels.words_array(words0, q + 1)
+    arr0 = phi0_words(curve, sections, points, twists)
     outcome = kernels.center_search(
         [arr0], [s0], alphabet_size=q + 1, strategy="exhaustive", census=True
     )
@@ -168,8 +167,7 @@ def build_combined(
     if twists is None:
         twists = canonical_twists(curve, D)
     sections = enumerate_sections(curve, D, params.h)
-    words0 = [phi0_projective(curve, s, points, twists) for s in sections]
-    arr0 = kernels.words_array(words0, q + 1)
+    arr0 = phi0_words(curve, sections, points, twists)
     outcome = kernels.center_search(
         [arr0],
         [params.s0],

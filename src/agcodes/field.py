@@ -818,6 +818,16 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     @classmethod
+    def from_reduced(cls, numer: Polynomial, denom: Polynomial):
+        """Trusted constructor for a pair already in canonical form: coprime,
+        denominator monic (and 1 when numer is zero). Skips the gcd."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "numer", numer)
+        object.__setattr__(f, "denom", denom)
+        object.__setattr__(f, "_hash", None)
+        return f
+
+    @classmethod
     def zero(cls, field):
         return cls(Polynomial.zero(field), Polynomial.one(field))
 
@@ -933,12 +943,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"Rat({self.numer!r}/{self.denom!r})"
-
-
-def reduce_fraction(numer: Polynomial, denom: Polynomial) -> RationalFunction:
-    """Canonical reduced form of numer/denom (gcd cancelled, monic
-    denominator)."""
-    return RationalFunction(numer, denom)
 
 
 # ---------------------------------------------------------------------------

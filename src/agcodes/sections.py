@@ -20,6 +20,16 @@ The laboratory keeps sections on the projective line only: its Jacobian is
 trivial, so every degree-zero divisor is principal and the section sets for
 any D are the section sets for 0 twisted by one global function, which the
 tests verify explicitly.
+
+Enumeration and order-0 evaluation work on integer encodings. Every monic
+polynomial up to the degree bound is factored once, so coprimality is a
+disjointness test of factor sets and heights come from cached degrees and
+multiplicities, with no gcd per candidate pair. Evaluation words are
+computed for all sections together from their (u, v) coefficient arrays
+with the field's lookup tables: the valuation of the twisted section at a
+point decides 0 or infinity, and its leading Taylor coefficients give a
+finite nonzero value. The multiplicity audit (solution_multiplicity,
+multiplicity_census) stays symbolic.
 """
 
 from __future__ import annotations
@@ -27,7 +37,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
+
+from . import kernels
 from .codes import Alphabet, Code, exact_min_distance, make_code
 from .curves import Divisor, Place, Point, ProjectiveLine
 from .errors import PreconditionError, VerificationError
@@ -36,7 +50,6 @@ from .field import (
     Polynomial,
     RationalFunction,
     ResidueField,
-    factor_multiplicity,
     factorize,
     rational_valuation,
 )
@@ -124,19 +137,32 @@ def section_height(curve: ProjectiveLine, D: Divisor, f: RationalFunction) -> in
     return E.pos_part().degree
 
 
-def _height_fast(curve: ProjectiveLine, D_items, w_pos, f: RationalFunction) -> int:
-    """Height without full factorization: only supp(D) and infinity need
-    explicit valuations; zeros elsewhere are counted by degree bookkeeping."""
-    u, v = f.numer, f.denom
-    du, dv = u.degree, v.degree
-    height = max(du, dv)  # total degree of the zero divisor of f
-    for pl, c in D_items:
-        if pl.kind == "inf":
-            val = dv - du
-        else:
-            val = factor_multiplicity(u, pl.poly) - factor_multiplicity(v, pl.poly)
-        height += (max(val + c, 0) - max(val, 0)) * pl.degree
-    return height
+@lru_cache(maxsize=32)
+def _monic_table(field, max_deg: int):
+    """Every monic polynomial of degree <= max_deg in canonical key order,
+    with its degree, its factorization and a bitmask of its irreducible
+    factors; and every nonzero polynomial lead * monic in canonical key
+    order, with the index of its monic."""
+    q = field.q
+    monics = tuple(
+        Polynomial(field, tail + (1,))
+        for d in range(max_deg + 1)
+        for tail in itertools.product(range(q), repeat=d)
+    )
+    degrees = np.array([m.degree for m in monics], dtype=np.int32)
+    factors = tuple(factorize(m) for m in monics)
+    bits: dict[Polynomial, int] = {}
+    masks = tuple(
+        sum(1 << bits.setdefault(pi, len(bits)) for pi in fac) for fac in factors
+    )
+    scaled = sorted(
+        ((m.scale(lead), j) for j, m in enumerate(monics) for lead in range(1, q)),
+        key=lambda uj: uj[0].key(),
+    )
+    nonzero = tuple(u for u, _ in scaled)
+    monic_of = np.array([j for _, j in scaled], dtype=np.intp)
+    degrees.flags.writeable = monic_of.flags.writeable = False  # shared by every caller
+    return monics, degrees, factors, masks, nonzero, monic_of
 
 
 def enumerate_sections(curve: ProjectiveLine, D: Divisor, h: int):
@@ -144,7 +170,10 @@ def enumerate_sections(curve: ProjectiveLine, D: Divisor, h: int):
     canonically sorted tuple.
 
     Enumerates reduced pairs u/v up to degree h + deg(D_+) and filters by
-    exact height, so the result is complete and duplicate-free.
+    exact height, so the result is complete and duplicate-free. Every monic
+    polynomial is factored once: u = lead * m and v are coprime iff their
+    factor sets are disjoint, and the height is max(deg u, deg v) corrected
+    by the valuations at supp(D), read from the cached multiplicities.
     """
     if not isinstance(curve, ProjectiveLine):
         raise PreconditionError("sections are restricted to the projective line")
@@ -162,28 +191,28 @@ def enumerate_sections(curve: ProjectiveLine, D: Divisor, h: int):
     if q ** (2 * max_deg + 1) > 8 * SECTION_ENUM_GUARD:
         raise PreconditionError("twisted enumeration too large for this divisor")
     F = curve.field
-    D_items = D.items()
+    monics, deg, factors, masks, nonzero, monic_of = _monic_table(F, max_deg)
+    # height[i, j] for v = monics[i], u = lead * monics[j]: the degree of the
+    # zero divisor of u/v, shifted by each place of supp(D) where the
+    # coefficient moves the positive part
+    height = np.maximum.outer(deg, deg)
+    for pl, c in D.items():
+        if pl.kind == "inf":
+            val = deg[:, None] - deg[None, :]
+        else:
+            mult = np.array([fac.get(pl.poly, 0) for fac in factors], dtype=np.int32)
+            val = mult[None, :] - mult[:, None]
+        height += (np.maximum(val + c, 0) - np.maximum(val, 0)) * pl.degree
+    keep = height <= h
+    for i, j in zip(*np.nonzero(keep)):
+        keep[i, j] = not masks[i] & masks[j]
+    # rows follow v and columns u in canonical key order, so the row-major
+    # scan is already sorted by (v.key(), u.key())
     out = [RationalSection(RationalFunction.zero(F), D, 0)]
-    monics = [
-        Polynomial(F, tail + (1,))
-        for dv in range(max_deg + 1)
-        for tail in itertools.product(range(q), repeat=dv)
-    ]
-    nonzero_u = [
-        Polynomial(F, tail + (lead,))
-        for du in range(max_deg + 1)
-        for tail in itertools.product(range(q), repeat=du)
-        for lead in range(1, q)
-    ]
-    for v in monics:
-        for u in nonzero_u:
-            if u.gcd(v).degree != 0:
-                continue
-            f = RationalFunction(u, v)
-            ht = _height_fast(curve, D_items, w_pos, f)
-            if ht <= h:
-                out.append(RationalSection(f, D, ht))
-    out.sort(key=lambda s: (s.f.denom.key(), s.f.numer.key()))
+    for i, k in zip(*np.nonzero(keep[:, monic_of])):
+        out.append(RationalSection(
+            RationalFunction.from_reduced(nonzero[k], monics[i]), D, int(height[i, monic_of[k]])
+        ))
     return tuple(out)
 
 
@@ -342,18 +371,96 @@ def multiplicity_census(
 # ---------------------------------------------------------------------------
 # The code over the projective alphabet.
 
+def _unit_at(curve: ProjectiveLine, phi: RationalFunction, point: Point):
+    """(c, w) for a nonzero function at a rational point: its valuation c
+    and the value w of its unit part phi * t^(-c) in the canonical
+    uniformizer t."""
+    F = curve.field
+    u, v = phi.numer, phi.denom
+    if point.is_infinity:
+        return v.degree - u.degree, F.div(u.lead, v.lead)
+    a = point.coords[0]
+    tu, tv = u.shifted_coeffs(a), v.shifted_coeffs(a)
+    mu = next(k for k, c in enumerate(tu) if c)
+    mv = next(k for k, c in enumerate(tv) if c)
+    return mu - mv, F.div(tu[mu], tv[mv])
+
+
+def _leading_taylor(coeffs: np.ndarray, a: int, add, mul):
+    """For every row of a coefficient array (constant term first), the
+    multiplicity m of the root a and the Taylor coefficient of (x - a)^m:
+    rounds of table-driven Horner division by x - a, the remainder of round
+    k being the k-th Taylor coefficient. An all-zero row gives (0, 0)."""
+    rows = coeffs.shape[0]
+    mult = np.zeros(rows, dtype=np.int64)
+    lead = np.zeros(rows, dtype=coeffs.dtype)
+    open_ = coeffs.any(axis=1)
+    cur = coeffs.copy()
+    for k in range(coeffs.shape[1]):
+        if not open_.any():
+            break
+        acc = np.zeros(rows, dtype=coeffs.dtype)
+        for j in range(cur.shape[1] - 1, -1, -1):
+            acc = add[mul[acc, a], cur[:, j]]
+            cur[:, j] = acc
+        hit = open_ & (acc != 0)  # acc is the remainder; the quotient is cur[:, 1:]
+        mult[hit], lead[hit] = k, acc[hit]
+        open_ &= ~hit
+        cur = cur[:, 1:]
+    return mult, lead
+
+
+def phi0_words(curve: ProjectiveLine, sections, points, twists: TwistFamily) -> np.ndarray:
+    """Twisted evaluation words of many sections at once, one row each:
+    field encodings for finite values, symbol q for infinity.
+
+    The sections are read as (u, v) coefficient arrays. At each point the
+    valuation of the twisted section is the twist's valuation c plus
+    mult(u) - mult(v) (deg v - deg u at infinity): positive gives 0,
+    negative gives infinity, and zero gives the ratio of the leading Taylor
+    coefficients (of the leading coefficients at infinity) times the value
+    of the twist's unit part there. Needs q <= 256, the limit of the
+    field lookup tables (kernels.field_tables).
+    """
+    F = curve.field
+    q = F.q
+    add, mul = kernels.field_tables(F)
+    inv = np.argmax(mul == 1, axis=1).astype(np.uint8)
+    points = tuple(points)
+    width = max(max(len(s.f.numer.coeffs), len(s.f.denom.coeffs)) for s in sections)
+
+    def padded(polys):
+        rows = [p.coeffs + (0,) * (width - len(p.coeffs)) for p in polys]
+        return np.array(rows, dtype=np.uint8).reshape(-1, width)
+
+    U = padded(s.f.numer for s in sections)
+    V = padded(s.f.denom for s in sections)
+    nonzero = U.any(axis=1)
+    rows = np.arange(len(sections))
+    out = np.empty((len(sections), len(points)), dtype=np.uint8 if q + 1 <= 256 else np.uint16)
+    for k, p in enumerate(points):
+        c, w = _unit_at(curve, twists.at_point(p), p)
+        if p.is_infinity:
+            du = width - 1 - np.argmax(U[:, ::-1] != 0, axis=1)
+            dv = width - 1 - np.argmax(V[:, ::-1] != 0, axis=1)
+            val, lead_u, lead_v = dv - du + c, U[rows, du], V[rows, dv]
+        else:
+            mult_u, lead_u = _leading_taylor(U, p.coords[0], add, mul)
+            mult_v, lead_v = _leading_taylor(V, p.coords[0], add, mul)
+            val = mult_u - mult_v + c
+        value = mul[mul[lead_u, inv[lead_v]], w].astype(out.dtype)
+        value[nonzero & (val > 0)] = 0
+        value[nonzero & (val < 0)] = q
+        out[:, k] = value
+    return out
+
+
 def phi0_projective(
     curve: ProjectiveLine, f: RationalSection, points, twists: TwistFamily
 ) -> tuple[int, ...]:
-    """Twisted evaluation word over P^1(k): field encodings for finite
-    values, symbol q for infinity."""
-    q = curve.field.q
-    word = []
-    for p in points:
-        g = twists.at_point(p) * f.f
-        v = curve.evaluate(g, p)
-        word.append(q if v is INF else int(v))
-    return tuple(word)
+    """Twisted evaluation word of one section over P^1(k): field encodings
+    for finite values, symbol q for infinity."""
+    return tuple(phi0_words(curve, (f,), points, twists)[0].tolist())
 
 
 def build_section_code(
@@ -376,8 +483,8 @@ def build_section_code(
     if twists is None:
         twists = canonical_twists(curve, D)
     sections = enumerate_sections(curve, D, h)
-    words = [phi0_projective(curve, s, points, twists) for s in sections]
-    if len(set(words)) != len(sections):
+    words = phi0_words(curve, sections, points, twists)
+    if len(np.unique(words, axis=0)) != len(sections):
         raise VerificationError("evaluation is not injective on the sections")
     q = curve.field.q
     ratio_reference = ((q + 1) / q) ** n * q ** (2 * h)  # genus 0 reference count
@@ -394,7 +501,7 @@ def build_section_code(
         "linear": False,
         "threshold_exceeded": int(Fraction(h, n) > Fraction(q, q * q - 1)),
     }
-    code = make_code(Alphabet("p1", q), n, words, field=curve.field, metadata=metadata)
+    code = make_code(Alphabet("p1", q), n, words.tolist(), field=curve.field, metadata=metadata)
     if measure:
         d = exact_min_distance(code)
         code.metadata["measured_distance"] = d

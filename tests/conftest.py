@@ -3,8 +3,9 @@
 These deliberately avoid the library's own search kernels and candidate
 bookkeeping: distances are measured by plain Python loops, optimizer
 locations by golden-section search, irreducible counts by the divisor-sum
-formula, and multiplicity totals by enumerating every place up to a degree
-bound.
+formula, multiplicity totals by enumerating every place up to a degree
+bound, sections by one gcd per candidate pair, and evaluation words by
+symbolic twist-times-section arithmetic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,15 @@ import mpmath
 from mpmath import mp, mpf
 
 from agcodes.curves import Place
-from agcodes.field import INF, enumerate_irreducibles, rational_valuation
+from agcodes.field import (
+    INF,
+    Polynomial,
+    RationalFunction,
+    enumerate_irreducibles,
+    factor_multiplicity,
+    rational_valuation,
+)
+from agcodes.sections import RationalSection
 
 
 def naive_min_distance(words):
@@ -107,3 +116,44 @@ def oracle_total_multiplicity(curve, sec_a, sec_b, twists, max_degree):
         m = max(rational_valuation(diff, desc), 0)
         total += m * pl.degree
     return total
+
+
+def oracle_enumerate_sections(curve, D, h):
+    """The zero function plus every section of height <= h: every pair u/v
+    up to degree h + deg(D_+) with v monic, one gcd per pair, valuations at
+    supp(D) by repeated division, sorted by (denominator, numerator) key."""
+    F, q = curve.field, curve.field.q
+    max_deg = h + D.pos_part().degree
+    monics = [
+        Polynomial(F, tail + (1,))
+        for d in range(max_deg + 1)
+        for tail in itertools.product(range(q), repeat=d)
+    ]
+    out = [RationalSection(RationalFunction.zero(F), D, 0)]
+    for v in monics:
+        for m in monics:
+            if m.gcd(v).degree != 0:
+                continue
+            height = max(m.degree, v.degree)
+            for pl, c in D.items():
+                if pl.kind == "inf":
+                    val = v.degree - m.degree
+                else:
+                    val = factor_multiplicity(m, pl.poly) - factor_multiplicity(v, pl.poly)
+                height += (max(val + c, 0) - max(val, 0)) * pl.degree
+            if height <= h:
+                for lead in range(1, q):
+                    out.append(RationalSection(RationalFunction(m.scale(lead), v), D, height))
+    out.sort(key=lambda s: (s.f.denom.key(), s.f.numer.key()))
+    return tuple(out)
+
+
+def oracle_phi0(curve, section, points, twists):
+    """Twisted evaluation word by symbolic arithmetic: the reduced product
+    of twist and section, evaluated at each point (q for infinity)."""
+    q = curve.field.q
+    word = []
+    for p in points:
+        v = curve.evaluate(twists.at_point(p) * section.f, p)
+        word.append(q if v is INF else int(v))
+    return tuple(word)

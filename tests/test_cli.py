@@ -8,9 +8,18 @@ from agcodes import bounds
 from agcodes.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
+    EXIT_USAGE,
     EXIT_VERIFICATION,
     main,
 )
+
+
+def _exit_code(argv) -> int:
+    """main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_goppa_build_and_verify(tmp_path):
@@ -155,3 +164,36 @@ def test_points_index_selection(tmp_path):
     assert rc == EXIT_OK
     doc = json.loads((out / "manifest.json").read_text())
     assert doc["results"]["n"] == 4
+
+
+@pytest.mark.parametrize("points,index", [("0,1,99", "99"), ("0,1,-1", "-1")])
+def test_points_index_out_of_range(tmp_path, capsys, points, index):
+    out = tmp_path / "p"
+    rc = main(["goppa", "build", "--q", "5", "--divisor", "inf:2",
+               "--points", points, "--out", str(out)])
+    assert rc == EXIT_PRECONDITION
+    assert f"point index {index} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case,expected", [
+    ("divisor-syntax", EXIT_USAGE),
+    ("empty-manifest", EXIT_PRECONDITION),
+    ("missing-code-file", EXIT_PRECONDITION),
+    ("negative-trials", EXIT_USAGE),
+])
+def test_bad_inputs_exit_with_documented_code(tmp_path, capsys, case, expected):
+    out = str(tmp_path / "out")
+    empty = tmp_path / "manifest.json"
+    empty.write_text("{}")
+    argv = {
+        "divisor-syntax": ["goppa", "build", "--q", "5", "--divisor", "abc", "--out", out],
+        "empty-manifest": ["replay", "manifest", str(empty), "--out", out],
+        "missing-code-file": ["verify", "distance", "--code", str(tmp_path / "missing.txt")],
+        "negative-trials": ["combined", "build", "--q", "3", "--h", "1", "--s0", "1",
+                            "--d0", "2", "--strategy", "random", "--trials", "-5",
+                            "--out", out],
+    }[case]
+    assert _exit_code(argv) == expected
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err

@@ -15,7 +15,6 @@ from agcodes.field import (
     make_field,
     make_field_q,
     rational_valuation,
-    reduce_fraction,
 )
 from conftest import irreducible_count
 
@@ -100,14 +99,14 @@ def test_gf4_inverse_example():
 
 def test_reduce_cancels_common_factor():
     F = make_field(2, 1)
-    f = reduce_fraction(Polynomial(F, (0, 1, 1)), Polynomial(F, (0, 1)))
+    f = RationalFunction(Polynomial(F, (0, 1, 1)), Polynomial(F, (0, 1)))
     assert f.numer.coeffs == (1, 1) and f.denom.coeffs == (1,)
     assert f.degree == 1
 
 
 def test_reduce_keeps_reduced_input():
     F = make_field(2, 1)
-    f = reduce_fraction(Polynomial.one(F), Polynomial.x(F))
+    f = RationalFunction(Polynomial.one(F), Polynomial.x(F))
     assert f.numer.coeffs == (1,) and f.denom.coeffs == (0, 1)
     assert f.degree == 1
 
@@ -117,7 +116,7 @@ def test_reduce_gf3_normalizes_monic_denominator():
     F = make_field(3, 1)
     u = Polynomial(F, (0, 0, 0, 1))
     v = Polynomial(F, (0, 0, 2))
-    f = reduce_fraction(u, v)
+    f = RationalFunction(u, v)
     assert f.denom.is_monic
     assert f.numer.gcd(f.denom).degree == 0
     for a in range(1, 3):
@@ -133,8 +132,8 @@ def test_reduce_idempotent_and_consistent_randomized():
         v = Polynomial(F, [rng.randrange(3) for _ in range(rng.randrange(1, 6))])
         if v.is_zero:
             continue
-        f = reduce_fraction(u, v)
-        again = reduce_fraction(f.numer, f.denom)
+        f = RationalFunction(u, v)
+        again = RationalFunction(f.numer, f.denom)
         assert again.numer == f.numer and again.denom == f.denom
         assert f.denom.is_monic
         assert f.is_zero or f.numer.gcd(f.denom).degree == 0
@@ -145,7 +144,7 @@ def test_reduce_idempotent_and_consistent_randomized():
 def test_reduce_zero_denominator_rejected():
     F = make_field(2, 1)
     with pytest.raises(PreconditionError):
-        reduce_fraction(Polynomial.one(F), Polynomial.zero(F))
+        RationalFunction(Polynomial.one(F), Polynomial.zero(F))
 
 
 # ---------------------------------------------------------------------------

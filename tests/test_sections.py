@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from agcodes.curves import build_curve
 from agcodes.errors import PreconditionError
@@ -18,11 +21,18 @@ from agcodes.sections import (
     enumerate_sections,
     global_twist_function,
     multiplicity_census,
+    phi0_projective,
+    phi0_words,
     section_height,
     solution_multiplicity,
     total_multiplicity,
 )
-from conftest import naive_min_distance, oracle_total_multiplicity
+from conftest import (
+    naive_min_distance,
+    oracle_enumerate_sections,
+    oracle_phi0,
+    oracle_total_multiplicity,
+)
 
 
 def _p1(q):
@@ -128,6 +138,114 @@ def test_sections_equal_twist_of_reference_sections():
         else:
             mapped.add(f / g)
     assert mapped == with_d
+
+
+# ---------------------------------------------------------------------------
+# enumeration and twisted evaluation against the symbolic oracles
+
+
+def _twist_families(curve, D):
+    families = [canonical_twists(curve, D)]
+    if not D.is_zero:
+        g = global_twist_function(curve, D)
+        families.append(TwistFamily(curve, D, {pl: g for pl in D.support}))
+    return families
+
+
+def _assert_pipeline_matches_oracles(curve, D, h, points=None):
+    points = curve.points if points is None else points
+    secs = enumerate_sections(curve, D, h)
+    expected = oracle_enumerate_sections(curve, D, h)
+    assert [(s.f, s.height) for s in secs] == [(s.f, s.height) for s in expected]
+    assert all(s.divisor == D for s in secs)
+    for tw in _twist_families(curve, D):
+        words = phi0_words(curve, secs, points, tw)
+        assert words.shape == (len(secs), len(points))
+        assert words.dtype == np.uint8
+        oracle = [oracle_phi0(curve, s, points, tw) for s in expected]
+        assert [tuple(w) for w in words.tolist()] == oracle
+    return secs
+
+
+@pytest.mark.parametrize("q,h", [(2, 3), (3, 2), (4, 2), (5, 1), (7, 1), (8, 1), (9, 1)])
+def test_pipeline_matches_oracles_untwisted(q, h):
+    curve = _p1(q)
+    _assert_pipeline_matches_oracles(curve, curve.zero_divisor(), h)
+
+
+@pytest.mark.parametrize("q,divisor,h", [
+    (2, "0,1:1;1,1:-1", 2),           # degree-1 places, both signs
+    (2, "1,1,1:1;inf:-2", 2),         # positive at the degree-2 place
+    (2, "1,1,1:-1;inf:2", 1),         # negative at the degree-2 place
+    (2, "inf:1;0,1:-1", 2),
+    (2, "0,1:2;1,1:-1;inf:-1", 1),
+    (3, "1,1:1;inf:-1", 2),
+    (3, "1,0,1:1;inf:-2", 1),         # x^2 + 1 is irreducible over GF(3)
+    (3, "0,1:-2;inf:2", 1),
+    (4, "1,1:-2;inf:2", 1),
+    (5, "2,1:2;inf:-2", 1),
+    (7, "3,1:1;inf:-1", 1),
+])
+def test_pipeline_matches_oracles_twisted(q, divisor, h):
+    curve = _p1(q)
+    _assert_pipeline_matches_oracles(curve, curve.parse_divisor(divisor), h)
+
+
+def test_pipeline_on_a_permuted_point_subset():
+    curve = _p1(5)
+    D = curve.parse_divisor("1,1:1;inf:-1")
+    points = tuple(curve.points[i] for i in (5, 4, 0, 2))
+    _assert_pipeline_matches_oracles(curve, D, 1, points)
+
+
+def test_evaluation_with_unit_twists_off_the_support():
+    # a twist of valuation 0 scales the value: a constant at one point, a
+    # nonconstant unit at another and at infinity
+    curve = _p1(5)
+    F = curve.field
+    D = curve.parse_divisor("1,1:1;inf:-1")
+    at = curve.place_of_point
+    unit = RationalFunction(Polynomial(F, (2, 1)), Polynomial(F, (3, 1)))
+    mapping = {
+        at(curve.points[4]): RationalFunction.from_poly(Polynomial(F, (1, 1))) * unit,
+        at(curve.points[0]): RationalFunction.constant(F, 2),
+        at(curve.points[1]): unit,
+        curve.place_inf(): unit * RationalFunction.x(F),
+    }
+    tw = TwistFamily(curve, D, mapping)
+    secs = enumerate_sections(curve, D, 1)
+    words = phi0_words(curve, secs, curve.points, tw)
+    assert [tuple(w) for w in words.tolist()] == [oracle_phi0(curve, s, curve.points, tw) for s in secs]
+    assert all(phi0_projective(curve, s, curve.points, tw) == tuple(w)
+               for s, w in zip(secs[::7], words[::7].tolist()))
+
+
+@st.composite
+def _small_divisors(draw):
+    """A degree-zero divisor over GF(2) or GF(3) on up to two of the
+    degree-1 places and one degree-2 place, balanced at infinity, with
+    deg D_+ <= 2; and a height bound."""
+    q = draw(st.sampled_from([2, 3]))
+    curve = _p1(q)
+    places = [curve.place_of_point(p) for p in curve.points[:-1]]
+    places.append(curve.place_of_poly(
+        next(pi for pi in enumerate_irreducibles(curve.field, 2) if pi.degree == 2)))
+    picked = draw(st.lists(st.sampled_from(places), min_size=1, max_size=2, unique=True))
+    coeffs = {pl: draw(st.integers(-2, 2)) for pl in picked}
+    total = sum(c * pl.degree for pl, c in coeffs.items())
+    coeffs[curve.place_inf()] = -total
+    D = curve.divisor({pl: c for pl, c in coeffs.items() if c})
+    w_pos = D.pos_part().degree
+    assume(w_pos <= 2)
+    h = draw(st.integers(0, (3 if q == 2 else 2) - w_pos))
+    return curve, D, h
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_divisors())
+def test_pipeline_matches_oracles_on_random_divisors(case):
+    curve, D, h = case
+    _assert_pipeline_matches_oracles(curve, D, h)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +448,12 @@ def test_section_code_nontrivial_divisor_parameters_match_twist_choice():
     c2 = build_section_code(curve, D, 1, twists=tw_global)
     assert c1.size == c2.size
     assert c1.metadata["measured_distance"] == c2.metadata["measured_distance"]
+
+
+def test_section_code_needs_lookup_tables():
+    # order-0 words are table-driven, so fields above 256 elements refuse
+    with pytest.raises(PreconditionError):
+        build_section_code(_p1(257), _p1(257).zero_divisor(), 0, measure=False)
 
 
 def test_section_count_reference_reported():
