@@ -12,6 +12,7 @@ its manifest. Output files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -19,8 +20,8 @@ import sys
 import tempfile
 import time
 
-from . import bounds, kernels
-from .codes import build_goppa, code_from_text, code_to_text, exact_min_distance
+from . import bounds
+from .codes import build_goppa, closest_pair, code_from_text, code_to_text
 from .combined import CombinedParams, build_combined
 from .curves import build_curve, default_eval_points, distinct_points
 from .errors import PreconditionError, VerificationError
@@ -347,13 +348,12 @@ def cmd_bounds_crossing(args) -> int:
 def cmd_verify_distance(args) -> int:
     code = code_from_text(_read_text(args.code))
     claimed = code.metadata.get("claimed_distance")
-    code.metadata["linear"] = False  # recompute pairwise, trusting nothing
-    measured = exact_min_distance(code)
+    scan = closest_pair(code)  # pairwise, trusting no linearity flag
+    measured = None if scan is None else scan[0]
     print(f"words={code.size} claimed={claimed} measured={measured}")
-    if code.size >= 2 and claimed is not None and measured < claimed:
-        _, pair = kernels.pairwise_min_distance(code.as_array())
-        for k in pair:
-            print(f"witness word {k}: " + ",".join(str(s) for s in code.words[k]))
+    if scan is not None and claimed is not None and measured < claimed:
+        for k in scan[1]:
+            print(f"witness word {k}: " + ",".join(map(str, code.words[k].tolist())))
         print("distance guarantee FAILED")
         return EXIT_VERIFICATION
     print("distance guarantee holds")
@@ -416,7 +416,9 @@ def cmd_replay_manifest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
+    """Built once per process: parse_args returns a fresh namespace each call."""
     ap = argparse.ArgumentParser(prog="agcodes", description=__doc__)
     sub = ap.add_subparsers(dest="group", required=True)
 

@@ -3,12 +3,15 @@ measurement, and the shared code-file format.
 
 A Code is a finite set of equal-length words over either the base field k
 (symbols are element encodings) or the projective line over k (symbols
-0..q-1 are field encodings and q encodes the value at infinity). Words are
-kept sorted and duplicate-free, so serialization is byte-stable.
+0..q-1 are field encodings and q encodes the value at infinity). The words
+are one read-only integer array, a row per word (uint8 up to 256 symbols,
+uint16 up to 65536), with unique rows in ascending lexicographic order, so
+serialization is byte-stable.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field as dc_field
@@ -23,8 +26,6 @@ from .field import FieldSpec, make_field
 
 DISTANCE_GUARD = 10 ** 5
 
-Word = tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -38,11 +39,11 @@ class Alphabet:
         return self.q if self.kind == "field" else self.q + 1
 
 
-@dataclass
+@dataclass(eq=False)
 class Code:
     alphabet: Alphabet
     length: int
-    words: tuple[Word, ...]
+    words: np.ndarray
     field: FieldSpec | None = None
     metadata: dict = dc_field(default_factory=dict)
 
@@ -57,17 +58,48 @@ class Code:
         return math.log(self.size, self.alphabet.size) / self.length
 
     def as_array(self) -> np.ndarray:
-        return kernels.words_array(self.words, self.alphabet.size)
+        return self.words
+
+
+def _row_keys(arr: np.ndarray) -> np.ndarray:
+    """One opaque key per row whose byte order is the rows' lexicographic
+    order (big-endian symbols), so sorted rows give sorted keys."""
+    rows = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder(">"))
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * arr.shape[1]))).ravel()
+
+
+def _distinct_rows(arr: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array in ascending lexicographic order."""
+    if arr.shape[1] == 0:
+        return arr[:1]
+    return arr[np.unique(_row_keys(arr), return_index=True)[1]]
 
 
 def make_code(alphabet: Alphabet, length: int, words, field=None, metadata=None) -> Code:
-    ws = sorted(set(tuple(int(s) for s in w) for w in words))
-    for w in ws:
-        if len(w) != length:
-            raise PreconditionError("word length mismatch")
-        if any(not 0 <= s < alphabet.size for s in w):
-            raise PreconditionError("symbol out of alphabet range")
-    return Code(alphabet, length, tuple(ws), field, dict(metadata or {}))
+    """The code of the distinct words, given as an array or as any iterable
+    of equal-length integer sequences."""
+    arr = _distinct_rows(kernels.words_array(words, alphabet.size, length))
+    arr.flags.writeable = False
+    return Code(alphabet, length, arr, field, dict(metadata or {}))
+
+
+def finish_code(alphabet: Alphabet, n: int, words, field, metadata: dict,
+                measure: bool) -> Code:
+    """The last step of every builder: make the code of the word array, one
+    row per preimage, which must be distinct; then, if asked, measure the
+    exact distance and hold it to metadata["claimed_distance"]."""
+    code = make_code(alphabet, n, words, field=field, metadata=metadata)
+    if code.size != len(words):
+        raise VerificationError(
+            f"the word map is not injective: {len(words)} preimages, {code.size} words"
+        )
+    if measure:
+        d = exact_min_distance(code)
+        code.metadata["measured_distance"] = d
+        claimed = metadata["claimed_distance"]
+        if d is not None and d < claimed:
+            raise VerificationError(f"measured distance {d} below the floor {claimed}")
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -76,22 +108,31 @@ def make_code(alphabet: Alphabet, length: int, words, field=None, metadata=None)
 def _closure_audit(code: Code, samples: int = 200) -> bool:
     """Spot-check that the word set is an additive group over the field, so
     the weight shortcut is honest. Exact for the zero word, randomized for
-    closure."""
-    if code.field is None or code.alphabet.kind != "field":
+    closure. A field above 256 elements has no lookup tables, and an
+    alphabet that is not the field's own has no field sums: such codes take
+    the pairwise scan, which gives the same distance."""
+    ws, F = code.words, code.field
+    if F is None or F.q > 256 or code.alphabet != Alphabet("field", F.q):
         return False
-    words = set(code.words)
-    if tuple([0] * code.length) not in words:
+    if len(ws) == 0 or ws[0].any():  # the least row is the zero word, if present
         return False
-    F = code.field
+    add, _ = kernels.field_tables(F)
     rng = random.Random(0xC0DE)
-    ws = code.words
-    for _ in range(samples):
-        a = ws[rng.randrange(len(ws))]
-        b = ws[rng.randrange(len(ws))]
-        s = tuple(F.add(x, y) for x, y in zip(a, b))
-        if s not in words:
-            return False
-    return True
+    picks = np.array([rng.randrange(len(ws)) for _ in range(2 * samples)]).reshape(samples, 2)
+    sums = _row_keys(add[ws[picks[:, 0]], ws[picks[:, 1]]])
+    keys = _row_keys(ws)
+    found = np.searchsorted(keys, sums).clip(max=len(keys) - 1)
+    return bool((keys[found] == sums).all())
+
+
+def closest_pair(code: Code) -> tuple[int, tuple[int, int]] | None:
+    """Exact minimum distance and the first closest word pair by the full
+    pairwise scan, whatever the code claims; None below two words."""
+    if code.size > DISTANCE_GUARD:
+        raise PreconditionError(
+            f"{code.size} words exceed the distance guard {DISTANCE_GUARD}"
+        )
+    return kernels.pairwise_min_distance(code.words) if code.size >= 2 else None
 
 
 def exact_min_distance(code: Code) -> int | None:
@@ -101,16 +142,10 @@ def exact_min_distance(code: Code) -> int | None:
     flagged linear get the minimum-nonzero-weight shortcut, but only after
     the additive closure audit passes.
     """
-    if code.size > DISTANCE_GUARD:
-        raise PreconditionError(
-            f"{code.size} words exceed the distance guard {DISTANCE_GUARD}"
-        )
-    if code.size < 2:
-        return None
-    arr = code.as_array()
-    if code.metadata.get("linear") and _closure_audit(code):
-        return kernels.min_nonzero_weight(arr)
-    return kernels.pairwise_min_distance(arr)[0]
+    if code.metadata.get("linear") and 2 <= code.size <= DISTANCE_GUARD and _closure_audit(code):
+        return kernels.min_nonzero_weight(code.words)
+    scan = closest_pair(code)
+    return None if scan is None else scan[0]
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +183,6 @@ def build_goppa(curve, D: Divisor, points=None, measure: bool = True) -> Code:
             row.append(v)
         rows.append(row)
     F = curve.field
-    words = kernels.linear_span_words(F, rows)
-    uniq = np.unique(words, axis=0)
-    if uniq.shape[0] != F.q ** dim:
-        raise VerificationError("evaluation map is not injective on L(D)")
     metadata = {
         "construction": "goppa",
         "curve": curve.kind,
@@ -163,14 +194,8 @@ def build_goppa(curve, D: Divisor, points=None, measure: bool = True) -> Code:
         "claimed_distance": n - D.degree,
         "points": ";".join(p.serialize() for p in points),
     }
-    code = make_code(Alphabet("field", F.q), n, [tuple(int(s) for s in w) for w in uniq],
-                     field=F, metadata=metadata)
-    if measure:
-        d = exact_min_distance(code)
-        code.metadata["measured_distance"] = d
-        if d is not None and d < n - D.degree:
-            raise VerificationError(f"measured distance {d} below the floor {n - D.degree}")
-    return code
+    return finish_code(Alphabet("field", F.q), n, kernels.linear_span_words(F, rows), F,
+                       metadata, measure)
 
 
 def goppa_sum_check(codes) -> list[dict]:
@@ -235,12 +260,28 @@ def code_to_text(code: Code) -> str:
             v = int(v)
         lines.append(f"param {k}: {v}")
     lines.append(f"words: {code.size}")
-    for w in code.words:
-        lines.append(",".join(str(s) for s in w))
+    lines.extend(map(",".join, _symbol_strings(code.alphabet.size)[code.words].tolist()))
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=8)
+def _symbol_strings(alphabet_size: int) -> np.ndarray:
+    """The decimal text of every symbol, indexed by the symbol (shared, so
+    read-only)."""
+    table = np.array([str(s) for s in range(alphabet_size)], dtype=object)
+    table.flags.writeable = False
+    return table
+
+
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"{what} is not an integer: {text!r}") from None
+
+
 def code_from_text(text: str) -> Code:
+    """Parse a code file; any malformed part raises PreconditionError."""
     lines = text.splitlines()
     if not lines or lines[0] != _HEADER:
         raise PreconditionError("not a code file")
@@ -251,36 +292,53 @@ def code_from_text(text: str) -> Code:
         line = lines[i]
         i += 1
         if line.startswith("words: "):
-            count = int(line.split(": ", 1)[1])
+            count = _int(line.split(": ", 1)[1], "word count")
             break
-        if line.startswith("param "):
-            k, v = line[len("param ") :].split(": ", 1)
-            meta[k] = v
-        else:
-            k, v = line.split(": ", 1)
-            fields[k] = v
+        is_param = line.startswith("param ")
+        k, sep, v = line[len("param ") if is_param else 0 :].partition(": ")
+        if not sep:
+            raise PreconditionError(f"malformed header line {line!r}")
+        (meta if is_param else fields)[k] = v
     else:
         raise PreconditionError("missing word count")
-    words = [tuple(int(s) for s in lines[i + j].split(",")) if lines[i + j] else ()
-             for j in range(count)]
-    fld = None
-    if "p" in fields:
-        fld = make_field(int(fields["p"]), int(fields["alpha"]))
-        mod = ",".join(str(c) for c in fld.modulus)
-        if mod != fields["modulus"]:
-            raise PreconditionError("modulus in file differs from the canonical one")
-    claimed = fields.get("claimed_distance")
-    meta["claimed_distance"] = None if claimed in (None, "None", "none") else int(claimed)
-    measured = fields.get("measured_distance")
-    meta["measured_distance"] = None if measured in (None, "none", "None") else int(measured)
-    if meta.get("linear") is not None:
-        meta["linear"] = meta["linear"] == "1"
+    missing = [k for k in ("alphabet", "q", "length") if k not in fields]
+    if missing:
+        raise PreconditionError("missing header " + ", ".join(missing))
     kind = _TAG_KINDS.get(fields["alphabet"])
     if kind is None:
         raise PreconditionError(f"unknown alphabet tag {fields['alphabet']!r}")
+    length = _int(fields["length"], "length")
+    if length < 0:
+        raise PreconditionError(f"negative length {length}")
+    block = lines[i : i + count]
+    if count < 0 or len(block) < count:
+        raise PreconditionError(f"word count {count} does not match the {len(block)} word lines")
+    if any(line.count(",") != length - 1 for line in block) if length else any(block):
+        raise PreconditionError("word length mismatch")
+    # fromstring raises on a token that is not an integer; an empty last
+    # token shortens the result, and the reshape raises on that
+    try:
+        words = np.fromstring(",".join(block) if length else "", dtype=np.int64, sep=",")
+        words = words.reshape(count, length)
+    except ValueError:
+        raise PreconditionError("word symbols must be integers") from None
+    q = _int(fields["q"], "q")
+    fld = None
+    if "p" in fields:
+        fld = make_field(_int(fields["p"], "p"), _int(fields.get("alpha"), "alpha"))
+        mod = ",".join(str(c) for c in fld.modulus)
+        if mod != fields.get("modulus"):
+            raise PreconditionError("modulus in file differs from the canonical one")
+        if fld.q != q:
+            raise PreconditionError(f"q = {q} is not the order of the field, {fld.q}")
+    for key in ("claimed_distance", "measured_distance"):
+        value = fields.get(key)
+        meta[key] = None if value in (None, "none", "None") else _int(value, key)
+    if meta.get("linear") is not None:
+        meta["linear"] = meta["linear"] == "1"
     return make_code(
-        Alphabet(kind, int(fields["q"])),
-        int(fields["length"]),
+        Alphabet(kind, q),
+        length,
         words,
         field=fld,
         metadata=meta,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .codes import Alphabet, Code, exact_min_distance, make_code
+from .codes import Alphabet, Code, finish_code
 from .curves import Divisor, ProjectiveLine, distinct_points
 from .errors import PreconditionError, VerificationError
 from .field import INF, local_expand
@@ -183,9 +183,6 @@ def build_combined(
     if outcome.best_count < 1:
         raise VerificationError("no survivors at the chosen center")
     survivors = tuple(sections[int(i)] for i in outcome.survivor_indices)
-    words1 = [phi1_projective(curve, s, points, twists) for s in survivors]
-    if len(set(words1)) != len(survivors):
-        raise VerificationError("first-order map is not injective on the survivors")
     metadata = {
         "construction": "combined",
         "curve": curve.kind,
@@ -204,12 +201,8 @@ def build_combined(
         "linear": False,
         "threshold_exceeded": int(threshold_check(q, params.h, n)),
     }
-    code = make_code(Alphabet("field", q), n, words1, field=curve.field, metadata=metadata)
-    if measure:
-        d = exact_min_distance(code)
-        code.metadata["measured_distance"] = d
-        if d is not None and d < params.d0:
-            raise VerificationError(f"measured distance {d} below the target {params.d0}")
+    words1 = [phi1_projective(curve, s, points, twists) for s in survivors]
+    code = finish_code(Alphabet("field", q), n, words1, curve.field, metadata, measure)
     expected = len(sections) * ball_size(n, params.s0, q + 1) if census else None
     return CombinedResult(
         center=outcome.centers[0],

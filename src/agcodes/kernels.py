@@ -65,9 +65,28 @@ def linear_span_words(field, basis_rows) -> np.ndarray:
     return words
 
 
-def words_array(words, alphabet_size: int) -> np.ndarray:
-    dtype = np.uint8 if alphabet_size <= 256 else np.uint16
-    return np.array(list(words), dtype=dtype).reshape(len(words), -1)
+def words_array(words, alphabet_size: int, length: int) -> np.ndarray:
+    """Words as a (count, length) array of the narrowest unsigned dtype that
+    holds symbols 0..alphabet_size-1 (uint8 up to 256 symbols, uint16 up to
+    65536).
+    Shape and range are checked before the dtype is narrowed, so an
+    out-of-range symbol raises instead of wrapping."""
+    if isinstance(words, np.ndarray):
+        arr = words
+        if arr.dtype.kind not in "biu":
+            raise PreconditionError(f"symbols must be integers, not {arr.dtype}")
+    else:
+        try:
+            arr = np.array(list(words), dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            raise PreconditionError("words must be equal-length rows of integer symbols") from None
+        if arr.ndim == 1 and arr.size == 0:
+            arr = arr.reshape(0, length)
+    if arr.ndim != 2 or arr.shape[1] != length:
+        raise PreconditionError("word length mismatch")
+    if arr.size and (arr.min() < 0 or arr.max() >= alphabet_size):
+        raise PreconditionError("symbol out of alphabet range")
+    return arr.astype(np.min_scalar_type(max(alphabet_size - 1, 0)), copy=False)
 
 
 def _one_hot(arr: np.ndarray, alphabet_size: int) -> np.ndarray:

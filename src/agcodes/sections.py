@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .codes import Alphabet, Code, exact_min_distance, make_code
+from .codes import Alphabet, Code, finish_code
 from .curves import Divisor, Place, Point, ProjectiveLine
 from .errors import PreconditionError, VerificationError
 from .field import (
@@ -483,9 +483,6 @@ def build_section_code(
     if twists is None:
         twists = canonical_twists(curve, D)
     sections = enumerate_sections(curve, D, h)
-    words = phi0_words(curve, sections, points, twists)
-    if len(np.unique(words, axis=0)) != len(sections):
-        raise VerificationError("evaluation is not injective on the sections")
     q = curve.field.q
     ratio_reference = ((q + 1) / q) ** n * q ** (2 * h)  # genus 0 reference count
     metadata = {
@@ -501,10 +498,5 @@ def build_section_code(
         "linear": False,
         "threshold_exceeded": int(Fraction(h, n) > Fraction(q, q * q - 1)),
     }
-    code = make_code(Alphabet("p1", q), n, words.tolist(), field=curve.field, metadata=metadata)
-    if measure:
-        d = exact_min_distance(code)
-        code.metadata["measured_distance"] = d
-        if d is not None and d < n - 2 * h:
-            raise VerificationError("measured distance below N - 2h")
-    return code
+    words = phi0_words(curve, sections, points, twists)
+    return finish_code(Alphabet("p1", q), n, words, curve.field, metadata, measure)

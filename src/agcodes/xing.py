@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .codes import Alphabet, Code, exact_min_distance, make_code
+from .codes import Alphabet, Code, finish_code
 from .curves import Divisor, default_eval_points, distinct_points
 from .errors import PreconditionError, VerificationError
 
@@ -207,11 +207,8 @@ def build_xing(
         )
     basis, spaces = _word_spaces(curve, D, points, params.m)
     search = _search(q, len(basis), spaces[: params.m], params, census)
-    final = spaces[params.m]
-    survivor_words = final[search.survivor_indices]
-    uniq = np.unique(survivor_words, axis=0)
-    if uniq.shape[0] != search.survivor_count:
-        raise VerificationError("final-order map is not injective on the survivors")
+    if len(search.survivor_indices) != search.survivor_count:
+        raise VerificationError("the survivor set differs from the best count")
     metadata = {
         "construction": "xing",
         "curve": curve.kind,
@@ -230,15 +227,8 @@ def build_xing(
         "points": ";".join(p.serialize() for p in points),
         "linear": False,
     }
-    code = make_code(
-        Alphabet("field", q), n, [tuple(int(s) for s in w) for w in uniq],
-        field=curve.field, metadata=metadata,
-    )
-    if measure:
-        d = exact_min_distance(code)
-        code.metadata["measured_distance"] = d
-        if d is not None and d < d0:
-            raise VerificationError(f"measured distance {d} below the floor {d0}")
+    code = finish_code(Alphabet("field", q), n, spaces[params.m][search.survivor_indices],
+                       curve.field, metadata, measure)
     return XingBuild(search=search, code=code, claimed_distance=d0, points=points)
 
 

@@ -5,17 +5,21 @@ bookkeeping: distances are measured by plain Python loops, optimizer
 locations by golden-section search, irreducible counts by the divisor-sum
 formula, multiplicity totals by enumerating every place up to a degree
 bound, sections by one gcd per candidate pair, and evaluation words by
-symbolic twist-times-section arithmetic.
+symbolic twist-times-section arithmetic. Code words, code files and the
+closure audit have tuple-and-set versions, the form the library used before
+it kept words as one integer array.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import mpmath
 from mpmath import mp, mpf
 
 from agcodes.curves import Place
+from agcodes.errors import PreconditionError
 from agcodes.field import (
     INF,
     Polynomial,
@@ -157,3 +161,87 @@ def oracle_phi0(curve, section, points, twists):
         v = curve.evaluate(twists.at_point(p) * section.f, p)
         word.append(q if v is INF else int(v))
     return tuple(word)
+
+
+def oracle_code_words(alphabet_size, length, words):
+    """Sorted distinct words as tuples, each checked for length and range."""
+    ws = sorted(set(tuple(int(s) for s in w) for w in words))
+    for w in ws:
+        if len(w) != length:
+            raise PreconditionError("word length mismatch")
+        if any(not 0 <= s < alphabet_size for s in w):
+            raise PreconditionError("symbol out of alphabet range")
+    return ws
+
+
+_ORACLE_TAGS = {"field": "field", "p1": "P1(k)"}
+
+
+def oracle_code_to_text(code):
+    """The code file, written one symbol at a time from tuple words."""
+    lines = ["agcodes-code v1", f"alphabet: {_ORACLE_TAGS[code.alphabet.kind]}",
+             f"q: {code.alphabet.q}"]
+    if code.field is not None:
+        lines.append(f"p: {code.field.p}")
+        lines.append(f"alpha: {code.field.degree}")
+        lines.append("modulus: " + ",".join(str(c) for c in code.field.modulus))
+    lines.append(f"length: {code.length}")
+    meta = dict(code.metadata)
+    claimed = meta.pop("claimed_distance", None)
+    measured = meta.pop("measured_distance", "none")
+    lines.append(f"claimed_distance: {claimed}")
+    lines.append(f"measured_distance: {measured if measured is not None else 'none'}")
+    for k in sorted(meta):
+        v = meta[k]
+        lines.append(f"param {k}: {int(v) if isinstance(v, bool) else v}")
+    words = [tuple(w) for w in code.words.tolist()]
+    lines.append(f"words: {len(words)}")
+    lines += [",".join(str(s) for s in w) for w in words]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_code_from_text(text):
+    """(alphabet kind, q, length, tuple words, (p, alpha) or None, metadata)
+    of a well-formed code file, parsed line by line."""
+    lines = text.splitlines()
+    fields, meta = {}, {}
+    i = 1
+    while not lines[i].startswith("words: "):
+        line = lines[i]
+        if line.startswith("param "):
+            k, v = line[len("param "):].split(": ", 1)
+            meta[k] = v
+        else:
+            k, v = line.split(": ", 1)
+            fields[k] = v
+        i += 1
+    count = int(lines[i].split(": ", 1)[1])
+    words = [tuple(int(s) for s in lines[i + 1 + j].split(",")) if lines[i + 1 + j] else ()
+             for j in range(count)]
+    for key in ("claimed_distance", "measured_distance"):
+        v = fields.get(key)
+        meta[key] = None if v in (None, "none", "None") else int(v)
+    if "linear" in meta:
+        meta["linear"] = meta["linear"] == "1"
+    kind = {v: k for k, v in _ORACLE_TAGS.items()}[fields["alphabet"]]
+    q = int(fields["q"])
+    length = int(fields["length"])
+    fld = (int(fields["p"]), int(fields["alpha"])) if "p" in fields else None
+    size = q if kind == "field" else q + 1
+    return kind, q, length, oracle_code_words(size, length, words), fld, meta
+
+
+def oracle_closure_audit(words, field, length, samples=200):
+    """Zero word present, and the sum of every sampled pair (the same seeded
+    draws as the library) lies in the word set."""
+    ws = [tuple(w) for w in words]
+    members = set(ws)
+    if tuple([0] * length) not in members:
+        return False
+    rng = random.Random(0xC0DE)
+    for _ in range(samples):
+        a = ws[rng.randrange(len(ws))]
+        b = ws[rng.randrange(len(ws))]
+        if tuple(field.add(x, y) for x, y in zip(a, b)) not in members:
+            return False
+    return True

@@ -268,8 +268,8 @@ def test_criterion_6_degenerations():
             if i != j:
                 w = F.mul(w, F.sub(pj.coords[0], pi.coords[0]))
         scale.append(w)
-    mapped = {tuple(F.mul(word[j], scale[j]) for j in range(n)) for word in goppa.words}
-    assert mapped == set(build.code.words)
+    mapped = {tuple(F.mul(word[j], scale[j]) for j in range(n)) for word in goppa.words.tolist()}
+    assert mapped == set(map(tuple, build.code.words.tolist()))
     assert goppa.metadata["measured_distance"] == build.code.metadata["measured_distance"]
 
     # radius-0 combined build meets the distance floor 2(N - h)

@@ -197,3 +197,67 @@ def test_bad_inputs_exit_with_documented_code(tmp_path, capsys, case, expected):
     assert _exit_code(argv) == expected
     err = capsys.readouterr().err
     assert err and "Traceback" not in err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    from agcodes import cli
+
+    assert cli._parser() is cli._parser()
+    for _ in range(2):
+        assert main(["field", "selftest", "--q", "2", "--q", "3"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["GF(2)", "GF(3)"]
+        assert main(["curve", "info", "--q", "4", "--curve", "hermitian"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["n_points"] == 9
+        assert main(["curve", "info", "--q", "4"]) == EXIT_OK  # default curve again
+        assert json.loads(capsys.readouterr().out)["n_points"] == 5
+        assert main(["field", "selftest"]) == EXIT_OK  # default field list again
+        assert len(capsys.readouterr().out.splitlines()) == 9
+
+
+_GOOD_HEADER = ("agcodes-code v1\nalphabet: field\nq: 3\np: 3\nalpha: 1\nmodulus: 0,1\n"
+                "length: 3\nclaimed_distance: 2\nmeasured_distance: none\n")
+
+
+@pytest.mark.parametrize("text", [
+    _GOOD_HEADER + "words: x\n0,0,0\n",
+    _GOOD_HEADER + "words: 3\n0,0,0\n1,1,1\n",
+    _GOOD_HEADER.replace("length: 3\n", "") + "words: 1\n0,0,0\n",
+    _GOOD_HEADER.replace("q: 3\n", "q 3\n") + "words: 1\n0,0,0\n",
+    _GOOD_HEADER + "words: 2\n0,0,0\n1,x,1\n",
+    _GOOD_HEADER + "words: 2\n0,0,0\n1,1\n",
+    _GOOD_HEADER + "words: 2\n0,0,0\n1,1,1,1\n",
+    _GOOD_HEADER + "words: 2\n0,0,0,0\n1,1\n",
+    _GOOD_HEADER + "words: 2\n0,0,0\n1,1.5,1\n",
+    _GOOD_HEADER + "words: 2\n0,0,0\n1,1,\n",
+    _GOOD_HEADER + "words: 2\n0,0,0\n1,99999999999999999999,1\n",
+    _GOOD_HEADER + "words: 2\n0,0,0\n1,3,1\n",
+    _GOOD_HEADER + "words: 2\n0,0,0\n1,-1,1\n",
+    _GOOD_HEADER.replace("alphabet: field\n", "") + "words: 1\n0,0,0\n",
+    _GOOD_HEADER.replace("q: 3\n", "") + "words: 1\n0,0,0\n",
+    _GOOD_HEADER.replace("p: 3\n", "p: 4\n") + "words: 1\n0,0,0\n",
+    _GOOD_HEADER.replace("alpha: 1\n", "alpha: one\n") + "words: 1\n0,0,0\n",
+    _GOOD_HEADER.replace("q: 3\n", "q: 5\n") + "words: 1\n0,0,0\n",
+    _GOOD_HEADER.replace("claimed_distance: 2", "claimed_distance: two") + "words: 1\n0,0,0\n",
+    _GOOD_HEADER.replace("length: 3", "length: -1") + "words: 0\n",
+    _GOOD_HEADER + "words: -1\n",
+], ids=["count-not-int", "count-above-lines", "missing-length", "header-no-separator",
+        "symbol-not-int", "row-short", "row-long", "rows-compensate",
+        "symbol-fraction", "symbol-empty",
+        "symbol-huge", "symbol-oversize", "symbol-negative",
+        "missing-alphabet", "missing-q", "p-not-prime", "alpha-not-int",
+        "q-not-field-order", "claim-not-int",
+        "length-negative", "count-negative"])
+def test_malformed_code_file_exits_precondition(tmp_path, capsys, text):
+    path = tmp_path / "code.txt"
+    path.write_text(text)
+    assert _exit_code(["verify", "distance", "--code", str(path)]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated: ") and "Traceback" not in err
+
+
+def test_well_formed_hand_written_code_file_verifies(tmp_path):
+    # the control for the malformed cases above: the same header is accepted
+    path = tmp_path / "code.txt"
+    path.write_text(_GOOD_HEADER + "words: 2\n0,0,0\n1,1,1\n")
+    assert main(["verify", "distance", "--code", str(path)]) == EXIT_OK

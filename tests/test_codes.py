@@ -1,0 +1,227 @@
+"""The integer-array code representation against the tuple oracles in
+conftest: make_code, the code-file writer and reader, and the closure audit."""
+
+import importlib.util
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from agcodes import codes as codes_mod, kernels
+from agcodes.codes import (
+    Alphabet,
+    build_goppa,
+    code_from_text,
+    code_to_text,
+    exact_min_distance,
+    finish_code,
+    make_code,
+)
+from agcodes.combined import CombinedParams, build_combined
+from agcodes.curves import build_curve
+from agcodes.errors import PreconditionError, VerificationError
+from agcodes.field import make_field, make_field_q
+from agcodes.sections import build_section_code
+from agcodes.xing import XingParams, build_xing
+from conftest import (
+    oracle_closure_audit,
+    oracle_code_from_text,
+    oracle_code_to_text,
+    oracle_code_words,
+)
+
+ALPHABETS = [Alphabet("field", 2), Alphabet("field", 3), Alphabet("field", 9),
+             Alphabet("p1", 4), Alphabet("field", 256), Alphabet("p1", 257)]
+
+
+def _random_words(rng, size, length, count):
+    words = [tuple(rng.randrange(size) for _ in range(length)) for _ in range(count)]
+    return words + words[: count // 3]  # repeats, so deduplication is exercised
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS, ids=lambda a: f"{a.kind}{a.size}")
+def test_make_code_matches_tuple_oracle(alphabet):
+    rng = random.Random(alphabet.size)
+    for length in (1, 2, 5):
+        words = _random_words(rng, alphabet.size, length, 40)
+        expected = [list(w) for w in oracle_code_words(alphabet.size, length, words)]
+        for given_words in (words, iter(words), np.array(words), np.array(words, dtype=np.uint64)):
+            code = make_code(alphabet, length, given_words)
+            assert code.words.tolist() == expected
+            assert code.words.dtype == (np.uint8 if alphabet.size <= 256 else np.uint16)
+            assert code.size == len(expected) and code.as_array() is code.words
+            assert not code.words.flags.writeable
+
+
+@pytest.mark.parametrize("alphabet,length,words", [
+    (Alphabet("field", 4), 3, [(0, 1, 2), (0, 1)]),
+    (Alphabet("field", 4), 2, [(0, 1, 2)]),
+    (Alphabet("field", 4), 2, [(0, -1)]),
+    (Alphabet("field", 4), 2, [(0, 4)]),
+    (Alphabet("field", 256), 1, [(256,)]),
+    (Alphabet("p1", 4), 2, [(5, 0)]),
+    (Alphabet("p1", 257), 1, [(258,)]),
+    (Alphabet("p1", 257), 1, [(65536 + 3,)]),
+    (Alphabet("field", 4), 2, np.array([[0, 1], [-1, 0]])),
+    (Alphabet("field", 256), 2, np.array([[0, 256]])),
+    (Alphabet("field", 4), 2, np.array([0, 1])),
+], ids=["ragged", "long", "negative", "oversize", "uint8-wrap", "p1-oversize",
+        "uint16-oversize", "uint16-wrap", "array-negative", "array-wrap", "array-1d"])
+def test_make_code_rejects_what_the_oracle_rejects(alphabet, length, words):
+    if not isinstance(words, np.ndarray):
+        with pytest.raises(PreconditionError):
+            oracle_code_words(alphabet.size, length, words)
+    with pytest.raises(PreconditionError):
+        make_code(alphabet, length, words)
+
+
+def test_make_code_empty_and_length_zero():
+    alpha = Alphabet("field", 4)
+    for empty in ([], np.empty((0, 5), dtype=np.uint8)):
+        code = make_code(alpha, 5, empty)
+        assert code.words.shape == (0, 5) and code.size == 0
+    zero = make_code(alpha, 0, [(), ()])
+    assert zero.words.shape == (1, 0) and oracle_code_words(4, 0, [(), ()]) == [()]
+    assert exact_min_distance(zero) is None
+
+
+def test_finish_code_checks_injectivity_and_the_floor():
+    alpha, words = Alphabet("field", 2), np.array([[1, 1, 1], [0, 0, 0]])
+    with pytest.raises(VerificationError, match="not injective: 3 preimages, 2 words"):
+        finish_code(alpha, 3, np.vstack([words, words[:1]]), None, {"claimed_distance": 1}, True)
+    unmeasured = finish_code(alpha, 3, words, None, {"claimed_distance": 4}, False)
+    assert "measured_distance" not in unmeasured.metadata
+    assert finish_code(alpha, 3, words, None, {"claimed_distance": 3}, True).metadata[
+        "measured_distance"] == 3
+    with pytest.raises(VerificationError, match="measured distance 3 below the floor 4"):
+        finish_code(alpha, 3, words, None, {"claimed_distance": 4}, True)
+
+
+def test_builder_refuses_a_repeated_word(monkeypatch):
+    curve = build_curve("p1", make_field(5, 1))
+    span = kernels.linear_span_words
+    monkeypatch.setattr(kernels, "linear_span_words",
+                        lambda F, rows: np.vstack([span(F, rows)[:-1], span(F, rows)[:1]]))
+    with pytest.raises(VerificationError, match="not injective"):
+        build_goppa(curve, curve.divisor({curve.place_inf(): 2}))
+
+
+@pytest.fixture(scope="module")
+def built_codes():
+    """One code from each of the four builders (two Goppa codes)."""
+    gf2, gf4 = build_curve("p1", make_field(2, 1)), build_curve("p1", make_field(2, 2))
+    gf5, herm = build_curve("p1", make_field(5, 1)), build_curve("hermitian", make_field(2, 2))
+    return {
+        "goppa": build_goppa(gf5, gf5.divisor({gf5.place_inf(): 2})),
+        "hermitian": build_goppa(herm, herm.one_point_divisor(3)),
+        "section": build_section_code(gf4, gf4.zero_divisor(), 1),
+        "xing": build_xing(gf2, gf2.zero_divisor(), XingParams(m=1, radii=(0,))).code,
+        "combined": build_combined(gf4, gf4.zero_divisor(), CombinedParams(h=2, s0=1, d0=2)).code,
+    }
+
+
+@pytest.mark.parametrize("name", ["goppa", "hermitian", "section", "xing", "combined"])
+def test_code_file_matches_tuple_oracle(built_codes, name):
+    code = built_codes[name]
+    text = code_to_text(code)
+    assert text == oracle_code_to_text(code)
+    kind, q, length, words, fld, meta = oracle_code_from_text(text)
+    back = code_from_text(text)
+    assert (back.alphabet.kind, back.alphabet.q, back.length) == (kind, q, length)
+    assert back.words.tolist() == [list(w) for w in words]
+    assert (back.field.p, back.field.degree) == fld and back.metadata == meta
+
+
+def _perturbed(code, rng):
+    """A copy of the word set with one word replaced by a random word."""
+    words = code.words.tolist()
+    words[rng.randrange(1, len(words))] = [rng.randrange(code.alphabet.q)
+                                           for _ in range(code.length)]
+    return make_code(code.alphabet, code.length, words, field=code.field,
+                     metadata=code.metadata)
+
+
+def test_closure_audit_matches_oracle(built_codes):
+    rng = random.Random(7)
+    herm9 = build_curve("hermitian", make_field(3, 2))
+    linear = [built_codes["goppa"], built_codes["hermitian"],
+              build_goppa(herm9, herm9.one_point_divisor(4), measure=False)]
+    candidates = list(linear)
+    for code in linear:
+        candidates += [_perturbed(code, rng) for _ in range(6)]
+        # without the zero word: shift every word by one nonzero constant
+        shifted = make_code(code.alphabet, code.length,
+                            [[code.field.add(s, 1) for s in w] for w in code.words.tolist()],
+                            field=code.field, metadata=code.metadata)
+        candidates.append(shifted)
+    verdicts = []
+    for code in candidates:
+        verdict = codes_mod._closure_audit(code)
+        assert verdict == oracle_closure_audit(code.words.tolist(), code.field, code.length)
+        verdicts.append(verdict)
+    assert all(verdicts[:3]) and verdicts.count(False) >= len(linear)
+    # a field without lookup tables skips the audit for the same exact distance
+    gf257 = make_code(Alphabet("field", 257), 4, [[c, 2 * c % 257, 0, c] for c in range(257)],
+                      field=make_field(257, 1), metadata={"linear": True})
+    assert not codes_mod._closure_audit(gf257)
+    # nor does a field alphabet that is not the field's own
+    gf3_as_5 = make_code(Alphabet("field", 5), 2, [[0, 0], [1, 4], [2, 3]],
+                         field=make_field(3, 1), metadata={"linear": True})
+    assert not codes_mod._closure_audit(gf3_as_5)
+    # a linear flag on a code that fails the audit falls back to the pairwise scan
+    for code in candidates + [gf257, gf3_as_5]:
+        assert exact_min_distance(code) == codes_mod.closest_pair(code)[0]
+
+
+def _codes_strategy():
+    def build(kind, q, length, n_words, seed, claimed, linear):
+        size = q if kind == "field" else q + 1
+        rng = random.Random(seed)
+        words = [[rng.randrange(size) for _ in range(length)] for _ in range(n_words)]
+        meta = {"claimed_distance": claimed, "construction": "random", "linear": linear}
+        return make_code(Alphabet(kind, q), length, words, field=make_field_q(q), metadata=meta)
+
+    return st.builds(
+        build,
+        st.sampled_from(["field", "p1"]),
+        st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 256, 257]),
+        st.integers(0, 6),
+        st.integers(0, 30),
+        st.integers(0, 2 ** 32),
+        st.one_of(st.none(), st.integers(0, 6)),
+        st.booleans(),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_codes_strategy())
+@example(make_code(Alphabet("p1", 257), 3, [(256, 257, 0), (1, 2, 3)], field=make_field(257, 1)))
+@example(make_code(Alphabet("field", 4), 0, [()], field=make_field(2, 2)))
+@example(make_code(Alphabet("p1", 3), 4, [], field=make_field(3, 1)))
+def test_code_file_roundtrip_property(code):
+    text = code_to_text(code)
+    assert text == oracle_code_to_text(code)
+    back = code_from_text(text)
+    assert back.words.dtype == code.words.dtype and np.array_equal(back.words, code.words)
+    assert back.alphabet == code.alphabet and back.length == code.length
+    assert back.field is code.field
+    assert code_to_text(back) == text
+    kind, q, length, words, _, meta = oracle_code_from_text(text)
+    assert back.words.tolist() == [list(w) for w in words] and back.metadata == meta
+
+
+def test_perfbench_entry_points_resolve():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, names in tracer.ENTRY_POINTS.items():
+        module = importlib.import_module(f"agcodes.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"agcodes.{layer}.{name}"
+    curves = importlib.import_module("agcodes.curves")
+    for cls in tracer.CURVE_CLASSES:
+        for method in tracer.CURVE_METHODS:
+            assert callable(getattr(getattr(curves, cls), method, None)), f"{cls}.{method}"

@@ -284,8 +284,8 @@ def test_zero_radius_zero_center_reduces_to_goppa():
             if i != j:
                 w = F.mul(w, F.sub(pj.coords[0], pi.coords[0]))
         scale.append(w)
-    mapped = {tuple(F.mul(word[j], scale[j]) for j in range(n)) for word in goppa.words}
-    assert mapped == set(build.code.words)
+    mapped = {tuple(F.mul(word[j], scale[j]) for j in range(n)) for word in goppa.words.tolist()}
+    assert mapped == set(map(tuple, build.code.words.tolist()))
     assert goppa.size == build.code.size
     d_goppa = goppa.metadata["measured_distance"]
     d_xing = build.code.metadata["measured_distance"]
