@@ -10,7 +10,6 @@ asymptotic bound landscape.
 from .errors import PreconditionError, VerificationError
 from .field import (
     INF,
-    FieldElement,
     FieldSpec,
     LocalExpansion,
     Polynomial,

@@ -172,11 +172,11 @@ def cmd_field_selftest(args) -> int:
             b = rng.randrange(q)
             c = rng.randrange(q)
             if field.add(field.mul(a, b), field.mul(a, c)) != field.mul(a, field.add(b, c)):
-                print(f"distributivity failed in GF({q})")
+                print(f"distributivity failed in GF({q}) at (a, b, c) = ({a}, {b}, {c})")
                 return EXIT_VERIFICATION
         for a in range(q):
             if field.pow(a, q) != a:
-                print(f"Frobenius fixed-point failed in GF({q})")
+                print(f"Frobenius fixed-point failed in GF({q}) at a = {a}")
                 return EXIT_VERIFICATION
         print(f"GF({q}) ok (modulus {','.join(str(c) for c in field.modulus)})")
     return EXIT_OK
@@ -267,6 +267,15 @@ def cmd_sections_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _print_census_witness(a, b, rows):
+    """The failing pair of sections with their heights, and its census."""
+    for name, s in (("a", a), ("b", b)):
+        print(f"witness section {name}: {s.f.serialize()} height {s.height}")
+    for r in rows:
+        print(f"census {r['place'].serialize()}: m={r['m']} mu={r['mu']} "
+              f"mu2={r['mu2']} v_diff={r['v_diff']}")
+
+
 def cmd_sections_proposition(args) -> int:
     import random
 
@@ -288,9 +297,11 @@ def cmd_sections_proposition(args) -> int:
         mu_total = sum((r["mu"] + r["mu2"]) * r["place"].degree for r in rows)
         if total != a.height + b.height:
             print(f"multiplicity total {total} != {a.height} + {b.height}")
+            _print_census_witness(a, b, rows)
             return EXIT_VERIFICATION
         if mu_total != a.height + b.height:
             print("pole-count identity failed")
+            _print_census_witness(a, b, rows)
             return EXIT_VERIFICATION
         checked += 1
     print(f"proposition verified on {checked} pairs (q={args.q}, h<= {h_each} each)")

@@ -75,100 +75,12 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Plain polynomials over GF(p) (coefficient lists of ints mod p), used only
-# to find the canonical modulus before any FieldSpec exists.
-
-def _pp_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pp_trim(out)
-
-
-def _pp_mod(a, m, p):
-    a = list(a)
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) >= len(m):
-        factor = (a[-1] * inv_lead) % p
-        shift = len(a) - len(m)
-        if factor:
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - factor * mi) % p
-        a.pop()
-        _pp_trim(a)
-        if not a:
-            break
-    return a
-
-
-def _pp_powmod(base, e, m, p):
-    result = [1]
-    base = _pp_mod(base, m, p)
-    while e:
-        if e & 1:
-            result = _pp_mod(_pp_mul(result, base, p), m, p)
-        base = _pp_mod(_pp_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _pp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pp_mod(a, b, p)
-    return a
-
-
-def _pp_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return _pp_trim(out)
-
-
-def _pp_is_irreducible(m, p):
-    """Rabin test: m monic of degree d is irreducible over GF(p)."""
-    d = len(m) - 1
-    x = [0, 1]
-    if _pp_sub(_pp_powmod(x, p ** d, m, p), x, p):
-        return False
-    for r in prime_factors(d):
-        diff = _pp_sub(_pp_powmod(x, p ** (d // r), m, p), x, p)
-        g = _pp_gcd(list(m), diff, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
-def _least_irreducible(p: int, degree: int) -> tuple[int, ...]:
-    """Least monic irreducible of the given degree, coefficient tuples
-    compared constant term first."""
-    if degree == 1:
-        return (0, 1)
-    for tail in itertools.product(range(p), repeat=degree):
-        cand = list(tail) + [1]
-        if _pp_is_irreducible(cand, p):
-            return tuple(cand)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-# ---------------------------------------------------------------------------
 # Field of q = p^alpha elements, operating on canonical integer encodings.
 
 class FieldSpec:
     """Finite field GF(p^alpha) with arithmetic on encoded elements.
 
-    The low-level methods (add, mul, ...) take and return integer encodings;
-    the FieldElement wrapper provides operator syntax on top of them.
+    Every method (add, mul, ...) takes and returns integer encodings.
     """
 
     __slots__ = ("p", "degree", "modulus", "q", "_digits", "_xpow", "_exp", "_log")
@@ -349,129 +261,8 @@ class FieldSpec:
             return self._exp[(self._log[a] * e) % (self.q - 1)]
         return self._pow_slow(a, e)
 
-    # -- element layer -------------------------------------------------------
-
-    def element(self, x) -> "FieldElement":
-        if isinstance(x, FieldElement):
-            if x.field is not self:
-                raise PreconditionError("element belongs to a different field")
-            return x
-        if isinstance(x, int):
-            if not 0 <= x < self.q:
-                raise PreconditionError(f"encoding {x} out of range for GF({self.q})")
-            return FieldElement(self, x)
-        code = self.encode(x)
-        if not 0 <= code < self.q:
-            raise PreconditionError("coefficients out of range")
-        return FieldElement(self, code)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self):
-        """All elements in canonical ascending encoding order."""
-        for code in range(self.q):
-            yield FieldElement(self, code)
-
     def __repr__(self):
         return f"GF({self.q})"
-
-
-class FieldElement:
-    """Immutable field element; arithmetic requires both operands to share
-    the owning field. Plain ints in expressions are read as encodings."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: FieldSpec, code: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "code", code)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldElement is immutable")
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.decode(self.code)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise PreconditionError("mixed fields in arithmetic")
-            return other.code
-        if isinstance(other, int):
-            if not 0 <= other < self.field.q:
-                raise PreconditionError("encoding out of range")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.code, c))
-
-    def __rtruediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(c, self.code))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field is other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.code))
-
-    def __int__(self):
-        return self.code
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        return f"FieldElement({self.code}, GF({self.field.q}))"
 
 
 @lru_cache(maxsize=None)
@@ -479,7 +270,7 @@ def make_field(p: int, alpha: int) -> FieldSpec:
     """The field GF(p^alpha) with the canonical modulus.
 
     Cached, so repeated calls return the same object and identity checks
-    between element owners are meaningful.
+    between the fields of polynomials are meaningful.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise PreconditionError(f"p = {p} is not prime")
@@ -514,7 +305,7 @@ class Polynomial:
     __slots__ = ("field", "coeffs", "_hash")
 
     def __init__(self, field: FieldSpec, coeffs=()):
-        cs = [c.code if isinstance(c, FieldElement) else int(c) for c in coeffs]
+        cs = [int(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         for c in cs:
@@ -856,10 +647,6 @@ class RationalFunction:
         return self.numer.is_zero
 
     @property
-    def is_poly(self):
-        return self.denom.degree == 0
-
-    @property
     def degree(self):
         """max(deg numer, deg denom); None for the zero function."""
         if self.is_zero:
@@ -987,13 +774,6 @@ class LocalExpansion:
     at: object
     coeffs: tuple
 
-    def valuation_lower_bound(self) -> int:
-        for i, c in enumerate(self.coeffs):
-            nonzero = (not c.is_zero) if isinstance(c, Polynomial) else c != 0
-            if nonzero:
-                return i
-        return len(self.coeffs)
-
 
 def local_expand(f: RationalFunction, at, r_max: int) -> LocalExpansion:
     """Expansion of f to order r_max at a place where f is regular.
@@ -1092,6 +872,23 @@ def enumerate_irreducibles(field: FieldSpec, max_degree: int) -> tuple[Polynomia
     return tuple(found)
 
 
+def _least_irreducible(p: int, degree: int) -> tuple[int, ...]:
+    """Least monic irreducible of the given degree over GF(p), coefficient
+    tuples compared constant term first: the first candidate with no monic
+    irreducible factor of degree at most degree // 2."""
+    if degree == 1:
+        return (0, 1)
+    base = make_field(p, 1)
+    factors = enumerate_irreducibles(base, degree // 2)
+    for tail in itertools.product(range(p), repeat=degree):
+        if tail[0] == 0:
+            continue  # divisible by x
+        cand = Polynomial(base, tail + (1,))
+        if all(not (cand % pi).is_zero for pi in factors):
+            return cand.coeffs
+    raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
 def factorize(poly: Polynomial) -> dict[Polynomial, int]:
     """Factor a nonzero polynomial into monic irreducibles with
     multiplicities (the leading unit is dropped)."""
@@ -1118,83 +915,3 @@ def factorize(poly: Polynomial) -> dict[Polynomial, int]:
     if work.degree != 0:
         raise AssertionError("incomplete factorization")
     return out
-
-
-# ---------------------------------------------------------------------------
-# Residue field k[x]/pi: the concrete model of GF(q^e) used when a value or
-# valuation must be taken at a representative geometric point of a
-# higher-degree place. The representative point is the class of x itself.
-
-class ResidueField:
-    """Arithmetic in k[x]/(pi); elements are coefficient tuples of length
-    below deg(pi)."""
-
-    __slots__ = ("base", "pi", "e")
-
-    def __init__(self, pi: Polynomial):
-        if pi.degree is None or pi.degree < 1 or not pi.is_monic:
-            raise PreconditionError("place polynomial must be monic of positive degree")
-        self.base = pi.field
-        self.pi = pi
-        self.e = pi.degree
-
-    def embed(self, code: int) -> tuple:
-        return (code,) if code else ()
-
-    def xbar(self) -> tuple:
-        """The class of x: the canonical representative root of pi."""
-        if self.e == 1:
-            return self.embed(self.base.neg(self.pi.coeffs[0]))
-        return (0, 1)
-
-    def from_poly(self, p: Polynomial) -> tuple:
-        return (p % self.pi).coeffs
-
-    def _poly(self, a: tuple) -> Polynomial:
-        return Polynomial(self.base, a)
-
-    def add(self, a, b):
-        return (self._poly(a) + self._poly(b)).coeffs
-
-    def sub(self, a, b):
-        return (self._poly(a) - self._poly(b)).coeffs
-
-    def mul(self, a, b):
-        return ((self._poly(a) * self._poly(b)) % self.pi).coeffs
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero residue")
-        return _poly_inverse_mod(self._poly(a), self.pi).coeffs
-
-    def is_zero(self, a) -> bool:
-        return not a
-
-    def lift_poly_coeffs(self, p: Polynomial) -> list:
-        return [self.embed(c) for c in p.coeffs]
-
-    def eval_poly(self, p: Polynomial, point: tuple) -> tuple:
-        acc: tuple = ()
-        for c in reversed(p.coeffs):
-            acc = self.add(self.mul(acc, point), self.embed(c))
-        return acc
-
-    def root_multiplicity(self, p: Polynomial, point: tuple) -> int:
-        """Multiplicity of the given residue-field point as a root of the
-        lifted polynomial p, by repeated synthetic division."""
-        if p.is_zero:
-            raise PreconditionError("zero polynomial")
-        coeffs = self.lift_poly_coeffs(p)
-        mult = 0
-        while len(coeffs) > 1:
-            quot = [()] * (len(coeffs) - 1)
-            acc: tuple = ()
-            for k in range(len(coeffs) - 1, 0, -1):
-                acc = self.add(coeffs[k], self.mul(point, acc))
-                quot[k - 1] = acc
-            rem = self.add(coeffs[0], self.mul(point, quot[0]))
-            if not self.is_zero(rem):
-                return mult
-            mult += 1
-            coeffs = quot
-        return mult

@@ -29,7 +29,8 @@ computed for all sections together from their (u, v) coefficient arrays
 with the field's lookup tables: the valuation of the twisted section at a
 point decides 0 or infinity, and its leading Taylor coefficients give a
 finite nonzero value. The multiplicity audit (solution_multiplicity,
-multiplicity_census) stays symbolic.
+multiplicity_census) stays symbolic: one valuation helper gives the
+multiplicity at every place, of any degree, from base-field valuations.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .field import (
     INF,
     Polynomial,
     RationalFunction,
-    ResidueField,
     factorize,
     rational_valuation,
 )
@@ -219,57 +219,19 @@ def enumerate_sections(curve: ProjectiveLine, D: Divisor, h: int):
 # ---------------------------------------------------------------------------
 # Agreement multiplicities.
 
-def _branch_multiplicity_rational(g: RationalFunction, g2: RationalFunction, place_desc) -> int:
-    """Multiplicity at a rational place (descriptor: linear poly or INF)
-    given the two twisted functions."""
-    if place_desc is INF:
-        v1 = g.evaluate_at_infinity() if not g.is_zero else 0
-        v2 = g2.evaluate_at_infinity() if not g2.is_zero else 0
-    else:
-        a = g.field.neg(place_desc.coeffs[0])
-        v1 = g.evaluate(a) if not g.is_zero else 0
-        v2 = g2.evaluate(a) if not g2.is_zero else 0
-    inf1 = v1 is INF
-    inf2 = v2 is INF
+def _branch_multiplicity(g: RationalFunction, g2: RationalFunction, desc) -> int:
+    """Multiplicity at the place desc (INF or a monic irreducible) given the
+    two twisted functions. An irreducible polynomial over a finite field is
+    separable, so at a place of degree > 1 the root multiplicity at every
+    geometric point over it is the base-field valuation."""
+    inf1 = not g.is_zero and rational_valuation(g, desc) < 0
+    inf2 = not g2.is_zero and rational_valuation(g2, desc) < 0
     if inf1 != inf2:
         return 0
-    if inf1:
-        diff = g.inverse() - g2.inverse()
-    else:
-        diff = g - g2
-        if v1 != v2:
-            return 0
+    diff = g.inverse() - g2.inverse() if inf1 else g - g2
     if diff.is_zero:
         raise PreconditionError("sections must be distinct")
-    return max(rational_valuation(diff, place_desc), 0)
-
-
-def _branch_multiplicity_residue(g: RationalFunction, g2: RationalFunction, pi: Polynomial) -> int:
-    """Multiplicity at a higher-degree place, computed at the canonical
-    representative geometric point over the residue field k[x]/pi."""
-    K = ResidueField(pi)
-    point = K.xbar()
-
-    def val(f: RationalFunction) -> int:
-        return K.root_multiplicity(f.numer, point) - K.root_multiplicity(f.denom, point)
-
-    def value_is_infinite(f: RationalFunction) -> bool:
-        return val(f) < 0
-
-    inf1 = (not g.is_zero) and value_is_infinite(g)
-    inf2 = (not g2.is_zero) and value_is_infinite(g2)
-    if inf1 != inf2:
-        return 0
-    if inf1:
-        diff = g.inverse() - g2.inverse()
-    else:
-        diff = g - g2
-    if diff.is_zero:
-        raise PreconditionError("sections must be distinct")
-    return max(
-        K.root_multiplicity(diff.numer, point) - K.root_multiplicity(diff.denom, point),
-        0,
-    )
+    return max(rational_valuation(diff, desc), 0)
 
 
 def solution_multiplicity(
@@ -284,12 +246,7 @@ def solution_multiplicity(
     if f.f == f2.f:
         raise PreconditionError("sections must be distinct")
     phi = twists.at_place(place)
-    g, g2 = phi * f.f, phi * f2.f
-    if place.kind == "inf":
-        return _branch_multiplicity_rational(g, g2, INF)
-    if place.degree == 1:
-        return _branch_multiplicity_rational(g, g2, place.poly)
-    return _branch_multiplicity_residue(g, g2, place.poly)
+    return _branch_multiplicity(phi * f.f, phi * f2.f, INF if place.kind == "inf" else place.poly)
 
 
 def _candidate_places(curve: ProjectiveLine, D: Divisor, f: RationalFunction, f2: RationalFunction):
@@ -361,7 +318,7 @@ def multiplicity_census(
         g, g2 = phi * f.f, phi * f2.f
         mu = max(-rational_valuation(g, desc), 0) if not g.is_zero else 0
         mu2 = max(-rational_valuation(g2, desc), 0) if not g2.is_zero else 0
-        m = solution_multiplicity(curve, f, f2, pl, twists)
+        m = _branch_multiplicity(g, g2, desc)
         diff = g - g2
         vdiff = rational_valuation(diff, desc) if not diff.is_zero else None
         rows.append({"place": pl, "m": m, "mu": mu, "mu2": mu2, "v_diff": vdiff})

@@ -4,8 +4,9 @@ These deliberately avoid the library's own search kernels and candidate
 bookkeeping: distances are measured by plain Python loops, optimizer
 locations by golden-section search, irreducible counts by the divisor-sum
 formula, multiplicity totals by enumerating every place up to a degree
-bound, sections by one gcd per candidate pair, and evaluation words by
-symbolic twist-times-section arithmetic. Code words, code files and the
+bound, multiplicities at places of degree > 1 by root multiplicity over the
+residue field, sections by one gcd per candidate pair, and evaluation words
+by symbolic twist-times-section arithmetic. Code words, code files and the
 closure audit have tuple-and-set versions, the form the library used before
 it kept words as one integer array.
 """
@@ -120,6 +121,43 @@ def oracle_total_multiplicity(curve, sec_a, sec_b, twists, max_degree):
         m = max(rational_valuation(diff, desc), 0)
         total += m * pl.degree
     return total
+
+
+def oracle_root_multiplicity(u, pi):
+    """Multiplicity of the class of x in the residue field k[x]/pi as a root
+    of the nonzero polynomial u, by repeated synthetic division by X - xbar
+    with residue-field elements kept as polynomials reduced mod pi."""
+    F = u.field
+    xbar = Polynomial.x(F) % pi
+    coeffs = [Polynomial.constant(F, c) for c in u.coeffs]
+    mult = 0
+    while len(coeffs) > 1:
+        acc, quot = Polynomial.zero(F), []
+        for c in reversed(coeffs[1:]):
+            acc = (c + xbar * acc) % pi
+            quot.append(acc)
+        quot.reverse()
+        if not ((coeffs[0] + xbar * quot[0]) % pi).is_zero:
+            return mult
+        mult += 1
+        coeffs = quot
+    return mult
+
+
+def oracle_residue_multiplicity(g, g2, pi):
+    """Agreement multiplicity of two twisted functions at the place pi,
+    computed at the geometric point xbar over k[x]/pi rather than from
+    base-field valuations."""
+
+    def val(f):
+        return oracle_root_multiplicity(f.numer, pi) - oracle_root_multiplicity(f.denom, pi)
+
+    inf1 = not g.is_zero and val(g) < 0
+    inf2 = not g2.is_zero and val(g2) < 0
+    if inf1 != inf2:
+        return 0
+    diff = (g.inverse() - g2.inverse()) if inf1 else (g - g2)
+    return max(val(diff), 0)
 
 
 def oracle_enumerate_sections(curve, D, h):

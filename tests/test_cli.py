@@ -138,6 +138,73 @@ def test_field_selftest():
     assert main(["field", "selftest", "--q", "4", "--q", "9"]) == EXIT_OK
 
 
+class _FieldWithWrongOp:
+    """A field whose named operations are replaced by the given functions."""
+
+    def __init__(self, field, **ops):
+        self._field, self._ops = field, ops
+
+    def __getattr__(self, name):
+        return self._ops.get(name) or getattr(self._field, name)
+
+
+def test_field_selftest_names_failing_triple(monkeypatch, capsys):
+    import agcodes.cli as cli
+
+    real = cli.make_field_q
+
+    def wrong(q):
+        F = real(q)
+        return _FieldWithWrongOp(F, mul=lambda a, b: 0 if a == b else F.mul(a, b))
+
+    monkeypatch.setattr(cli, "make_field_q", wrong)
+    assert main(["field", "selftest", "--q", "4"]) == EXIT_VERIFICATION
+    out = capsys.readouterr().out
+    m = re.fullmatch(r"distributivity failed in GF\(4\) at \(a, b, c\) = \((\d), (\d), (\d)\)\n", out)
+    assert m
+    a, b, c = map(int, m.groups())
+    F = wrong(4)
+    assert F.add(F.mul(a, b), F.mul(a, c)) != F.mul(a, F.add(b, c))
+
+
+def test_field_selftest_names_failing_element(monkeypatch, capsys):
+    import agcodes.cli as cli
+
+    real = cli.make_field_q
+
+    def wrong(q):
+        F = real(q)
+        return _FieldWithWrongOp(F, pow=lambda a, e: 0 if a == 2 else F.pow(a, e))
+
+    monkeypatch.setattr(cli, "make_field_q", wrong)
+    assert main(["field", "selftest", "--q", "4"]) == EXIT_VERIFICATION
+    assert capsys.readouterr().out == "Frobenius fixed-point failed in GF(4) at a = 2\n"
+
+
+@pytest.mark.parametrize("key,message", [("m", "multiplicity total"), ("mu", "pole-count identity failed")])
+def test_sections_proposition_names_witness(monkeypatch, capsys, key, message):
+    import agcodes.cli as cli
+
+    real = cli.multiplicity_census
+    seen = []
+
+    def wrong_census(curve, a, b, twists):
+        rows = real(curve, a, b, twists)
+        seen.append((a, b, len(rows)))
+        rows[0] = dict(rows[0], **{key: rows[0][key] + 1})
+        return rows
+
+    monkeypatch.setattr(cli, "multiplicity_census", wrong_census)
+    argv = ["sections", "proposition", "--q", "3", "--pairs", "5", "--seed", "1"]
+    assert main(argv) == EXIT_VERIFICATION
+    out = capsys.readouterr().out
+    (a, b, n_rows), = seen
+    assert out.startswith(message)
+    assert f"witness section a: {a.f.serialize()} height {a.height}\n" in out
+    assert f"witness section b: {b.f.serialize()} height {b.height}\n" in out
+    assert sum(line.startswith("census ") for line in out.splitlines()) == n_rows
+
+
 def test_curve_info(capsys):
     assert main(["curve", "info", "--q", "4", "--curve", "hermitian"]) == EXIT_OK
     info = json.loads(capsys.readouterr().out)

@@ -1,13 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agcodes.errors import PreconditionError
 from agcodes.field import (
     INF,
     Polynomial,
     RationalFunction,
-    ResidueField,
     enumerate_irreducibles,
     factor_multiplicity,
     linear_poly,
@@ -16,15 +17,17 @@ from agcodes.field import (
     make_field_q,
     rational_valuation,
 )
-from conftest import irreducible_count
+from conftest import irreducible_count, oracle_root_multiplicity
+
+# every prime power q <= 49
+SMALL_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49)
 
 
 def test_gf4_construction():
     F = make_field(2, 2)
     assert F.modulus == (1, 1, 1)  # x^2 + x + 1, the only monic irreducible quadratic
-    w = F.element(2)
-    assert (w * w).code == F.add(2, 1)  # w^2 = w + 1
-    assert (w * (w + 1)).code == 1
+    assert F.mul(2, 2) == F.add(2, 1)  # w^2 = w + 1
+    assert F.mul(2, 3) == 1  # w * (w + 1) = 1
 
 
 def test_prime_field_construction():
@@ -47,12 +50,6 @@ def test_make_field_errors():
         make_field(2, 21)
     with pytest.raises(PreconditionError):
         make_field_q(12)
-
-
-def test_element_enumeration_order():
-    F = make_field(3, 2)
-    codes = [e.code for e in F.elements()]
-    assert codes == list(range(9))
 
 
 @pytest.mark.parametrize("p,alpha", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (7, 2)])
@@ -85,12 +82,83 @@ def test_division_by_zero_and_mixed_fields():
     with pytest.raises(ZeroDivisionError):
         F.div(1, 0)
     with pytest.raises(PreconditionError):
-        F.element(1) + G.element(1)
+        Polynomial(F, (1,)) + Polynomial(G, (1,))
 
 
 def test_gf4_inverse_example():
     F = make_field(2, 2)
     assert F.div(1, 2) == 3  # 1/w = w + 1
+
+
+# The canonical moduli (least monic irreducible, constant term first) of
+# every non-prime field of order at most 1024, and of GF(2^16), as computed
+# by a Rabin irreducibility test over plain coefficient lists.
+PINNED_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 0, 1, 1),
+    (3, 2): (1, 0, 1),
+    (2, 4): (1, 0, 0, 1, 1),
+    (5, 2): (1, 1, 1),
+    (3, 3): (1, 0, 2, 1),
+    (2, 5): (1, 0, 0, 1, 0, 1),
+    (7, 2): (1, 0, 1),
+    (2, 6): (1, 0, 0, 0, 0, 1, 1),
+    (3, 4): (1, 0, 1, 1, 1),
+    (11, 2): (1, 0, 1),
+    (5, 3): (1, 0, 1, 1),
+    (2, 7): (1, 0, 0, 0, 0, 0, 1, 1),
+    (13, 2): (1, 3, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
+    (17, 2): (1, 1, 1),
+    (7, 3): (1, 0, 1, 1),
+    (19, 2): (1, 0, 1),
+    (2, 9): (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+    (23, 2): (1, 0, 1),
+    (5, 4): (1, 0, 1, 1, 1),
+    (3, 6): (1, 0, 0, 0, 1, 1, 1),
+    (29, 2): (1, 1, 1),
+    (31, 2): (1, 0, 1),
+    (2, 10): (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (2, 16): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1),
+}
+
+
+@pytest.mark.parametrize("p,alpha", sorted(PINNED_MODULI))
+def test_field_modulus_pinned(p, alpha):
+    assert make_field(p, alpha).modulus == PINNED_MODULI[p, alpha]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SMALL_Q), st.data())
+def test_field_axioms_on_encodings(q, data):
+    F = make_field_q(q)
+    a, b, c = (data.draw(st.integers(0, q - 1)) for _ in range(3))
+    assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+    assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+    assert F.add(a, b) == F.add(b, a)
+    assert F.mul(a, b) == F.mul(b, a)
+    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+    assert F.add(a, F.neg(a)) == 0 and F.add(F.sub(a, b), b) == a
+    if a:
+        assert F.mul(a, F.inv(a)) == 1
+    assert F.pow(a, q) == a
+
+
+def _polys(q, max_len):
+    return st.lists(st.integers(0, q - 1), max_size=max_len)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 4, 5, 9, 16)), st.data())
+def test_polynomial_divmod_identity(q, data):
+    F = make_field_q(q)
+    a = Polynomial(F, data.draw(_polys(q, 8)))
+    b = Polynomial(F, data.draw(_polys(q, 5).filter(lambda cs: any(cs))))
+    quot, rem = divmod(a, b)
+    assert quot * b + rem == a
+    assert a // b == quot and a % b == rem
+    assert rem.is_zero or rem.degree < b.degree
 
 
 # ---------------------------------------------------------------------------
@@ -296,35 +364,24 @@ def test_irreducibles_are_sorted_and_irreducible():
 
 
 # ---------------------------------------------------------------------------
-# residue fields
+# root multiplicity over the residue field
 
 
 @pytest.mark.parametrize("q,pideg", [(2, 2), (2, 3), (3, 2), (4, 2), (4, 3)])
 def test_residue_field_root_multiplicity_matches_factor_multiplicity(q, pideg):
+    # pi is separable, so the multiplicity of the root x mod pi over k[x]/pi
+    # is the factor multiplicity of pi: the fact behind every agreement
+    # multiplicity at a place of degree > 1
     F = make_field_q(q)
     pis = [p for p in enumerate_irreducibles(F, pideg) if p.degree == pideg]
     pi = pis[0]
-    K = ResidueField(pi)
-    xbar = K.xbar()
     rng = random.Random(17 * q + pideg)
     for _ in range(40):
         u = Polynomial(F, [rng.randrange(q) for _ in range(rng.randrange(1, 8))])
         if u.is_zero:
             continue
-        assert K.root_multiplicity(u, xbar) == factor_multiplicity(u, pi)
-
-
-def test_residue_field_axioms_sampled():
-    F = make_field(2, 2)
-    pi = [p for p in enumerate_irreducibles(F, 3) if p.degree == 3][0]
-    K = ResidueField(pi)
-    rng = random.Random(5)
-    elts = [K.from_poly(Polynomial(F, [rng.randrange(4) for _ in range(3)])) for _ in range(12)]
-    for a in elts:
-        for b in elts:
-            assert K.mul(a, b) == K.mul(b, a)
-            if not K.is_zero(b):
-                assert K.mul(K.mul(a, K.inv(b)), b) == a
+        u = u * pi ** rng.randrange(3)
+        assert oracle_root_multiplicity(u, pi) == factor_multiplicity(u, pi)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from conftest import (
     naive_min_distance,
     oracle_enumerate_sections,
     oracle_phi0,
+    oracle_residue_multiplicity,
     oracle_total_multiplicity,
 )
 
@@ -375,6 +376,56 @@ def test_proof_identity_rows():
         assert sum((r["m"] - r["mu"] - r["mu2"]) * r["place"].degree for r in rows) == 0
         assert sum((r["mu"] + r["mu2"]) * r["place"].degree for r in rows) == a.height + b.height
         checked += 1
+
+
+@st.composite
+def _pairs_at_higher_degree_place(draw):
+    """Two distinct sections over GF(2) or GF(3) of a degree-zero divisor
+    that carries a place of degree 2 or 3 (and sometimes the place x = 0),
+    balanced at infinity. The second section is often the first plus a
+    multiple of the place polynomial, so that place carries agreement."""
+    q = draw(st.sampled_from([2, 3]))
+    curve = _p1(q)
+    F = curve.field
+    pi = draw(st.sampled_from([p for p in enumerate_irreducibles(F, 3) if p.degree > 1]))
+    coeffs = {curve.place_of_poly(pi): draw(st.sampled_from([-1, 1]))}
+    if draw(st.booleans()):
+        coeffs[curve.place_of_point(curve.points[0])] = draw(st.sampled_from([-1, 1]))
+    coeffs[curve.place_inf()] = -sum(c * pl.degree for pl, c in coeffs.items())
+    D = curve.divisor({pl: c for pl, c in coeffs.items() if c})
+
+    def rational(lead_min):
+        u = draw(st.lists(st.integers(0, q - 1), max_size=1)) + [draw(st.integers(lead_min, q - 1))]
+        v = draw(st.lists(st.integers(0, q - 1), max_size=1)) + [1]
+        return RationalFunction(Polynomial(F, u), Polynomial(F, v))
+
+    f = rational(0)
+    if draw(st.booleans()):
+        f2 = f + RationalFunction.from_poly(pi) * rational(1)
+    else:
+        f2 = rational(0)
+    assume(f != f2)
+    a, b = (RationalSection(g, D, section_height(curve, D, g)) for g in (f, f2))
+    assume(a.height + b.height <= (8 if q == 2 else 5))
+    return curve, D, a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pairs_at_higher_degree_place())
+def test_multiplicity_law_on_random_pairs(case):
+    curve, D, a, b = case
+    tw = canonical_twists(curve, D)
+    law = a.height + b.height
+    assert total_multiplicity(curve, a, b, tw) == law
+    assert oracle_total_multiplicity(curve, a, b, tw, max(law, 1)) == law
+    rows = multiplicity_census(curve, a, b, tw)
+    assert sum(r["m"] * r["place"].degree for r in rows) == law
+    assert sum((r["mu"] + r["mu2"]) * r["place"].degree for r in rows) == law
+    for r in rows:
+        pl = r["place"]
+        if pl.kind == "poly" and pl.degree > 1:
+            phi = tw.at_place(pl)
+            assert r["m"] == oracle_residue_multiplicity(phi * a.f, phi * b.f, pl.poly)
 
 
 def test_twist_independence():
