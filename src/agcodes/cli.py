@@ -26,7 +26,7 @@ from .combined import CombinedParams, build_combined
 from .curves import build_curve, default_eval_points, distinct_points
 from .errors import PreconditionError, VerificationError
 from .field import make_field_q
-from .sections import canonical_twists, enumerate_sections, multiplicity_census
+from .sections import enumerate_sections, multiplicity_census
 from .xing import XingParams, build_xing, search_centers
 
 EXIT_OK = 0
@@ -282,7 +282,6 @@ def cmd_sections_proposition(args) -> int:
     field = make_field_q(args.q)
     curve = build_curve("p1", field)
     D = curve.parse_divisor(args.divisor)
-    twists = canonical_twists(curve, D)
     h_each = args.h_max // 2
     sections = [s for s in enumerate_sections(curve, D, h_each)]
     rng = random.Random(args.seed)
@@ -292,7 +291,7 @@ def cmd_sections_proposition(args) -> int:
         b = sections[rng.randrange(len(sections))]
         if a.f == b.f:
             continue
-        rows = multiplicity_census(curve, a, b, twists)
+        rows = multiplicity_census(curve, a, b)
         total = sum(r["m"] * r["place"].degree for r in rows)
         mu_total = sum((r["mu"] + r["mu2"]) * r["place"].degree for r in rows)
         if total != a.height + b.height:
@@ -480,7 +479,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--divisor", type=_divisor_arg, default="0")
     p.add_argument("--h-max", type=int, default=6)
-    p.add_argument("--pairs", type=int, default=50)
+    p.add_argument("--pairs", type=_nonnegative_int, default=50)
     p.add_argument("--seed", type=int, default=0)
 
     combined_g = sub.add_parser("combined").add_subparsers(dest="sub", required=True)

@@ -143,8 +143,6 @@ class CombinedResult:
     points: tuple
     n_sections: int
     strategy: str
-    census_total: int | None = None
-    expected_census: int | None = None
 
 
 def build_combined(
@@ -154,7 +152,6 @@ def build_combined(
     points=None,
     twists: TwistFamily | None = None,
     measure: bool = True,
-    census: bool = False,
 ) -> CombinedResult:
     """Enumerate the sections, pick the best projective ball center, and map
     the survivors through the first-order word."""
@@ -175,7 +172,6 @@ def build_combined(
         strategy=params.strategy,
         seed=params.seed,
         trials=params.trials,
-        census=census,
     )
     average = Fraction(len(sections) * ball_size(n, params.s0, q + 1), (q + 1) ** n)
     if params.strategy == "exhaustive" and outcome.best_count < math.ceil(average):
@@ -203,7 +199,6 @@ def build_combined(
     }
     words1 = [phi1_projective(curve, s, points, twists) for s in survivors]
     code = finish_code(Alphabet("field", q), n, words1, curve.field, metadata, measure)
-    expected = len(sections) * ball_size(n, params.s0, q + 1) if census else None
     return CombinedResult(
         center=outcome.centers[0],
         survivors=survivors,
@@ -213,6 +208,4 @@ def build_combined(
         points=points,
         n_sections=len(sections),
         strategy=params.strategy,
-        census_total=outcome.census_total,
-        expected_census=expected,
     )

@@ -236,7 +236,12 @@ class ProjectiveLine:
             if desc == "inf":
                 pl = Place("inf")
             else:
-                pl = self.place_of_poly(Polynomial.parse(self.field, desc).monic())
+                pi = Polynomial.parse(self.field, desc).monic()
+                pl = self.place_of_poly(pi)
+                if factorize(pi) != {pi: 1}:
+                    raise PreconditionError(
+                        f"place polynomial {desc} is reducible over GF({self.field.q})"
+                    )
             coeffs[pl] = coeffs.get(pl, 0) + int(c)
         return Divisor(self, coeffs)
 

@@ -29,8 +29,10 @@ computed for all sections together from their (u, v) coefficient arrays
 with the field's lookup tables: the valuation of the twisted section at a
 point decides 0 or infinity, and its leading Taylor coefficients give a
 finite nonzero value. The multiplicity audit (solution_multiplicity,
-multiplicity_census) stays symbolic: one valuation helper gives the
-multiplicity at every place, of any degree, from base-field valuations.
+total_multiplicity, multiplicity_census) is integer bookkeeping too: it
+factors the two sections and the numerator of their difference once per
+pair, and reads every multiplicity, at places of any degree, from those
+factor multiplicities and the coefficients of D; it needs no twist.
 """
 
 from __future__ import annotations
@@ -46,13 +48,7 @@ from . import kernels
 from .codes import Alphabet, Code, finish_code
 from .curves import Divisor, Place, Point, ProjectiveLine
 from .errors import PreconditionError, VerificationError
-from .field import (
-    INF,
-    Polynomial,
-    RationalFunction,
-    factorize,
-    rational_valuation,
-)
+from .field import INF, Polynomial, RationalFunction, factorize, rational_valuation
 
 SECTION_ENUM_GUARD = 10 ** 6
 
@@ -74,9 +70,10 @@ class RationalSection:
 class TwistFamily:
     """Per-place twist functions for a degree-zero divisor on P^1.
 
-    The canonical choice at a finite place pi with coefficient c is pi^c,
-    and x^(-c) at infinity; any other family with the same local valuations
-    gives the same multiplicities, which the tests check.
+    Every place of supp(D) needs a twist of valuation D(P); other places
+    get the twist 1. The canonical choice at a finite place pi with
+    coefficient c is pi^c, and x^(-c) at infinity. Agreement multiplicities
+    depend only on these valuations, not on the twists themselves.
     """
 
     def __init__(self, curve: ProjectiveLine, divisor: Divisor, mapping=None):
@@ -91,6 +88,9 @@ class TwistFamily:
                     mapping[pl] = inv_x ** c
                 else:
                     mapping[pl] = RationalFunction.from_poly(pl.poly) ** c
+        for pl in divisor.support:
+            if pl not in mapping:
+                raise PreconditionError(f"no twist at the place {pl.serialize()} of supp(D)")
         for pl, phi in mapping.items():
             if rational_valuation(phi, INF if pl.kind == "inf" else pl.poly) != divisor.coeff(pl):
                 raise PreconditionError("twist valuation does not match the divisor")
@@ -218,110 +218,74 @@ def enumerate_sections(curve: ProjectiveLine, D: Divisor, h: int):
 
 # ---------------------------------------------------------------------------
 # Agreement multiplicities.
+#
+# With f = u/v and f2 = u2/v2, f - f2 = w/(v*v2) for w = u*v2 - u2*v. Every
+# twist has valuation D(P) at P, so phi*f has valuation D(P) + v(u) - v(v),
+# phi*(f - f2) has D(P) + v(w) - v(v) - v(v2), and the difference of the
+# inverses subtracts the valuations of both twisted functions. An
+# irreducible polynomial over a finite field is separable, so the
+# base-field valuation at a place is the multiplicity at every geometric
+# point over it.
 
-def _branch_multiplicity(g: RationalFunction, g2: RationalFunction, desc) -> int:
-    """Multiplicity at the place desc (INF or a monic irreducible) given the
-    two twisted functions. An irreducible polynomial over a finite field is
-    separable, so at a place of degree > 1 the root multiplicity at every
-    geometric point over it is the base-field valuation."""
-    inf1 = not g.is_zero and rational_valuation(g, desc) < 0
-    inf2 = not g2.is_zero and rational_valuation(g2, desc) < 0
-    if inf1 != inf2:
-        return 0
-    diff = g.inverse() - g2.inverse() if inf1 else g - g2
-    if diff.is_zero:
+def _factored_pair(f: RationalSection, f2: RationalSection):
+    """(polynomial, factorization) for u, v, u2, v2 and w, each factored
+    once; the zero polynomial carries None."""
+    if f.f == f2.f:
         raise PreconditionError("sections must be distinct")
-    return max(rational_valuation(diff, desc), 0)
+    (u, v), (u2, v2) = (f.f.numer, f.f.denom), (f2.f.numer, f2.f.denom)
+    polys = (u, v, u2, v2, u * v2 - u2 * v)
+    return tuple((p, None if p.is_zero else factorize(p)) for p in polys)
+
+
+def _census_row(D: Divisor, pair, place: Place) -> tuple[int, int, int, int]:
+    """(m, mu, mu2, v_diff) at one place: the agreement multiplicity, the
+    pole orders of the two twisted sections and v(phi*f - phi*f2)."""
+    c = D.coeff(place)
+    vu, vv, vu2, vv2, vw = (
+        None if fac is None else -p.degree if place.kind == "inf" else fac.get(place.poly, 0)
+        for p, fac in pair
+    )
+    g = None if vu is None else c + vu - vv
+    g2 = None if vu2 is None else c + vu2 - vv2
+    v_diff = c + vw - vv - vv2
+    inf1, inf2 = g is not None and g < 0, g2 is not None and g2 < 0
+    if inf1 != inf2:
+        m = 0
+    else:
+        m = max(v_diff - g - g2 if inf1 else v_diff, 0)
+    return m, -g if inf1 else 0, -g2 if inf2 else 0, v_diff
 
 
 def solution_multiplicity(
-    curve: ProjectiveLine,
-    f: RationalSection,
-    f2: RationalSection,
-    place: Place,
-    twists: TwistFamily,
+    curve: ProjectiveLine, f: RationalSection, f2: RationalSection, place: Place
 ) -> int:
     """Multiplicity of the place as a solution of f = f2 (per geometric
     point; every point over the place carries the same value)."""
-    if f.f == f2.f:
-        raise PreconditionError("sections must be distinct")
-    phi = twists.at_place(place)
-    return _branch_multiplicity(phi * f.f, phi * f2.f, INF if place.kind == "inf" else place.poly)
+    return _census_row(f.divisor, _factored_pair(f, f2), place)[0]
 
 
-def _candidate_places(curve: ProjectiveLine, D: Divisor, f: RationalFunction, f2: RationalFunction):
-    """Places that can carry nonzero multiplicity: zeros of the difference,
-    common poles, supp(D), and infinity."""
-    places = {Place("inf")}
-    places.update(D.support)
-    diff = f - f2
-    if not diff.is_zero and not diff.numer.is_zero and diff.numer.degree > 0:
-        for pi in factorize(diff.numer):
-            places.add(curve.place_of_poly(pi))
-    if not f.is_zero and not f2.is_zero:
-        common = f.denom.gcd(f2.denom)
-        if common.degree and common.degree > 0:
-            for pi in factorize(common):
-                places.add(curve.place_of_poly(pi))
-    return sorted(places, key=Place.sort_key)
-
-
-def total_multiplicity(
-    curve: ProjectiveLine,
-    f: RationalSection,
-    f2: RationalSection,
-    twists: TwistFamily | None = None,
-) -> int:
+def total_multiplicity(curve: ProjectiveLine, f: RationalSection, f2: RationalSection) -> int:
     """Total multiplicity of solutions of f = f2 over all geometric points:
     the sum over closed places of degree times multiplicity. Equals the sum
     of the two heights."""
-    if f.f == f2.f:
-        raise PreconditionError("sections must be distinct")
-    D = f.divisor
-    if twists is None:
-        twists = canonical_twists(curve, D)
-    total = 0
-    for pl in _candidate_places(curve, D, f.f, f2.f):
-        m = solution_multiplicity(curve, f, f2, pl, twists)
-        total += m * pl.degree
-    return total
+    return sum(r["m"] * r["place"].degree for r in multiplicity_census(curve, f, f2))
 
 
-def multiplicity_census(
-    curve: ProjectiveLine,
-    f: RationalSection,
-    f2: RationalSection,
-    twists: TwistFamily | None = None,
-):
-    """Per-place rows (place, m, mu, mu2, v(phi f - phi f2)) over every place
-    where any of the quantities can be nonzero, for the conservation
-    identities:
+def multiplicity_census(curve: ProjectiveLine, f: RationalSection, f2: RationalSection):
+    """Per-place rows (place, m, mu, mu2, v(phi f - phi f2)) over infinity,
+    supp(D) and the factors of v, v2 and w, the places where any of the
+    quantities can be nonzero, for the conservation identities:
 
         sum deg * (m - mu - mu2) = 0   and   sum deg * (mu + mu2) = h + h2.
     """
-    if f.f == f2.f:
-        raise PreconditionError("sections must be distinct")
-    D = f.divisor
-    if twists is None:
-        twists = canonical_twists(curve, D)
-    places = set(_candidate_places(curve, D, f.f, f2.f))
-    for g in (f.f, f2.f):
-        if not g.is_zero and g.denom.degree > 0:
-            for pi in factorize(g.denom):
-                places.add(curve.place_of_poly(pi))
-            # twisted poles can also sit at zeros of the twist denominators,
-            # which lie inside supp(D), already included
+    pair = _factored_pair(f, f2)
+    places = {Place("inf"), *f.divisor.support}
+    for _, fac in (pair[1], pair[3], pair[4]):  # v, v2 and w
+        places.update(curve.place_of_poly(pi) for pi in fac)
     rows = []
     for pl in sorted(places, key=Place.sort_key):
-        desc = INF if pl.kind == "inf" else pl.poly
-        phi = twists.at_place(pl)
-        g, g2 = phi * f.f, phi * f2.f
-        mu = max(-rational_valuation(g, desc), 0) if not g.is_zero else 0
-        mu2 = max(-rational_valuation(g2, desc), 0) if not g2.is_zero else 0
-        m = _branch_multiplicity(g, g2, desc)
-        diff = g - g2
-        vdiff = rational_valuation(diff, desc) if not diff.is_zero else None
-        rows.append({"place": pl, "m": m, "mu": mu, "mu2": mu2, "v_diff": vdiff})
+        m, mu, mu2, v_diff = _census_row(f.divisor, pair, pl)
+        rows.append({"place": pl, "m": m, "mu": mu, "mu2": mu2, "v_diff": v_diff})
     return rows
 
 

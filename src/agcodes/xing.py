@@ -100,6 +100,8 @@ def phi_basis_rows(curve, basis, points, r: int) -> list[list[int]]:
 
 def _word_spaces(curve, D: Divisor, points, r_max: int):
     basis = curve.riemann_roch_basis(D)
+    if not basis:
+        raise PreconditionError(f"L({D.serialize()}) has no nonzero function")
     F = curve.field
     all_rows = []
     for r in range(r_max + 1):
@@ -192,8 +194,7 @@ class XingBuild:
 
 
 def build_xing(
-    curve, D: Divisor, params: XingParams, points=None, measure: bool = True,
-    census: bool = False,
+    curve, D: Divisor, params: XingParams, points=None, measure: bool = True
 ) -> XingBuild:
     """Build the order-m code: survivors of the ball constraints mapped
     through the order-m expansion word."""
@@ -206,7 +207,7 @@ def build_xing(
             f"divisor degree {D.degree} too large: distance floor {d0} <= 0"
         )
     basis, spaces = _word_spaces(curve, D, points, params.m)
-    search = _search(q, len(basis), spaces[: params.m], params, census)
+    search = _search(q, len(basis), spaces[: params.m], params, census=False)
     if len(search.survivor_indices) != search.survivor_count:
         raise VerificationError("the survivor set differs from the best count")
     metadata = {

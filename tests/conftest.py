@@ -6,9 +6,9 @@ locations by golden-section search, irreducible counts by the divisor-sum
 formula, multiplicity totals by enumerating every place up to a degree
 bound, multiplicities at places of degree > 1 by root multiplicity over the
 residue field, sections by one gcd per candidate pair, and evaluation words
-by symbolic twist-times-section arithmetic. Code words, code files and the
-closure audit have tuple-and-set versions, the form the library used before
-it kept words as one integer array.
+and census rows by symbolic twist-times-section arithmetic. Code words, code
+files and the closure audit have tuple-and-set versions, the form the
+library used before it kept words as one integer array.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from agcodes.field import (
     RationalFunction,
     enumerate_irreducibles,
     factor_multiplicity,
+    factorize,
     rational_valuation,
 )
 from agcodes.sections import RationalSection
@@ -121,6 +122,44 @@ def oracle_total_multiplicity(curve, sec_a, sec_b, twists, max_degree):
         m = max(rational_valuation(diff, desc), 0)
         total += m * pl.degree
     return total
+
+
+def _oracle_branch_multiplicity(g, g2, desc):
+    """Agreement multiplicity of two twisted functions at the place desc:
+    the valuation of their difference, or of the difference of their
+    inverses when both are infinite there."""
+    inf1 = not g.is_zero and rational_valuation(g, desc) < 0
+    inf2 = not g2.is_zero and rational_valuation(g2, desc) < 0
+    if inf1 != inf2:
+        return 0
+    diff = g.inverse() - g2.inverse() if inf1 else g - g2
+    if diff.is_zero:
+        raise PreconditionError("sections must be distinct")
+    return max(rational_valuation(diff, desc), 0)
+
+
+def oracle_multiplicity_census(curve, f, f2, twists):
+    """Per-place rows (place, m, mu, mu2, v_diff) by symbolic arithmetic:
+    at infinity, supp(D), the zeros of f - f2 and the poles of f and f2,
+    each section is multiplied by the place's twist and the valuations are
+    taken of the reduced products and their difference."""
+    if f.f == f2.f:
+        raise PreconditionError("sections must be distinct")
+    places = {Place("inf"), *f.divisor.support}
+    diff = f.f - f2.f
+    for poly in (diff.numer, f.f.denom, f2.f.denom):
+        if not poly.is_zero and poly.degree > 0:
+            places.update(curve.place_of_poly(pi) for pi in factorize(poly))
+    rows = []
+    for pl in sorted(places, key=Place.sort_key):
+        desc = INF if pl.kind == "inf" else pl.poly
+        phi = twists.at_place(pl)
+        g, g2 = phi * f.f, phi * f2.f
+        mu = max(-rational_valuation(g, desc), 0) if not g.is_zero else 0
+        mu2 = max(-rational_valuation(g2, desc), 0) if not g2.is_zero else 0
+        rows.append({"place": pl, "m": _oracle_branch_multiplicity(g, g2, desc),
+                     "mu": mu, "mu2": mu2, "v_diff": rational_valuation(g - g2, desc)})
+    return rows
 
 
 def oracle_root_multiplicity(u, pi):

@@ -27,7 +27,6 @@ from agcodes.combined import (
 from agcodes.curves import build_curve, default_eval_points
 from agcodes.field import Polynomial, enumerate_irreducibles, make_field, make_field_q
 from agcodes.sections import (
-    canonical_twists,
     enumerate_sections,
     multiplicity_census,
 )
@@ -76,7 +75,6 @@ def test_criterion_2_multiplicity_proposition():
     for q in (2, 3, 4):
         curve = _p1(q)
         D = curve.zero_divisor()
-        tw = canonical_twists(curve, D)
         secs = enumerate_sections(curve, D, 3)
         rng = random.Random(4096 + q)
         checked = 0
@@ -85,7 +83,7 @@ def test_criterion_2_multiplicity_proposition():
             b = secs[rng.randrange(len(secs))]
             if a.f == b.f:
                 continue
-            rows = multiplicity_census(curve, a, b, tw)
+            rows = multiplicity_census(curve, a, b)
             total = sum(r["m"] * r["place"].degree for r in rows)
             assert total == a.height + b.height
             assert sum((r["m"] - r["mu"] - r["mu2"]) * r["place"].degree for r in rows) == 0

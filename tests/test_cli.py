@@ -188,8 +188,8 @@ def test_sections_proposition_names_witness(monkeypatch, capsys, key, message):
     real = cli.multiplicity_census
     seen = []
 
-    def wrong_census(curve, a, b, twists):
-        rows = real(curve, a, b, twists)
+    def wrong_census(curve, a, b):
+        rows = real(curve, a, b)
         seen.append((a, b, len(rows)))
         rows[0] = dict(rows[0], **{key: rows[0][key] + 1})
         return rows
@@ -248,6 +248,12 @@ def test_points_index_out_of_range(tmp_path, capsys, points, index):
     ("empty-manifest", EXIT_PRECONDITION),
     ("missing-code-file", EXIT_PRECONDITION),
     ("negative-trials", EXIT_USAGE),
+    ("reducible-place-enumerate", EXIT_PRECONDITION),
+    ("reducible-place-goppa", EXIT_PRECONDITION),
+    ("reducible-place-proposition", EXIT_PRECONDITION),
+    ("empty-basis-xing-build", EXIT_PRECONDITION),
+    ("empty-basis-averaging", EXIT_PRECONDITION),
+    ("negative-pairs", EXIT_USAGE),
 ])
 def test_bad_inputs_exit_with_documented_code(tmp_path, capsys, case, expected):
     out = str(tmp_path / "out")
@@ -260,6 +266,18 @@ def test_bad_inputs_exit_with_documented_code(tmp_path, capsys, case, expected):
         "negative-trials": ["combined", "build", "--q", "3", "--h", "1", "--s0", "1",
                             "--d0", "2", "--strategy", "random", "--trials", "-5",
                             "--out", out],
+        # x^2 + 1 = (x - 2)(x - 3) over GF(5), x^2 + x + 1 = (x - 1)^2 over GF(3)
+        "reducible-place-proposition": ["sections", "proposition", "--q", "5", "--h-max", "2",
+                                        "--divisor", "1,0,1:1;inf:-2", "--pairs", "20"],
+        "reducible-place-enumerate": ["sections", "enumerate", "--q", "3", "--h", "1",
+                                      "--divisor", "1,1,1:1;inf:-2", "--out", out],
+        "reducible-place-goppa": ["goppa", "build", "--q", "3", "--divisor", "1,1,1:1",
+                                  "--out", out],
+        "empty-basis-xing-build": ["xing", "build", "--q", "3", "--divisor", "inf:-1", "--m", "1",
+                                   "--radii", "0", "--out", out],
+        "empty-basis-averaging": ["verify", "averaging", "--kind", "xing", "--q", "3",
+                                  "--divisor", "inf:-1", "--radii", "0"],
+        "negative-pairs": ["sections", "proposition", "--q", "3", "--pairs", "-1"],
     }[case]
     assert _exit_code(argv) == expected
     err = capsys.readouterr().err

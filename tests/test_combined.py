@@ -92,7 +92,7 @@ def test_multiplicity_bridge():
         w2a = phi_r_projective(curve, a, curve.points, tw, 2)
         w2b = phi_r_projective(curve, b, curve.points, tw, 2)
         for j, pt in enumerate(curve.points):
-            m = solution_multiplicity(curve, a, b, curve.place_of_point(pt), tw)
+            m = solution_multiplicity(curve, a, b, curve.place_of_point(pt))
             agrees = (w0a[j] == w0b[j], w1a[j] == w1b[j], w2a[j] == w2b[j])
             if m == 0:
                 assert not agrees[0]
@@ -111,13 +111,14 @@ def test_multiplicity_bridge():
 def test_build_combined_gf4_reference_instance():
     curve = _p1(4)
     params = CombinedParams(h=2, s0=1, d0=2, strategy="exhaustive")
-    res = build_combined(curve, curve.zero_divisor(), params, census=True)
+    res = build_combined(curve, curve.zero_divisor(), params)
     assert res.n_sections == 1024
     assert res.exact_average == Fraction(1024 * ball_size(5, 1, 5), 5 ** 5)
     assert len(res.survivors) >= math.ceil(res.exact_average)
     assert res.code.size == len(res.survivors)
     assert res.code.metadata["measured_distance"] >= 2
-    assert res.census_total == res.expected_census
+    census_total, expected = averaging_census(curve, curve.zero_divisor(), params.h, params.s0)
+    assert census_total == expected == 1024 * ball_size(5, 1, 5)
     assert naive_min_distance(res.code.words) == res.code.metadata["measured_distance"]
 
 
@@ -212,7 +213,7 @@ def test_agreement_accounting_chain():
             d1 = sum(1 for x, y in zip(w1a, w1b) if x != y)
             assert a >= n - 2 * params.s0
             assert b >= a - d1
-            total = total_multiplicity(curve, f, f2, tw)
+            total = total_multiplicity(curve, f, f2)
             assert a + b <= total <= 2 * params.h
             assert 2 * n - 4 * params.s0 - d1 <= 2 * params.h
 

@@ -303,6 +303,22 @@ def test_divisor_algebra_and_serialization():
     assert curve.parse_divisor("0").is_zero
 
 
+@pytest.mark.parametrize("q,text,reducible", [
+    (5, "1,0,1:1;inf:-2", True),      # x^2 + 1 = (x - 2)(x - 3)
+    (3, "1,1,1:1;inf:-2", True),      # x^2 + x + 1 = (x - 1)^2
+    (4, "0,0,1:1", True),             # x^2
+    (3, "2,0,2:1;inf:-2", False),     # made monic: x^2 + 1, irreducible over GF(3)
+    (2, "1,1,1:1", False),
+])
+def test_parse_divisor_rejects_reducible_place_polynomials(q, text, reducible):
+    curve = build_curve("p1", make_field_q(q))
+    if not reducible:
+        assert curve.parse_divisor(text).pos_part().degree == 2
+        return
+    with pytest.raises(PreconditionError, match=f"place polynomial {text.split(':')[0]} is reducible"):
+        curve.parse_divisor(text)
+
+
 def test_divisor_of_function():
     F = make_field(3, 1)
     curve = build_curve("p1", F)

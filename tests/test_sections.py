@@ -30,6 +30,7 @@ from agcodes.sections import (
 from conftest import (
     naive_min_distance,
     oracle_enumerate_sections,
+    oracle_multiplicity_census,
     oracle_phi0,
     oracle_residue_multiplicity,
     oracle_total_multiplicity,
@@ -168,13 +169,8 @@ def _assert_pipeline_matches_oracles(curve, D, h, points=None):
     return secs
 
 
-@pytest.mark.parametrize("q,h", [(2, 3), (3, 2), (4, 2), (5, 1), (7, 1), (8, 1), (9, 1)])
-def test_pipeline_matches_oracles_untwisted(q, h):
-    curve = _p1(q)
-    _assert_pipeline_matches_oracles(curve, curve.zero_divisor(), h)
-
-
-@pytest.mark.parametrize("q,divisor,h", [
+_UNTWISTED_GRID = [(2, 3), (3, 2), (4, 2), (5, 1), (7, 1), (8, 1), (9, 1)]
+_TWISTED_GRID = [
     (2, "0,1:1;1,1:-1", 2),           # degree-1 places, both signs
     (2, "1,1,1:1;inf:-2", 2),         # positive at the degree-2 place
     (2, "1,1,1:-1;inf:2", 1),         # negative at the degree-2 place
@@ -186,7 +182,16 @@ def test_pipeline_matches_oracles_untwisted(q, h):
     (4, "1,1:-2;inf:2", 1),
     (5, "2,1:2;inf:-2", 1),
     (7, "3,1:1;inf:-1", 1),
-])
+]
+
+
+@pytest.mark.parametrize("q,h", _UNTWISTED_GRID)
+def test_pipeline_matches_oracles_untwisted(q, h):
+    curve = _p1(q)
+    _assert_pipeline_matches_oracles(curve, curve.zero_divisor(), h)
+
+
+@pytest.mark.parametrize("q,divisor,h", _TWISTED_GRID)
 def test_pipeline_matches_oracles_twisted(q, divisor, h):
     curve = _p1(q)
     _assert_pipeline_matches_oracles(curve, curve.parse_divisor(divisor), h)
@@ -263,32 +268,29 @@ def _section_by_serial(curve, D, h, serial):
 def test_multiplicity_example_gf3():
     curve = _p1(3)
     D = curve.zero_divisor()
-    tw = canonical_twists(curve, D)
     fx = _section_by_serial(curve, D, 2, "0,1/1")
     fxx = _section_by_serial(curve, D, 2, "0,1,1/1")
     assert fx.height == 1 and fxx.height == 2
-    assert solution_multiplicity(curve, fx, fxx, curve.place_of_point(curve.points[0]), tw) == 2
-    assert solution_multiplicity(curve, fx, fxx, curve.place_inf(), tw) == 1
-    assert total_multiplicity(curve, fx, fxx, tw) == 3
+    assert solution_multiplicity(curve, fx, fxx, curve.place_of_point(curve.points[0])) == 2
+    assert solution_multiplicity(curve, fx, fxx, curve.place_inf()) == 1
+    assert total_multiplicity(curve, fx, fxx) == 3
 
 
 def test_multiplicity_example_unit_difference():
     curve = _p1(3)
     D = curve.zero_divisor()
-    tw = canonical_twists(curve, D)
     fx = _section_by_serial(curve, D, 1, "0,1/1")
     fx1 = _section_by_serial(curve, D, 1, "1,1/1")
     for pt in curve.points[:-1]:
-        assert solution_multiplicity(curve, fx, fx1, curve.place_of_point(pt), tw) == 0
-    assert solution_multiplicity(curve, fx, fx1, curve.place_inf(), tw) == 2
-    assert total_multiplicity(curve, fx, fx1, tw) == 2
+        assert solution_multiplicity(curve, fx, fx1, curve.place_of_point(pt)) == 0
+    assert solution_multiplicity(curve, fx, fx1, curve.place_inf()) == 2
+    assert total_multiplicity(curve, fx, fx1) == 2
 
 
 def test_multiplicity_at_higher_degree_place():
     # x^2 and x^2 + x^2+x+1 agree exactly at the quadratic place
     curve = _p1(2)
     D = curve.zero_divisor()
-    tw = canonical_twists(curve, D)
     f = RationalSection(
         RationalFunction(Polynomial(curve.field, (0, 0, 1)), Polynomial.one(curve.field)),
         D, 2,
@@ -299,26 +301,24 @@ def test_multiplicity_at_higher_degree_place():
     )
     pi = Polynomial(curve.field, (1, 1, 1))
     place = curve.place_of_poly(pi)
-    assert solution_multiplicity(curve, f, f2, place, tw) == 1
-    assert total_multiplicity(curve, f, f2, tw) == 3
+    assert solution_multiplicity(curve, f, f2, place) == 1
+    assert total_multiplicity(curve, f, f2) == 3
 
 
 def test_multiplicity_distinct_constants():
     curve = _p1(4)
     D = curve.zero_divisor()
-    tw = canonical_twists(curve, D)
     c1 = RationalSection(RationalFunction.constant(curve.field, 1), D, 0)
     c2 = RationalSection(RationalFunction.constant(curve.field, 2), D, 0)
-    assert total_multiplicity(curve, c1, c2, tw) == 0
+    assert total_multiplicity(curve, c1, c2) == 0
 
 
 def test_multiplicity_rejects_equal_sections():
     curve = _p1(2)
     D = curve.zero_divisor()
-    tw = canonical_twists(curve, D)
     s = _section_by_serial(curve, D, 1, "0,1/1")
     with pytest.raises(PreconditionError):
-        total_multiplicity(curve, s, s, tw)
+        total_multiplicity(curve, s, s)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -335,7 +335,7 @@ def test_proposition_total_equals_height_sum(q):
         b = secs[rng.randrange(len(secs))]
         if a.f == b.f:
             continue
-        total = total_multiplicity(curve, a, b, tw)
+        total = total_multiplicity(curve, a, b)
         assert total == a.height + b.height
         # the independent full-place-enumeration oracle agrees
         assert total == oracle_total_multiplicity(curve, a, b, tw, a.height + b.height)
@@ -354,7 +354,7 @@ def test_proposition_with_nontrivial_divisor():
         b = secs[rng.randrange(len(secs))]
         if a.f == b.f:
             continue
-        total = total_multiplicity(curve, a, b, tw)
+        total = total_multiplicity(curve, a, b)
         assert total == a.height + b.height
         assert total == oracle_total_multiplicity(curve, a, b, tw, a.height + b.height + D.pos_part().degree)
         checked += 1
@@ -363,7 +363,6 @@ def test_proposition_with_nontrivial_divisor():
 def test_proof_identity_rows():
     curve = _p1(3)
     D = curve.zero_divisor()
-    tw = canonical_twists(curve, D)
     secs = enumerate_sections(curve, D, 2)
     rng = random.Random(77)
     checked = 0
@@ -372,7 +371,7 @@ def test_proof_identity_rows():
         b = secs[rng.randrange(len(secs))]
         if a.f == b.f:
             continue
-        rows = multiplicity_census(curve, a, b, tw)
+        rows = multiplicity_census(curve, a, b)
         assert sum((r["m"] - r["mu"] - r["mu2"]) * r["place"].degree for r in rows) == 0
         assert sum((r["mu"] + r["mu2"]) * r["place"].degree for r in rows) == a.height + b.height
         checked += 1
@@ -416,9 +415,9 @@ def test_multiplicity_law_on_random_pairs(case):
     curve, D, a, b = case
     tw = canonical_twists(curve, D)
     law = a.height + b.height
-    assert total_multiplicity(curve, a, b, tw) == law
+    assert total_multiplicity(curve, a, b) == law
     assert oracle_total_multiplicity(curve, a, b, tw, max(law, 1)) == law
-    rows = multiplicity_census(curve, a, b, tw)
+    rows = _assert_census_matches_oracles(curve, a, b)
     assert sum(r["m"] * r["place"].degree for r in rows) == law
     assert sum((r["mu"] + r["mu2"]) * r["place"].degree for r in rows) == law
     for r in rows:
@@ -429,13 +428,11 @@ def test_multiplicity_law_on_random_pairs(case):
 
 
 def test_twist_independence():
-    # canonical per-place twists and the single global realization give the
-    # same multiplicities everywhere
+    # the symbolic census under the canonical per-place twists and under the
+    # single global realization equals the integer table, which takes no
+    # twist, at every place of degree <= 3
     curve = _p1(2)
     D = _nontrivial_divisor_gf2(curve)
-    tw_canon = canonical_twists(curve, D)
-    g = global_twist_function(curve, D)
-    tw_global = TwistFamily(curve, D, {pl: g for pl in D.support})
     secs = enumerate_sections(curve, D, 1)
     places = [curve.place_inf()] + [
         curve.place_of_poly(pi) for pi in enumerate_irreducibles(curve.field, 3)
@@ -446,9 +443,58 @@ def test_twist_independence():
         b = secs[rng.randrange(len(secs))]
         if a.f == b.f:
             continue
-        for pl in places:
-            assert solution_multiplicity(curve, a, b, pl, tw_canon) == \
-                solution_multiplicity(curve, a, b, pl, tw_global)
+        _assert_census_matches_oracles(curve, a, b, places)
+
+
+# ---------------------------------------------------------------------------
+# the integer census against the symbolic one
+
+
+def _assert_census_matches_oracles(curve, a, b, places=()):
+    """Census rows equal the symbolic census under the canonical and the
+    global twist family; the total sums them, and solution_multiplicity
+    gives each row's m and 0 at the other given places."""
+    rows = multiplicity_census(curve, a, b)
+    for tw in _twist_families(curve, a.divisor):
+        assert oracle_multiplicity_census(curve, a, b, tw) == rows
+    assert total_multiplicity(curve, a, b) == sum(r["m"] * r["place"].degree for r in rows)
+    m_at = {r["place"]: r["m"] for r in rows}
+    for pl in (*m_at, *places):
+        assert solution_multiplicity(curve, a, b, pl) == m_at.get(pl, 0)
+    return rows
+
+
+@pytest.mark.parametrize("q,divisor,h", [(q, "0", h) for q, h in _UNTWISTED_GRID] + _TWISTED_GRID)
+def test_census_matches_oracle_on_the_grid(q, divisor, h):
+    curve = _p1(q)
+    secs = enumerate_sections(curve, curve.parse_divisor(divisor), h)
+    rng = random.Random(f"{q}/{divisor}/{h}")
+    pairs = [(0, j) for j in rng.sample(range(1, len(secs)), 5)]  # the zero section
+    pairs += [tuple(rng.sample(range(len(secs)), 2)) for _ in range(25)]
+    for i, j in pairs:
+        _assert_census_matches_oracles(curve, secs[i], secs[j])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_divisors(), st.data())
+def test_census_matches_oracle_on_random_divisors(case, data):
+    curve, D, h = case
+    secs = enumerate_sections(curve, D, h)
+    i, j = data.draw(st.lists(st.integers(0, len(secs) - 1), min_size=2, max_size=2, unique=True))
+    _assert_census_matches_oracles(curve, secs[0], secs[max(i, j)])  # the zero section
+    _assert_census_matches_oracles(curve, secs[i], secs[j])
+
+
+def test_twist_family_needs_every_support_place():
+    # twist 1 at x + 1 would have valuation 0 there, not D(x + 1) = 1
+    curve = _p1(5)
+    D = curve.parse_divisor("1,1:1;inf:-1")
+    canon = canonical_twists(curve, D)
+    with pytest.raises(PreconditionError, match="no twist at the place 1,1 "):
+        TwistFamily(curve, D, {})
+    with pytest.raises(PreconditionError, match="no twist at the place inf "):
+        TwistFamily(curve, D, {pl: canon.at_place(pl) for pl in D.support if pl.kind == "poly"})
+    TwistFamily(curve, D, {pl: canon.at_place(pl) for pl in D.support})
 
 
 # ---------------------------------------------------------------------------
