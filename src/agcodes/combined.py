@@ -16,7 +16,6 @@ code to have minimum distance at least d0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -174,8 +173,7 @@ def build_combined(
         trials=params.trials,
     )
     average = Fraction(len(sections) * ball_size(n, params.s0, q + 1), (q + 1) ** n)
-    if params.strategy == "exhaustive" and outcome.best_count < math.ceil(average):
-        raise VerificationError("exhaustive maximum fell below the exact average")
+    outcome.check_average(average)
     if outcome.best_count < 1:
         raise VerificationError("no survivors at the chosen center")
     survivors = tuple(sections[int(i)] for i in outcome.survivor_indices)

@@ -1,12 +1,21 @@
 """numpy kernels for the exhaustive-search hot paths: spanning a linear
-space of words, and one exact agreement kernel behind both the pairwise
-minimum distance and the exhaustive ball-center search.
+space of words, the ball-center search, and one exact agreement kernel
+behind the pairwise minimum distance and the center scans.
 
 `agreements` counts the equal positions of every pair of rows as a float32
 product of one-hot encodings. A count never exceeds the word length, far
 below 2^24, so every product is an exact integer. Work is split into blocks
 of at most _CHUNK_CELLS elements, and every reduction keeps the first
 extremum in ascending index order, so no result depends on the block size.
+
+The exhaustive center search counts ball points rather than scanning
+centers: every (word, point of the ball product around it) pair lands on
+exactly one center, so the survivor counts are one histogram over
+words x ball points. Only the averaging census still scans every center,
+so that the identity sum of counts = words x ball size is checked by
+enumeration rather than holding by construction. The random and greedy
+strategies score their candidates with `agreements` and with per-word
+distances kept across single-coordinate moves.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 
 EXHAUSTIVE_CENTER_CAP = 1 << 24
 SPAN_CELL_CAP = 1 << 26
@@ -146,6 +155,23 @@ class SearchOutcome:
     n_candidates: int
     census_total: int | None = None
 
+    def check_average(self, average) -> None:
+        """Raise VerificationError, naming the center and its count, when an
+        exhaustive maximum falls below the ceiling of the exact average
+        survivor count over all centers."""
+        floor = math.ceil(average)
+        if self.strategy == "exhaustive" and self.best_count < floor:
+            raise VerificationError(
+                f"exhaustive maximum fell below the exact average: center "
+                f"{_center_text(self.centers)} keeps {self.best_count} words, "
+                f"ceil(average) = {floor}"
+            )
+
+
+def _center_text(centers) -> str:
+    """Center digits as in build manifests: comma-separated, orders split by '|'."""
+    return "|".join(",".join(str(s) for s in c) for c in centers)
+
 
 def _survivor_mask(word_arrays, radii, center_digits, n):
     centers = np.asarray(center_digits, dtype=word_arrays[0].dtype).reshape(-1, n)
@@ -153,8 +179,75 @@ def _survivor_mask(word_arrays, radii, center_digits, n):
     return np.logical_and.reduce(within)
 
 
+_BALL_CACHE: dict = {}
+
+
+def _ball_offsets(n: int, radius: int, q: int) -> np.ndarray:
+    """Every vector of Z_q^n of Hamming weight at most `radius`, as a
+    read-only (ball size, n) array; built once per (n, radius, q)."""
+    key = (n, radius, q)
+    cached = _BALL_CACHE.get(key)
+    if cached is not None:
+        return cached
+    if n == 0 or radius == 0:
+        out = np.zeros((1, n), dtype=np.min_scalar_type(q - 1))
+    else:
+        # first coordinate 0 over the rest's ball, or 1..q-1 over the smaller ball
+        zero = _ball_offsets(n - 1, radius, q)
+        moved = np.tile(_ball_offsets(n - 1, radius - 1, q), (q - 1, 1))
+        heads = np.repeat(np.arange(1, q), len(moved) // (q - 1))
+        out = np.concatenate([np.insert(zero, 0, 0, axis=1), np.insert(moved, 0, heads, axis=1)])
+    out.flags.writeable = False
+    _BALL_CACHE[key] = out
+    return out
+
+
+def _histogram_search(word_arrays, radii, q: int):
+    """(best count, least maximizing center index) from the ball points.
+
+    A center keeps a word when the word's order-r part lies within s_r of the
+    center's at every order r, that is when the center equals w + e for one
+    weight-<=s_r offset e per order. So every (word, offset tuple) pair is a
+    point that lands on exactly one center, and a center's survivor count is
+    the number of points on it. A point's index reads (w + e) mod q as base-q
+    digits, first digit most significant, orders concatenated, so the least
+    index among the maxima is the lexicographically least maximizer. Points
+    are counted into a dense histogram when there are at least as many
+    points as centers, and sorted otherwise, so memory stays within the
+    smaller of the two.
+    """
+    n = word_arrays[0].shape[1]
+    space = q ** (len(word_arrays) * n)
+    balls = [_ball_offsets(n, s, q) for s in radii]
+    per_word = math.prod(len(b) for b in balls)
+    n_words = word_arrays[0].shape[0]
+    dense = n_words * per_word >= space
+    counts = np.zeros(space, dtype=np.int64) if dense else None
+    points = []
+    step = max(1, _CHUNK_CELLS // per_word)
+    for lo in range(0, n_words, step):
+        index = np.zeros((min(step, n_words - lo), 1), dtype=np.int64)
+        for words, ball in zip(word_arrays, balls):
+            part = np.zeros((len(index), len(ball)), dtype=np.int64)
+            for j in range(n):
+                part *= q
+                part += (words[lo : lo + step, j, None].astype(np.int64) + ball[:, j]) % q
+            index = (index[:, :, None] * q ** n + part[:, None, :]).reshape(len(index), -1)
+        if dense:
+            counts += np.bincount(index.ravel(), minlength=space)
+        else:
+            points.append(index.ravel())
+    if dense:
+        best = int(counts.argmax())
+        return int(counts[best]), best
+    values, hits = np.unique(np.concatenate(points), return_counts=True)
+    k = int(hits.argmax())
+    return int(hits[k]), int(values[k])
+
+
 def _exhaustive_search(word_arrays, radii, q: int):
-    """(best count, first maximizing center, census total) over every center.
+    """(best count, least maximizing center index, census total) from a scan
+    over every center.
 
     The m*N center digits split into a leading and a trailing part. Per
     order r, an agreement table per part counts the positions of each word
@@ -192,7 +285,69 @@ def _exhaustive_search(word_arrays, radii, q: int):
         k = int(np.argmax(counts))
         if counts[k] > best_count:
             best_count, best_index = int(counts[k]), lo * n_trail + k
-    return best_count, np.unravel_index(best_index, (q,) * total), census_total
+    return best_count, best_index, census_total
+
+
+def _candidate_counts(word_arrays, radii, candidates: np.ndarray, q: int) -> np.ndarray:
+    """Survivor count of every candidate center row, a block of candidates
+    at a time."""
+    n = word_arrays[0].shape[1]
+    counts = np.empty(len(candidates), dtype=np.int64)
+    step = max(1, _CHUNK_CELLS // max(1, len(word_arrays[0])))
+    for lo in range(0, len(candidates), step):
+        block = candidates[lo : lo + step]
+        ok = True
+        for r, (words, radius) in enumerate(zip(word_arrays, radii)):
+            ok = ok & (agreements(block[:, r * n : (r + 1) * n], words, q) >= n - radius)
+        counts[lo : lo + step] = ok.sum(axis=1)
+    return counts
+
+
+def _greedy_search(word_arrays, radii, q: int, start: list[int]):
+    """(count, center digits, candidates evaluated) of the greedy walk from
+    `start`: at each coordinate in turn, try every other symbol in ascending
+    order and keep a strictly better one; repeat until a full pass stalls.
+
+    Each word's distance to the current center is kept per order, so the
+    counts for all q symbols at coordinate (r, j) come at once: a word that
+    survives at every other order survives any symbol when its distance off
+    j is below s_r, and only its own symbol w_j when that distance is s_r.
+    """
+    n = word_arrays[0].shape[1]
+    current = list(start)
+    dist = [
+        (words != np.asarray(current[r * n : (r + 1) * n], dtype=words.dtype)).sum(axis=1)
+        for r, words in enumerate(word_arrays)
+    ]
+    # number of orders at which each word lies outside its ball
+    outside = sum((d > s).astype(np.int64) for d, s in zip(dist, radii))
+    current_count = int((outside == 0).sum())
+    evaluated = 1
+    improved = True
+    while improved:
+        improved = False
+        for pos in range(len(current)):
+            r, j = divmod(pos, n)
+            column, radius = word_arrays[r][:, j], radii[r]
+            original = current[pos]
+            off_j = dist[r] - (column != original)
+            elsewhere = (outside - (dist[r] > radius)) == 0
+            sym_counts = int((elsewhere & (off_j < radius)).sum()) + np.bincount(
+                column[elsewhere & (off_j == radius)], minlength=q
+            )
+            for sym in range(q):
+                if sym == current[pos]:
+                    continue
+                evaluated += 1
+                if sym_counts[sym] > current_count:
+                    current_count = int(sym_counts[sym])
+                    current[pos] = sym
+                    improved = True
+            if current[pos] != original:
+                new_dist = off_j + (column != current[pos])
+                outside += (new_dist > radius).astype(np.int64) - (dist[r] > radius)
+                dist[r] = new_dist
+    return current_count, current, evaluated
 
 
 def center_search(
@@ -207,13 +362,18 @@ def center_search(
     """Find a center tuple maximizing the number of rows within the given
     Hamming radii of it, simultaneously for every word array.
 
-    exhaustive scores all alphabet_size^(m*N) tuples in ascending symbol
-    order and keeps the first maximizer (the lexicographically least one).
-    random scores the all-zeros tuple plus `trials` seeded tuples. greedy
-    starts from one seeded tuple and accepts strict single-coordinate
-    improvements until a full pass stalls, then falls back to the all-zeros
-    tuple if that is at least as good. The all-zeros candidate guarantees at
-    least one survivor whenever the zero word is present.
+    exhaustive returns the lexicographically least maximizer over all
+    alphabet_size^(m*N) tuples. It counts the ball points around every word
+    (`_histogram_search`); with `census` it instead scans every center and
+    also returns the sum of all survivor counts, which checks the averaging
+    identity by enumeration. random scores the all-zeros tuple plus `trials`
+    seeded tuples and keeps the first maximizer. greedy starts from one
+    seeded tuple and accepts strict single-coordinate improvements until a
+    full pass stalls, then falls back to the all-zeros tuple if that is
+    better. The all-zeros candidate guarantees at least one survivor
+    whenever the zero word is present. Every strategy recounts the
+    survivors at its center directly and raises VerificationError if they
+    differ from its best count.
     """
     m = len(word_arrays)
     if m == 0 or len(radii) != m:
@@ -224,6 +384,11 @@ def center_search(
     def outcome(best_count, digits, n_cand, census_total=None):
         per_r = tuple(tuple(int(x) for x in digits[r * n : (r + 1) * n]) for r in range(m))
         survivors = np.nonzero(_survivor_mask(word_arrays, radii, digits, n))[0]
+        if len(survivors) != best_count:
+            raise VerificationError(
+                f"{len(survivors)} words lie within the radii of center "
+                f"{_center_text(per_r)}, but the {strategy} search counted {best_count}"
+            )
         return SearchOutcome(int(best_count), per_r, survivors, strategy, n_cand, census_total)
 
     if strategy == "exhaustive":
@@ -232,49 +397,34 @@ def center_search(
             raise PreconditionError(
                 f"exhaustive center space {space} exceeds cap {EXHAUSTIVE_CENTER_CAP}"
             )
-        count, digits, census_total = _exhaustive_search(word_arrays, radii, alphabet_size)
-        return outcome(count, digits, space, census_total if census else None)
+        census_total = None
+        if census:
+            count, index, census_total = _exhaustive_search(word_arrays, radii, alphabet_size)
+        else:
+            count, index = _histogram_search(word_arrays, radii, alphabet_size)
+        digits = np.unravel_index(index, (alphabet_size,) * total_positions)
+        return outcome(count, digits, space, census_total)
 
     rng = random.Random(seed)
-
-    def count_one(digits):
-        return int(_survivor_mask(word_arrays, radii, digits, n).sum())
-
-    zeros = tuple([0] * total_positions)
+    zeros = [0] * total_positions
     if strategy == "random":
-        candidates = [zeros] + [
-            tuple(rng.randrange(alphabet_size) for _ in range(total_positions))
-            for _ in range(trials)
-        ]
-        scores = [count_one(cand) for cand in candidates]
-        k = scores.index(max(scores))
+        candidates = np.array(
+            [zeros] + [
+                [rng.randrange(alphabet_size) for _ in range(total_positions)]
+                for _ in range(trials)
+            ],
+            dtype=word_arrays[0].dtype,
+        )
+        scores = _candidate_counts(word_arrays, radii, candidates, alphabet_size)
+        k = int(scores.argmax())
         return outcome(scores[k], candidates[k], len(candidates))
 
     if strategy == "greedy":
-        current = [rng.randrange(alphabet_size) for _ in range(total_positions)]
-        current_count = count_one(tuple(current))
-        evaluated = 1
-        improved = True
-        while improved:
-            improved = False
-            for pos in range(total_positions):
-                original = current[pos]
-                for sym in range(alphabet_size):
-                    if sym == original:
-                        continue
-                    current[pos] = sym
-                    c = count_one(tuple(current))
-                    evaluated += 1
-                    if c > current_count:
-                        current_count = c
-                        original = sym
-                        improved = True
-                    else:
-                        current[pos] = original
-        zeros_count = count_one(zeros)
-        evaluated += 1
-        if zeros_count > current_count:
-            return outcome(zeros_count, zeros, evaluated)
-        return outcome(current_count, tuple(current), evaluated)
+        start = [rng.randrange(alphabet_size) for _ in range(total_positions)]
+        count, current, evaluated = _greedy_search(word_arrays, radii, alphabet_size, start)
+        zeros_count = int(_survivor_mask(word_arrays, radii, zeros, n).sum())
+        if zeros_count > count:
+            return outcome(zeros_count, zeros, evaluated + 1)
+        return outcome(count, current, evaluated + 1)
 
     raise PreconditionError(f"unknown center strategy {strategy!r}")

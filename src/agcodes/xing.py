@@ -156,8 +156,7 @@ def _search(q: int, dim: int, spaces, params: XingParams, census: bool) -> Cente
         prod *= ball_size(n, s, q)
     average = Fraction(prod, q ** (params.m * n))
     expected = prod if census else None
-    if params.strategy == "exhaustive" and outcome.best_count < math.ceil(average):
-        raise VerificationError("exhaustive maximum fell below the exact average")
+    outcome.check_average(average)
     if outcome.best_count < 1:
         raise VerificationError("no survivors at the chosen centers")
     return CenterSearchResult(
@@ -208,8 +207,6 @@ def build_xing(
         )
     basis, spaces = _word_spaces(curve, D, points, params.m)
     search = _search(q, len(basis), spaces[: params.m], params, census=False)
-    if len(search.survivor_indices) != search.survivor_count:
-        raise VerificationError("the survivor set differs from the best count")
     metadata = {
         "construction": "xing",
         "curve": curve.kind,

@@ -2,9 +2,10 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
-from agcodes import bounds
+from agcodes import bounds, kernels
 from agcodes.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -101,6 +102,50 @@ def test_verify_distance_names_witness_pair(tmp_path, capsys):
 def test_repeated_points_exit_precondition(tmp_path, argv):
     out = tmp_path / "r"
     assert main(argv + ["--out", str(out)]) == EXIT_PRECONDITION
+    assert not out.exists()
+
+
+_SMALL_EXHAUSTIVE_BUILDS = {
+    "xing": ["xing", "build", "--q", "3", "--divisor", "inf:1", "--m", "1", "--radii", "0"],
+    "combined": ["combined", "build", "--q", "3", "--h", "1", "--s0", "0", "--d0", "2"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SMALL_EXHAUSTIVE_BUILDS))
+def test_builders_recount_the_survivors(tmp_path, capsys, monkeypatch, kind):
+    # a search whose count is one above what its center keeps
+    real = kernels._histogram_search
+    monkeypatch.setattr(kernels, "_histogram_search",
+                        lambda *args: (real(*args)[0] + 1, real(*args)[1]))
+    out = tmp_path / "b"
+    assert main(_SMALL_EXHAUSTIVE_BUILDS[kind] + ["--out", str(out)]) == EXIT_VERIFICATION
+    err = capsys.readouterr().err
+    assert re.search(r"(\d+) words lie within the radii of center [\d,|]+, "
+                     r"but the exhaustive search counted (\d+)", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(_SMALL_EXHAUSTIVE_BUILDS))
+def test_maximum_below_average_names_the_center(tmp_path, capsys, monkeypatch, kind):
+    # a search that returns the least center keeping no word; the exact
+    # average of both instances is below 1, so its ceiling is 1
+    found = {}
+
+    def empty_center(word_arrays, radii, q):
+        n = word_arrays[0].shape[1]
+        total = len(word_arrays) * n
+        for index in range(q ** total):
+            digits = np.unravel_index(index, (q,) * total)
+            if not kernels._survivor_mask(word_arrays, radii, digits, n).any():
+                found["center"] = ",".join(str(int(d)) for d in digits)
+                return 0, index
+
+    monkeypatch.setattr(kernels, "_histogram_search", empty_center)
+    out = tmp_path / "b"
+    assert main(_SMALL_EXHAUSTIVE_BUILDS[kind] + ["--out", str(out)]) == EXIT_VERIFICATION
+    err = capsys.readouterr().err
+    assert (f"exhaustive maximum fell below the exact average: center {found['center']} "
+            "keeps 0 words, ceil(average) = 1") in err
     assert not out.exists()
 
 

@@ -1,9 +1,11 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from agcodes.cli import EXIT_OK, main
 from agcodes.combined import (
     CombinedParams,
     averaging_census,
@@ -128,6 +130,24 @@ def test_build_combined_gf3_instance():
     res = build_combined(curve, curve.zero_divisor(), params)
     assert res.code.metadata["measured_distance"] >= 2
     assert res.code.size == len(res.survivors) >= math.ceil(res.exact_average)
+
+
+def test_build_combined_gf7_height2_pinned(tmp_path):
+    # 16807 sections over 8^8 projective centers; the artifact digest is the
+    # one the exhaustive center scan produced for this instance
+    out = tmp_path / "c"
+    argv = ["combined", "build", "--q", "7", "--h", "2", "--s0", "1", "--d0", "2",
+            "--strategy", "exhaustive", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    artifact = (out / "combined_code.txt").read_bytes()
+    assert hashlib.sha256(artifact).hexdigest() == (
+        "65a7682b9dde52d1585c98cca072f9018ab2c7ea06226922619ad796bfaaacdb"
+    )
+    text = artifact.decode()
+    assert "param center: 0,0,0,0,0,0,0,0\n" in text
+    assert "param n_survivors: 1\n" in text
+    assert "param average: 957999/16777216\n" in text
+    assert Fraction(957999, 16777216) == Fraction(16807 * ball_size(8, 1, 8), 8 ** 8)
 
 
 def test_build_combined_rejects_repeated_points():

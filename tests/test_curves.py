@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agcodes.curves import Point, build_curve, default_eval_points
 from agcodes.errors import PreconditionError
@@ -301,6 +303,37 @@ def test_divisor_algebra_and_serialization():
     round_trip = curve.parse_divisor(D.serialize())
     assert round_trip == D
     assert curve.parse_divisor("0").is_zero
+
+
+@st.composite
+def _p1_divisors(draw):
+    """A divisor on P1 over a small field: up to four places of degree 1 to 3
+    (and infinity) with nonzero coefficients of either sign."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    curve = build_curve("p1", make_field_q(q))
+    places = [curve.place_inf()] + [
+        curve.place_of_poly(p) for p in enumerate_irreducibles(curve.field, 3)
+    ]
+    chosen = draw(st.lists(st.sampled_from(places), max_size=4, unique=True))
+    coeffs = draw(st.lists(st.integers(-5, 5).filter(bool),
+                           min_size=len(chosen), max_size=len(chosen)))
+    return curve, curve.divisor(zip(chosen, coeffs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_p1_divisors())
+def test_property_p1_divisor_round_trip(case):
+    curve, D = case
+    assert curve.parse_divisor(D.serialize()) == D
+
+
+@pytest.mark.parametrize("q", [4, 9])
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(-30, 30))
+def test_property_hermitian_divisor_round_trip(q, k):
+    curve = build_curve("hermitian", make_field_q(q))
+    D = curve.one_point_divisor(k)
+    assert curve.parse_divisor(D.serialize()) == D
 
 
 @pytest.mark.parametrize("q,text,reducible", [

@@ -1,7 +1,9 @@
-"""The agreement kernel against the plain scans it replaced: the symbol-by-
-symbol exhaustive center scan and the O(M^2) pair loop."""
+"""The kernels against the plain scans and loops they replaced: the symbol-
+by-symbol exhaustive center scan, the candidate-by-candidate random and
+greedy searches, and the O(M^2) pair loop."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -31,6 +33,59 @@ def scan_center_search(word_arrays, radii, alphabet_size):
     return int(counts[best]), per_r, np.nonzero(ok[best])[0], int(counts.sum())
 
 
+def _loop_count(word_arrays, radii, digits):
+    """Survivors of one center, word by word."""
+    n = word_arrays[0].shape[1]
+    return sum(
+        all(int((words[i] != np.array(digits[r * n : (r + 1) * n])).sum()) <= radii[r]
+            for r, words in enumerate(word_arrays))
+        for i in range(len(word_arrays[0]))
+    )
+
+
+def random_loop(word_arrays, radii, alphabet_size, seed, trials):
+    """The all-zeros center and `trials` seeded centers scored one at a
+    time; (count, center digits, candidates) of the first maximizer."""
+    rng = random.Random(seed)
+    total = len(word_arrays) * word_arrays[0].shape[1]
+    candidates = [tuple([0] * total)] + [
+        tuple(rng.randrange(alphabet_size) for _ in range(total)) for _ in range(trials)
+    ]
+    scores = [_loop_count(word_arrays, radii, c) for c in candidates]
+    k = scores.index(max(scores))
+    return scores[k], candidates[k], len(candidates)
+
+
+def greedy_loop(word_arrays, radii, alphabet_size, seed):
+    """Single-coordinate hill climbing that rescores every trial center in
+    full; (count, center digits, candidates evaluated)."""
+    rng = random.Random(seed)
+    total = len(word_arrays) * word_arrays[0].shape[1]
+    current = [rng.randrange(alphabet_size) for _ in range(total)]
+    current_count = _loop_count(word_arrays, radii, current)
+    evaluated = 1
+    improved = True
+    while improved:
+        improved = False
+        for pos in range(total):
+            original = current[pos]
+            for sym in range(alphabet_size):
+                if sym == original:
+                    continue
+                current[pos] = sym
+                c = _loop_count(word_arrays, radii, current)
+                evaluated += 1
+                if c > current_count:
+                    current_count, original, improved = c, sym, True
+                else:
+                    current[pos] = original
+    zeros = [0] * total
+    zeros_count = _loop_count(word_arrays, radii, zeros)
+    if zeros_count > current_count:
+        return zeros_count, tuple(zeros), evaluated + 1
+    return current_count, tuple(current), evaluated + 1
+
+
 def pair_loop(arr):
     """(distance, (i, j)) of the first closest pair in row-major order."""
     best = None
@@ -43,14 +98,36 @@ def pair_loop(arr):
 
 
 def assert_search_matches_scan(word_arrays, radii, alphabet_size):
-    got = kernels.center_search(word_arrays, radii, alphabet_size, census=True)
+    """Both exhaustive paths, the ball-point histogram (census=False) and the
+    center scan (census=True), against the plain scan."""
     count, centers, survivors, census = scan_center_search(word_arrays, radii, alphabet_size)
-    assert got.best_count == count
-    assert got.centers == centers
-    assert np.array_equal(got.survivor_indices, survivors)
-    assert got.census_total == census
     space = alphabet_size ** (len(word_arrays) * word_arrays[0].shape[1])
-    assert got.n_candidates == space
+    for with_census in (False, True):
+        got = kernels.center_search(word_arrays, radii, alphabet_size, census=with_census)
+        assert got.best_count == count
+        assert got.centers == centers
+        assert np.array_equal(got.survivor_indices, survivors)
+        assert got.census_total == (census if with_census else None)
+        assert got.n_candidates == space
+
+
+def assert_heuristics_match_loops(word_arrays, radii, alphabet_size, seed, trials):
+    n = word_arrays[0].shape[1]
+    for strategy, (count, digits, n_cand) in (
+        ("random", random_loop(word_arrays, radii, alphabet_size, seed, trials)),
+        ("greedy", greedy_loop(word_arrays, radii, alphabet_size, seed)),
+    ):
+        got = kernels.center_search(word_arrays, radii, alphabet_size, strategy, seed, trials)
+        assert got.best_count == count
+        assert got.centers == tuple(
+            tuple(digits[r * n : (r + 1) * n]) for r in range(len(word_arrays))
+        )
+        assert np.array_equal(
+            got.survivor_indices,
+            np.nonzero(kernels._survivor_mask(word_arrays, radii, digits, n))[0],
+        )
+        assert got.n_candidates == n_cand
+        assert got.census_total is None
 
 
 def _arrays(rng, alphabet_size, m, n, rows, duplicates=False):
@@ -76,6 +153,17 @@ def test_exhaustive_search_matches_scan(alphabet_size, m, n):
             assert_search_matches_scan(arrays, radii, alphabet_size)
 
 
+@pytest.mark.parametrize("alphabet_size", [2, 3, 5, 9])
+@pytest.mark.parametrize("m,n", SHAPES)
+def test_random_and_greedy_match_loops(alphabet_size, m, n):
+    rng = np.random.default_rng(100 * alphabet_size + 10 * m + n)
+    for duplicates in (False, True):
+        arrays = _arrays(rng, alphabet_size, m, n, rows=12, duplicates=duplicates)
+        for radii in ([0] * m, [n] * m, [int(rng.integers(0, n + 1)) for _ in range(m)]):
+            seed = int(rng.integers(0, 1 << 31))
+            assert_heuristics_match_loops(arrays, radii, alphabet_size, seed, trials=20)
+
+
 @pytest.mark.parametrize("cells", [kernels._CHUNK_CELLS, 1, 7, 4096])
 def test_exhaustive_search_ties_across_chunks(cells, monkeypatch):
     # identical words, and radii that let every center keep every word: the
@@ -88,6 +176,7 @@ def test_exhaustive_search_ties_across_chunks(cells, monkeypatch):
     arrays = _arrays(rng, 4, 2, 3, rows=20, duplicates=True)
     for radii in ([1, 2], [3, 3], [0, 0]):
         assert_search_matches_scan(arrays, radii, 4)
+        assert_heuristics_match_loops(arrays, radii, 4, seed=5, trials=30)
 
 
 @pytest.mark.parametrize("alphabet_size", [2, 5, 9, 10])
@@ -128,15 +217,18 @@ def search_inputs(draw):
                                min_size=rows, max_size=rows)), dtype=np.uint8)
         for _ in range(m)
     ]
+    repeats = draw(st.integers(0, rows))  # the first rows once more
+    arrays = [np.concatenate([a, a[:repeats]]) for a in arrays]
     radii = draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
     return arrays, radii, alphabet_size
 
 
 @settings(max_examples=60, deadline=None)
-@given(search_inputs())
-def test_property_search_and_distance_match_scans(inputs):
+@given(search_inputs(), st.integers(0, 1 << 31), st.integers(0, 40))
+def test_property_search_and_distance_match_scans(inputs, seed, trials):
     arrays, radii, alphabet_size = inputs
     if alphabet_size ** (len(arrays) * arrays[0].shape[1]) <= 5 ** 4:
         assert_search_matches_scan(arrays, radii, alphabet_size)
+    assert_heuristics_match_loops(arrays, radii, alphabet_size, seed, trials)
     if len(arrays[0]) >= 2:
         assert kernels.pairwise_min_distance(arrays[0]) == pair_loop(arrays[0])
