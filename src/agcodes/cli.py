@@ -358,7 +358,7 @@ def cmd_bounds_crossing(args) -> int:
 def cmd_verify_distance(args) -> int:
     code = code_from_text(_read_text(args.code))
     claimed = code.metadata.get("claimed_distance")
-    scan = closest_pair(code)  # pairwise, trusting no linearity flag
+    scan = closest_pair(code)  # minimum weight if proven a subspace, else all pairs
     measured = None if scan is None else scan[0]
     print(f"words={code.size} claimed={claimed} measured={measured}")
     if scan is not None and claimed is not None and measured < claimed:

@@ -1,5 +1,6 @@
-"""Evaluation codes from Riemann-Roch spaces, exact brute-force distance
-measurement, and the shared code-file format.
+"""Evaluation codes from Riemann-Roch spaces, exact distance measurement
+(the least nonzero weight of a code proven to be a subspace of k^N, the
+all-pairs scan otherwise, never a metadata flag), and the code-file format.
 
 A Code is a finite set of equal-length words over either the base field k
 (symbols are element encodings) or the projective line over k (symbols
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -105,45 +105,36 @@ def finish_code(alphabet: Alphabet, n: int, words, field, metadata: dict,
 # ---------------------------------------------------------------------------
 # Exact minimum distance.
 
-def _closure_audit(code: Code, samples: int = 200) -> bool:
-    """Spot-check that the word set is an additive group over the field, so
-    the weight shortcut is honest. Exact for the zero word, randomized for
-    closure. A field above 256 elements has no lookup tables, and an
-    alphabet that is not the field's own has no field sums: such codes take
-    the pairwise scan, which gives the same distance."""
-    ws, F = code.words, code.field
-    if F is None or F.q > 256 or code.alphabet != Alphabet("field", F.q):
-        return False
-    if len(ws) == 0 or ws[0].any():  # the least row is the zero word, if present
-        return False
-    add, _ = kernels.field_tables(F)
-    rng = random.Random(0xC0DE)
-    picks = np.array([rng.randrange(len(ws)) for _ in range(2 * samples)]).reshape(samples, 2)
-    sums = _row_keys(add[ws[picks[:, 0]], ws[picks[:, 1]]])
-    keys = _row_keys(ws)
-    found = np.searchsorted(keys, sums).clip(max=len(keys) - 1)
-    return bool((keys[found] == sums).all())
+def subspace_proof(code: Code) -> bool:
+    """Whether the words are exactly a subspace of k^N (`kernels.is_subspace`);
+    only a code over its field's own alphabet, of order <= 256, can pass."""
+    F = code.field
+    return (F is not None and F.q <= 256 and code.alphabet == Alphabet("field", F.q)
+            and kernels.is_subspace(code.words, F))
 
 
 def closest_pair(code: Code) -> tuple[int, tuple[int, int]] | None:
-    """Exact minimum distance and the first closest word pair by the full
-    pairwise scan, whatever the code claims; None below two words."""
+    """Exact minimum distance and the first closest word pair in row-major
+    order; None below two words. A proven subspace has its least nonzero
+    weight as distance, and its zero word, row 0, lies in a closest pair, so
+    the first such pair is (0, j) for the least j of that weight. Every
+    other code takes the pairwise scan, whatever its metadata claims."""
     if code.size > DISTANCE_GUARD:
         raise PreconditionError(
             f"{code.size} words exceed the distance guard {DISTANCE_GUARD}"
         )
-    return kernels.pairwise_min_distance(code.words) if code.size >= 2 else None
+    if code.size < 2:
+        return None
+    if subspace_proof(code):
+        weights = np.count_nonzero(code.words, axis=1)
+        j = 1 + int(weights[1:].argmin())
+        return int(weights[j]), (0, j)
+    return kernels.pairwise_min_distance(code.words)
 
 
 def exact_min_distance(code: Code) -> int | None:
-    """Exact minimum pairwise Hamming distance by brute force.
-
-    Returns None for an empty or one-word code (distance undefined). Codes
-    flagged linear get the minimum-nonzero-weight shortcut, but only after
-    the additive closure audit passes.
-    """
-    if code.metadata.get("linear") and 2 <= code.size <= DISTANCE_GUARD and _closure_audit(code):
-        return kernels.min_nonzero_weight(code.words)
+    """The exact minimum distance of `closest_pair`; None for an empty or
+    one-word code (distance undefined)."""
     scan = closest_pair(code)
     return None if scan is None else scan[0]
 
@@ -334,8 +325,6 @@ def code_from_text(text: str) -> Code:
     for key in ("claimed_distance", "measured_distance"):
         value = fields.get(key)
         meta[key] = None if value in (None, "none", "None") else _int(value, key)
-    if meta.get("linear") is not None:
-        meta["linear"] = meta["linear"] == "1"
     return make_code(
         Alphabet(kind, q),
         length,

@@ -23,7 +23,6 @@ from .errors import PreconditionError, VerificationError
 from .field import (
     INF,
     FieldSpec,
-    LocalExpansion,
     Polynomial,
     RationalFunction,
     factorize,
@@ -284,9 +283,6 @@ class ProjectiveLine:
         """Expansion coefficients of f at a rational point, as encoded ints."""
         place = self.place_of_point(point)
         return local_expand(f, self._descriptor(place), r_max).coeffs
-
-    def expand_at_place(self, f: RationalFunction, place: Place, r_max: int) -> LocalExpansion:
-        return local_expand(f, self._descriptor(place), r_max)
 
     def valuation(self, f: RationalFunction, place: Place) -> int:
         return rational_valuation(f, self._descriptor(place))

@@ -1,6 +1,7 @@
 """numpy kernels for the exhaustive-search hot paths: spanning a linear
-space of words, the ball-center search, and one exact agreement kernel
-behind the pairwise minimum distance and the center scans.
+space of words, the exact proof that a word set is a subspace, the
+ball-center search, and one exact agreement kernel behind the pairwise
+minimum distance and the center scans.
 
 `agreements` counts the equal positions of every pair of rows as a float32
 product of one-hot encodings. A count never exceeds the word length, far
@@ -136,12 +137,25 @@ def pairwise_min_distance(arr: np.ndarray) -> tuple[int, tuple[int, int]] | None
     return n - best[0], (-best[1], -best[2])
 
 
-def min_nonzero_weight(arr: np.ndarray) -> int:
-    weights = (arr != 0).sum(axis=1)
-    nz = weights[weights > 0]
-    if nz.size == 0:
-        raise PreconditionError("no nonzero word")
-    return int(nz.min())
+def is_subspace(arr: np.ndarray, field) -> bool:
+    """Whether the distinct, sorted rows of `arr` are exactly a subspace of
+    GF(q)^n, q <= 256: there are q^k rows, row 0 is zero, and k pivot
+    eliminations clear every row. Then every row lies in the span of the k
+    pivot rows, which has at most q^k words, so the rows fill it; and k
+    eliminations clear any k-dimensional subspace."""
+    q, m = field.q, arr.shape[0]
+    k = round(math.log(max(m, 1), q))
+    if q ** k != m or arr[0].any():
+        return False
+    add, mul = field_tables(field)
+    neg, inv = (add == 0).argmax(axis=1), (mul == 1).argmax(axis=1)
+    rows = arr
+    for _ in range(k):
+        r, c = divmod(int((rows != 0).argmax()), rows.shape[1])
+        # every multiple of the pivot row scaled to 1 at column c
+        multiples = mul[:, mul[inv[rows[r, c]], rows[r]]]
+        rows = add.ravel()[rows.astype(np.uint16) * q + multiples[neg[rows[:, c]]]]
+    return not rows.any()
 
 
 @dataclass

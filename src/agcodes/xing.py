@@ -82,12 +82,6 @@ class CenterSearchResult:
     expected_census: int | None = None
 
 
-def phi_word(curve, f, points, r: int) -> tuple[int, ...]:
-    """The order-r expansion word of a single function regular at every
-    point: coordinate j is the t_j^r coefficient at point j."""
-    return tuple(curve.local_expansion(f, p, r)[r] for p in points)
-
-
 def phi_basis_rows(curve, basis, points, r: int) -> list[list[int]]:
     """Order-r expansion coefficients for each basis function; expansion is
     linear, so these rows span the full word set of L(D)."""

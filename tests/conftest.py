@@ -6,15 +6,15 @@ locations by golden-section search, irreducible counts by the divisor-sum
 formula, multiplicity totals by enumerating every place up to a degree
 bound, multiplicities at places of degree > 1 by root multiplicity over the
 residue field, sections by one gcd per candidate pair, and evaluation words
-and census rows by symbolic twist-times-section arithmetic. Code words, code
-files and the closure audit have tuple-and-set versions, the form the
-library used before it kept words as one integer array.
+and census rows by symbolic twist-times-section arithmetic, expansion words
+one function and point at a time, and subspaces by set closure. Code words
+and code files have tuple-and-set versions, the form the library used
+before it kept words as one integer array.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 
 import mpmath
 from mpmath import mp, mpf
@@ -240,6 +240,12 @@ def oracle_phi0(curve, section, points, twists):
     return tuple(word)
 
 
+def oracle_phi_word(curve, f, points, r):
+    """The order-r expansion word of a single function regular at every
+    point: coordinate j is the t_j^r coefficient at point j."""
+    return tuple(curve.local_expansion(f, p, r)[r] for p in points)
+
+
 def oracle_code_words(alphabet_size, length, words):
     """Sorted distinct words as tuples, each checked for length and range."""
     ws = sorted(set(tuple(int(s) for s in w) for w in words))
@@ -298,8 +304,6 @@ def oracle_code_from_text(text):
     for key in ("claimed_distance", "measured_distance"):
         v = fields.get(key)
         meta[key] = None if v in (None, "none", "None") else int(v)
-    if "linear" in meta:
-        meta["linear"] = meta["linear"] == "1"
     kind = {v: k for k, v in _ORACLE_TAGS.items()}[fields["alphabet"]]
     q = int(fields["q"])
     length = int(fields["length"])
@@ -308,17 +312,12 @@ def oracle_code_from_text(text):
     return kind, q, length, oracle_code_words(size, length, words), fld, meta
 
 
-def oracle_closure_audit(words, field, length, samples=200):
-    """Zero word present, and the sum of every sampled pair (the same seeded
-    draws as the library) lies in the word set."""
-    ws = [tuple(w) for w in words]
-    members = set(ws)
-    if tuple([0] * length) not in members:
-        return False
-    rng = random.Random(0xC0DE)
-    for _ in range(samples):
-        a = ws[rng.randrange(len(ws))]
-        b = ws[rng.randrange(len(ws))]
-        if tuple(field.add(x, y) for x, y in zip(a, b)) not in members:
-            return False
-    return True
+def oracle_is_subspace(words, field):
+    """Whether a word set is a subspace over the field, by set closure: it
+    is nonempty and holds the sum of every pair of its words and every
+    scalar multiple of every word."""
+    members = set(tuple(w) for w in words)
+    pairs = itertools.combinations_with_replacement(members, 2)
+    return bool(members) and all(
+        tuple(field.add(x, y) for x, y in zip(a, b)) in members for a, b in pairs
+    ) and all(tuple(field.mul(c, x) for x in a) in members for a in members for c in range(field.q))

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from agcodes import bounds, kernels
 from agcodes.cli import (
@@ -391,3 +394,110 @@ def test_well_formed_hand_written_code_file_verifies(tmp_path):
     path = tmp_path / "code.txt"
     path.write_text(_GOOD_HEADER + "words: 2\n0,0,0\n1,1,1\n")
     assert main(["verify", "distance", "--code", str(path)]) == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every subcommand with valid and invalid option values, missing
+# options and stray tokens. Heights, radii, grids and m stay small and q
+# stays at most 5, so no example starts a long scan.
+
+# each option's (valid, invalid) values; a valid value parses and is in range
+_Q = (["2", "3", "4", "5"], ["0", "1", "6", "-3", "x"])
+_DIVISOR = (["0", "inf:1", "inf:2", "inf:4", "inf:-1", "1,1,1:1", "1,0,1:1;inf:-2",
+             "1,1,0,1:1;1,1,1:-1"], ["abc", "inf:", ""])
+_SMALL = (["0", "1", "2"], ["-1", "x"])
+_RADII = (["0", "1", "2", "1,1", "0,1"], ["-1", "x", ""])
+_STRATEGY = (["exhaustive", "random", "greedy"], ["best"])
+_CURVE = (["p1", "hermitian"], ["line"])
+_POINTS = (["0,1,2,3"], ["0,0,1", "0,99", "x", ""])
+_SEED = (["0", "3"], ["x"])
+_COUNT = (["0", "4"], ["-1"])
+_FUZZ = {
+    "field selftest": {"--q": _Q, "--seed": _SEED},
+    "curve info": {"--q": _Q, "--curve": _CURVE},
+    "goppa build": {"--q": _Q, "--curve": _CURVE, "--divisor": _DIVISOR, "--points": _POINTS},
+    "xing build": {"--q": _Q, "--curve": _CURVE, "--divisor": _DIVISOR, "--m": _SMALL,
+                   "--radii": _RADII, "--strategy": _STRATEGY, "--seed": _SEED,
+                   "--trials": _COUNT, "--points": _POINTS},
+    "sections enumerate": {"--q": _Q, "--divisor": _DIVISOR, "--h": _SMALL},
+    "sections proposition": {"--q": _Q, "--divisor": _DIVISOR, "--h-max": _SMALL,
+                             "--pairs": _COUNT, "--seed": _SEED},
+    "combined build": {"--q": _Q, "--divisor": _DIVISOR, "--h": _SMALL, "--s0": _SMALL,
+                       "--d0": _SMALL, "--strategy": _STRATEGY, "--seed": _SEED,
+                       "--trials": _COUNT, "--points": _POINTS},
+    "bounds table": {"--q": (["4", "9", "2"], ["0", "x"]), "--grid": (["3", "10"], ["0", "-1"]),
+                     "--m": _SMALL},
+    "bounds crossing": {"--q": (["4", "9", "25", "2"], ["0", "x"])},
+    "verify distance": {"--code": (["{code}", "{tampered}"], ["{garbage}", "{missing}", "{dir}"])},
+    "verify averaging": {"--kind": (["xing", "combined"], ["goppa"]), "--q": _Q,
+                         "--divisor": _DIVISOR, "--m": (["0", "1"], ["-1", "x"]),
+                         "--radii": _RADII, "--h": _SMALL, "--s0": _SMALL, "--d0": _SMALL},
+    "replay manifest": {"": (["{manifest}", "{diverged}"], ["{garbage}", "{empty}", "{missing}"])},
+}
+# options present in every example, so that a default never sets the size
+_ALWAYS = {"sections proposition": ("--h-max",), "bounds table": ("--grid",)}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Paths the fuzzed argv may name: good and bad code files and manifests."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["goppa", "build", "--q", "3", "--divisor", "inf:1",
+                 "--out", str(root / "g")]) == EXIT_OK
+    code = (root / "g" / "goppa_code.txt").read_text()
+    doc = json.loads((root / "g" / "manifest.json").read_text())
+    files = {
+        "tampered": code.replace("claimed_distance: 2", "claimed_distance: 3"),
+        "garbage": "not a code file\n",
+        "empty": "{}",
+        "diverged": json.dumps(dict(doc, artifact_sha256="0" * 64)),
+    }
+    for name, text in files.items():
+        (root / name).write_text(text)
+    paths = {name: str(root / name) for name in files}
+    paths.update(code=str(root / "g" / "goppa_code.txt"), dir=str(root), out=str(root / "out"),
+                 manifest=str(root / "g" / "manifest.json"), missing=str(root / "nothing"))
+    return paths
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ)))
+    options = _FUZZ[command]
+    argv = command.split()
+    for option in sorted(options):
+        if option in _ALWAYS.get(command, ()) or draw(st.integers(0, 5)):
+            valid, invalid = options[option]
+            value = draw(st.sampled_from(valid if draw(st.integers(0, 4)) else invalid))
+            argv += ([option] if option else []) + [value]
+    if draw(st.integers(0, 9)) == 0:
+        stray = draw(st.sampled_from(["--bogus", "extra", "--q", "", "-h"]))
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzz_argv())
+# one run that succeeds per subcommand, so the fuzz starts from working argv
+@example(["goppa", "build", "--q", "4", "--curve", "hermitian", "--divisor", "inf:4"])
+@example(["xing", "build", "--q", "2", "--divisor", "1,1,0,1:1;1,1,1:-1", "--m", "1",
+          "--radii", "1", "--strategy", "random", "--seed", "3", "--trials", "4"])
+@example(["combined", "build", "--q", "4", "--h", "2", "--s0", "1", "--d0", "2"])
+@example(["sections", "enumerate", "--q", "3", "--h", "1"])
+@example(["sections", "proposition", "--q", "3", "--h-max", "2", "--pairs", "5"])
+@example(["bounds", "table", "--q", "9", "--grid", "10"])
+@example(["verify", "averaging", "--kind", "xing", "--q", "3", "--divisor", "inf:1",
+          "--radii", "1"])
+@example(["verify", "averaging", "--kind", "combined", "--q", "3", "--h", "1", "--s0", "1"])
+@example(["verify", "distance", "--code", "{code}"])
+@example(["replay", "manifest", "{manifest}"])
+def test_cli_fuzz_exits_with_a_documented_code(fuzz_files, argv):
+    argv = [token.format(**fuzz_files) for token in argv] + ["--out", fuzz_files["out"]]
+    if argv[:2] in (["field", "selftest"], ["curve", "info"], ["bounds", "crossing"],
+                    ["verify", "distance"], ["verify", "averaging"], ["sections", "proposition"]):
+        argv = argv[:-2]  # these take no --out
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured), contextlib.redirect_stderr(captured):
+        rc = _exit_code(argv)
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_PRECONDITION, EXIT_VERIFICATION), (argv, rc)
+    assert "Traceback" not in captured.getvalue(), argv

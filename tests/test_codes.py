@@ -1,5 +1,6 @@
 """The integer-array code representation against the tuple oracles in
-conftest: make_code, the code-file writer and reader, and the closure audit."""
+conftest: make_code, the code-file writer and reader, and the subspace proof
+behind the minimum-weight distance, against set closure and the pairwise scan."""
 
 import importlib.util
 import random
@@ -26,10 +27,10 @@ from agcodes.field import make_field, make_field_q
 from agcodes.sections import build_section_code
 from agcodes.xing import XingParams, build_xing
 from conftest import (
-    oracle_closure_audit,
     oracle_code_from_text,
     oracle_code_to_text,
     oracle_code_words,
+    oracle_is_subspace,
 )
 
 ALPHABETS = [Alphabet("field", 2), Alphabet("field", 3), Alphabet("field", 9),
@@ -143,36 +144,106 @@ def _perturbed(code, rng):
                      metadata=code.metadata)
 
 
-def test_closure_audit_matches_oracle(built_codes):
+def _route(code, monkeypatch):
+    """closest_pair's answer and whether it ran the pairwise scan."""
+    calls = []
+    scan = kernels.pairwise_min_distance
+    monkeypatch.setattr(kernels, "pairwise_min_distance", lambda arr: calls.append(1) or scan(arr))
+    found = codes_mod.closest_pair(code)
+    monkeypatch.undo()
+    return found, bool(calls)
+
+
+def test_subspace_proof_on_built_and_perturbed_codes(built_codes, monkeypatch):
     rng = random.Random(7)
     herm9 = build_curve("hermitian", make_field(3, 2))
-    linear = [built_codes["goppa"], built_codes["hermitian"],
-              build_goppa(herm9, herm9.one_point_divisor(4), measure=False)]
+    big = build_goppa(herm9, herm9.one_point_divisor(4), measure=False)
+    linear = [built_codes["goppa"], built_codes["hermitian"], big]
     candidates = list(linear)
     for code in linear:
-        candidates += [_perturbed(code, rng) for _ in range(6)]
-        # without the zero word: shift every word by one nonzero constant
+        for _ in range(6):
+            perturbed = _perturbed(code, rng)
+            assert not np.array_equal(perturbed.words, code.words)
+            candidates.append(perturbed)
+        # without the zero word: shift the first symbol of every word by one,
+        # a weight-1 shift below the distance, so it is not a code word
         shifted = make_code(code.alphabet, code.length,
-                            [[code.field.add(s, 1) for s in w] for w in code.words.tolist()],
+                            [[code.field.add(w[0], 1)] + w[1:] for w in code.words.tolist()],
                             field=code.field, metadata=code.metadata)
         candidates.append(shifted)
-    verdicts = []
-    for code in candidates:
-        verdict = codes_mod._closure_audit(code)
-        assert verdict == oracle_closure_audit(code.words.tolist(), code.field, code.length)
-        verdicts.append(verdict)
-    assert all(verdicts[:3]) and verdicts.count(False) >= len(linear)
-    # a field without lookup tables skips the audit for the same exact distance
+    verdicts = [codes_mod.subspace_proof(code) for code in candidates]
+    for code, verdict in zip(candidates, verdicts):
+        if code.size <= 125:  # the set-closure oracle is quadratic in the words
+            assert verdict == oracle_is_subspace(code.words.tolist(), code.field)
+    # q^k words, so one changed word leaves no subspace; nor does a coset
+    assert verdicts == [True] * 3 + [False] * (len(candidates) - 3)
+    # a field without lookup tables is not proven, though it is a subspace
     gf257 = make_code(Alphabet("field", 257), 4, [[c, 2 * c % 257, 0, c] for c in range(257)],
                       field=make_field(257, 1), metadata={"linear": True})
-    assert not codes_mod._closure_audit(gf257)
-    # nor does a field alphabet that is not the field's own
+    assert not codes_mod.subspace_proof(gf257)
+    # nor is a field alphabet that is not the field's own
     gf3_as_5 = make_code(Alphabet("field", 5), 2, [[0, 0], [1, 4], [2, 3]],
                          field=make_field(3, 1), metadata={"linear": True})
-    assert not codes_mod._closure_audit(gf3_as_5)
-    # a linear flag on a code that fails the audit falls back to the pairwise scan
-    for code in candidates + [gf257, gf3_as_5]:
-        assert exact_min_distance(code) == codes_mod.closest_pair(code)[0]
+    assert not codes_mod.subspace_proof(gf3_as_5)
+    # nor a code file that names no field
+    text = code_to_text(built_codes["goppa"])
+    fieldless = code_from_text("\n".join(line for line in text.splitlines()
+                                         if not line.startswith(("p:", "alpha:", "modulus:"))))
+    assert fieldless.field is None and not codes_mod.subspace_proof(fieldless)
+    assert np.array_equal(fieldless.words, built_codes["goppa"].words)
+    # the proven codes skip the pairwise scan; every other code falls back
+    # to it, and both routes give the scan's distance and pair
+    for code in candidates + [gf257, gf3_as_5, fieldless]:
+        found, scanned = _route(code, monkeypatch)
+        assert scanned == (not codes_mod.subspace_proof(code))
+        assert found == kernels.pairwise_min_distance(code.words)
+        assert exact_min_distance(code) == found[0]
+
+
+def _span_code(q, n, k, variant, seed):
+    """The span of k random rows of GF(q)^n, or one of its near misses."""
+    F = make_field_q(q)
+    rng = random.Random(seed)
+
+    def vector():
+        return [rng.randrange(q) for _ in range(n)]
+
+    rows = [vector() for _ in range(k)]
+    words = kernels.linear_span_words(F, rows) if rows else np.zeros((1, n), dtype=np.uint8)
+    if variant == "symbol":
+        i, j = rng.randrange(len(words)), rng.randrange(n)
+        words[i, j] = (int(words[i, j]) + rng.randrange(1, q)) % q
+    elif variant == "coset":
+        shift = np.array(vector(), dtype=np.uint8)
+        words = np.array([[F.add(int(a), int(b)) for a, b in zip(w, shift)] for w in words])
+    elif variant == "extra":
+        words = np.vstack([words, vector()])
+    elif variant == "union":
+        # q cosets of the span of the first k - 1 rows, one of them itself
+        base = (kernels.linear_span_words(F, rows[:-1]) if k > 1
+                else np.zeros((1, n), dtype=np.uint8))
+        shifts = [[0] * n] + [vector() for _ in range(q - 1 if k else 0)]
+        words = np.array([[F.add(int(a), b) for a, b in zip(w, v)] for v in shifts for w in base])
+    return make_code(Alphabet("field", q), n, words, field=F)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4, 5, 8, 9]),
+    st.integers(1, 10),
+    st.integers(0, 4),
+    st.sampled_from(["span", "symbol", "coset", "extra", "union"]),
+    st.integers(0, 2 ** 32),
+)
+@example(2, 3, 1, "union", 1)
+@example(3, 1, 2, "span", 0)
+@example(9, 10, 4, "symbol", 0)
+def test_subspace_proof_matches_set_closure(q, n, k, variant, seed):
+    code = _span_code(q, n, k, variant, seed)
+    if code.size <= 125:  # the set-closure oracle is quadratic in the words
+        assert codes_mod.subspace_proof(code) == oracle_is_subspace(code.words.tolist(),
+                                                                    code.field)
+    assert codes_mod.closest_pair(code) == kernels.pairwise_min_distance(code.words)
 
 
 def _codes_strategy():

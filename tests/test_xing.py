@@ -15,11 +15,10 @@ from agcodes.xing import (
     distance_floor,
     function_from_index,
     optimal_sigma,
-    phi_word,
     search_centers,
     survivor_functions,
 )
-from conftest import brute_ball_count, naive_min_distance
+from conftest import brute_ball_count, naive_min_distance, oracle_phi_word
 
 
 def _deg1_divisor_gf2(curve):
@@ -41,7 +40,7 @@ def test_phi0_is_plain_evaluation():
     points = default_eval_points(curve, D)
     basis = curve.riemann_roch_basis(D)
     for f in basis:
-        assert phi_word(curve, f, points, 0) == tuple(
+        assert oracle_phi_word(curve, f, points, 0) == tuple(
             curve.evaluate(f, p) for p in points
         )
 
@@ -118,7 +117,7 @@ def test_search_radius_zero_survivors_are_fibers():
     basis = curve.riemann_roch_basis(D)
     for idx in res.survivor_indices:
         f = function_from_index(curve.field, basis, int(idx))
-        assert phi_word(curve, f, points, 0) == res.centers[0]
+        assert oracle_phi_word(curve, f, points, 0) == res.centers[0]
 
 
 def test_random_strategy_is_reproducible():
@@ -161,7 +160,7 @@ def test_monotonicity_in_radius():
     D = _deg1_divisor_gf2(curve)
     points = default_eval_points(curve, D)
     basis = curve.riemann_roch_basis(D)
-    words = [phi_word(curve, function_from_index(curve.field, basis, i), points, 0)
+    words = [oracle_phi_word(curve, function_from_index(curve.field, basis, i), points, 0)
              for i in range(curve.field.q ** len(basis))]
     center = (0, 1, 0)
     for s in range(0, 3):
@@ -322,8 +321,8 @@ def test_multiplicity_chain_bounds():
                 _agreement_multiplicity(curve, f, f2, p, deg_d) for p in points
             )
             assert total <= deg_d
-            w_m = phi_word(curve, f, points, params.m)
-            w2_m = phi_word(curve, f2, points, params.m)
+            w_m = oracle_phi_word(curve, f, points, params.m)
+            w2_m = oracle_phi_word(curve, f2, points, params.m)
             agree_m = sum(1 for a, b in zip(w_m, w2_m) if a == b)
             assert agree_m <= n - d0
 
@@ -352,8 +351,8 @@ def test_multiplicity_chain_on_hermitian_survivors():
                 assert mult <= deg_d
                 total += mult
             assert total <= deg_d
-            w_m = phi_word(curve, f, points, params.m)
-            w2_m = phi_word(curve, f2, points, params.m)
+            w_m = oracle_phi_word(curve, f, points, params.m)
+            w2_m = oracle_phi_word(curve, f2, points, params.m)
             assert sum(1 for a, b in zip(w_m, w2_m) if a == b) <= n - d0
 
 
@@ -367,7 +366,7 @@ def test_phi_m_injective_on_survivors():
     build = build_xing(curve, D, params)
     survivors = survivor_functions(curve, D, build.search)
     points = build.points
-    words = [phi_word(curve, f, points, 1) for f in survivors]
+    words = [oracle_phi_word(curve, f, points, 1) for f in survivors]
     assert len(set(words)) == len(words)
 
 
