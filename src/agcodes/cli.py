@@ -516,7 +516,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", type=_int_list_arg, default="1")
     p.add_argument("--h", type=int, default=1)
     p.add_argument("--s0", type=int, default=1)
-    p.add_argument("--d0", type=int, default=1)
 
     replay_g = sub.add_parser("replay").add_subparsers(dest="sub", required=True)
     p = add(replay_g, "manifest", cmd_replay_manifest)

@@ -198,8 +198,8 @@ def goppa_sum_check(codes) -> list[dict]:
     rows = []
     for code in codes:
         n = code.length
-        dim = code.metadata["dim"]
-        g = code.metadata["genus"]
+        dim = _int(code.metadata["dim"], "dim")  # a string in a code read back from text
+        g = _int(code.metadata["genus"], "genus")
         if code.field.q ** dim != code.size:
             raise VerificationError("word count is not q^dim")
         d = code.metadata.get("measured_distance")

@@ -15,8 +15,10 @@ Canonical conventions used by every downstream module and serialized file:
   term first. The zero polynomial serializes as the empty string and its
   degree is None (never -1), so accidental arithmetic on it fails loudly.
 
-All values are immutable after construction and all operations are pure, so
-everything here is safe to share between threads.
+A field builds its lookup data on first use: scalar digit and log/exp tables,
+read-only numpy (add, mul) tables when q^2 <= FIELD_SIZE_CAP, and a sieve of
+least factors over monic polynomials behind every factorization. A cache is
+only replaced whole and values are immutable, so all of it is thread-safe.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import PreconditionError
 
@@ -49,14 +53,7 @@ INF = _Infinity()
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and prime_factors(n) == (n,)
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -83,7 +80,8 @@ class FieldSpec:
     Every method (add, mul, ...) takes and returns integer encodings.
     """
 
-    __slots__ = ("p", "degree", "modulus", "q", "_digits", "_xpow", "_exp", "_log")
+    __slots__ = ("p", "degree", "modulus", "q", "_digits", "_xpow", "_exp", "_log", "_tables",
+                 "_sieve")
 
     def __init__(self, p: int, degree: int, modulus: tuple[int, ...]):
         self.p = p
@@ -93,6 +91,8 @@ class FieldSpec:
         self._digits = None
         self._exp = None
         self._log = None
+        self._tables = None
+        self._sieve = None
         # reductions of x^k mod modulus for k = degree .. 2*degree-2
         red = []
         cur = [(-modulus[i]) % p for i in range(degree)]  # x^degree
@@ -113,7 +113,7 @@ class FieldSpec:
 
     def decode(self, code: int) -> tuple[int, ...]:
         if self._digits is None and self.q <= _LOG_TABLE_LIMIT:
-            self._build_digits()
+            self._digits = tuple(self._decode_slow(c) for c in range(self.q))
         if self._digits is not None:
             return self._digits[code]
         return self._decode_slow(code)
@@ -125,18 +125,6 @@ class FieldSpec:
             code, r = divmod(code, p)
             out.append(r)
         return tuple(out)
-
-    def _build_digits(self):
-        p, d = self.p, self.degree
-        digits = []
-        for code in range(self.q):
-            row = []
-            c = code
-            for _ in range(d):
-                c, r = divmod(c, p)
-                row.append(r)
-            digits.append(tuple(row))
-        self._digits = tuple(digits)
 
     def encode(self, digits) -> int:
         p = self.p
@@ -194,13 +182,8 @@ class FieldSpec:
     def _build_log(self):
         q = self.q
         facs = prime_factors(q - 1) if q > 2 else ()
-        gen = None
-        for cand in range(2, q):
-            if all(self._pow_slow(cand, (q - 1) // r) != 1 for r in facs):
-                gen = cand
-                break
-        if gen is None:
-            gen = 1  # q == 2
+        gen = next((c for c in range(2, q)  # the least primitive element; 1 when q == 2
+                    if all(self._pow_slow(c, (q - 1) // r) != 1 for r in facs)), 1)
         exp = [1] * (q - 1)
         cur = 1
         for k in range(1, q - 1):
@@ -261,6 +244,27 @@ class FieldSpec:
             return self._exp[(self._log[a] * e) % (self.q - 1)]
         return self._pow_slow(a, e)
 
+    @property
+    def tables(self):
+        """Read-only (ADD, MUL) numpy lookup tables on encodings, uint8 up to
+        q = 256; built once, vectorised from the digits and the log/exp
+        tables, for every q with q^2 <= FIELD_SIZE_CAP."""
+        if self._tables is None:
+            q, p = self.q, self.p
+            if q * q > FIELD_SIZE_CAP:
+                raise PreconditionError(f"GF({q}) is too large for lookup tables")
+            if self._exp is None:
+                self._build_log()
+            digits = np.arange(q)[:, None] // p ** np.arange(self.degree) % p
+            add = sum((digits[:, None, i] + digits[:, i]) % p * p ** i for i in range(self.degree))
+            log = np.array(self._log)
+            mul = np.array(self._exp)[(log[:, None] + log) % (q - 1)]
+            mul[0] = mul[:, 0] = 0
+            add, mul = (t.astype(np.min_scalar_type(q - 1)) for t in (add, mul))
+            add.flags.writeable = mul.flags.writeable = False
+            self._tables = add, mul
+        return self._tables
+
     def __repr__(self):
         return f"GF({self.q})"
 
@@ -292,8 +296,6 @@ def make_field_q(q: int) -> FieldSpec:
     while n > 1:
         n //= p
         alpha += 1
-    if p ** alpha != q:
-        raise PreconditionError(f"{q} is not a prime power")
     return make_field(p, alpha)
 
 
@@ -387,14 +389,7 @@ class Polynomial:
 
     def __sub__(self, other):
         self._check(other)
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            x = self.coeffs[i] if i < len(self.coeffs) else 0
-            y = other.coeffs[i] if i < len(other.coeffs) else 0
-            out.append(F.sub(x, y))
-        return Polynomial(F, out)
+        return self + -other
 
     def __neg__(self):
         F = self.field
@@ -565,9 +560,7 @@ def factor_multiplicity(poly: Polynomial, pi: Polynomial) -> int:
         if not r.is_zero:
             return mult
         mult += 1
-        poly = q
-        if poly.is_zero:
-            return mult
+        poly = q  # nonzero: an exact quotient of a nonzero polynomial
 
 
 def linear_poly(field: FieldSpec, a: int) -> Polynomial:
@@ -833,7 +826,57 @@ def _poly_inverse_mod(a: Polynomial, m: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Irreducible enumeration (complete and sorted) for place bookkeeping.
+# Factorization from one least-factor sieve per field.
+
+def _monic_at(field: FieldSpec, index: int) -> Polynomial:
+    """The monic polynomial at a sieve index (see _factor_sieve)."""
+    q, d = field.q, 0
+    while (q ** (d + 1) - 1) // (q - 1) <= index:
+        d += 1
+    index -= (q ** d - 1) // (q - 1)
+    return Polynomial(field, [index // q ** (d - 1 - k) % q for k in range(d)] + [1])
+
+
+def _factor_sieve(field: FieldSpec, degree: int):
+    """(least, cofactor) index arrays over every monic of degree <= degree:
+    its least irreducible factor in key order and the quotient by it (an
+    irreducible is its own least factor, with cofactor 1 at index 0).
+
+    The monics of degree d take the indices from (q^d - 1) / (q - 1) on, in
+    the order of their coefficients read as base-q digits with the constant
+    term most significant, so indices ascend in Polynomial.key order. Each
+    irreducible pi, in index order, marks pi * m for every monic m with
+    deg pi <= deg m <= degree - deg pi; the first mark is the least factor.
+    Cached on the field and rebuilt only for a larger degree."""
+    sieve = field._sieve
+    if sieve is None or sieve[0] < degree:
+        q = field.q
+        if q ** degree > FIELD_SIZE_CAP:
+            raise PreconditionError("irreducible enumeration too large")
+        start = [(q ** d - 1) // (q - 1) for d in range(degree + 2)]
+        least = np.full(start[-1], -1, dtype=np.int32)
+        cofactor = np.zeros(start[-1], dtype=np.int32)
+        monics = [np.ones((1, 1), dtype=np.min_scalar_type(q - 1))]  # coefficient rows
+        for d in range(1, degree):
+            first = np.arange(q, dtype=monics[0].dtype).repeat(q ** (d - 1))[:, None]
+            monics.append(np.hstack((first, np.tile(monics[-1], (q, 1)))))
+        for e in range(1, degree // 2 + 1):
+            add, mul = field.tables  # q^2 <= q^degree <= FIELD_SIZE_CAP
+            for i in np.flatnonzero(least[start[e] : start[e + 1]] < 0):
+                for d in range(e, degree - e + 1):
+                    prod = np.zeros((q ** d, d + e + 1), dtype=add.dtype)
+                    for k, c in enumerate(monics[e][i]):
+                        prod[:, k : k + d + 1] = add[prod[:, k : k + d + 1], mul[c, monics[d]]]
+                    index = start[d + e] + sum(prod[:, k].astype(np.int32) * q ** (d + e - 1 - k)
+                                               for k in range(d + e))
+                    new = least[index] < 0
+                    least[index[new]] = start[e] + i
+                    cofactor[index[new]] = start[d] + np.flatnonzero(new)
+        unmarked = np.flatnonzero(least < 0)  # the irreducibles, and 1 at index 0
+        least[unmarked] = unmarked
+        sieve = field._sieve = (degree, least, cofactor)
+    return sieve[1:]
+
 
 @lru_cache(maxsize=None)
 def enumerate_irreducibles(field: FieldSpec, max_degree: int) -> tuple[Polynomial, ...]:
@@ -841,35 +884,9 @@ def enumerate_irreducibles(field: FieldSpec, max_degree: int) -> tuple[Polynomia
     by coefficient tuple, constant term first."""
     if max_degree < 1:
         raise PreconditionError("max_degree must be at least 1")
-    q = field.q
-    if q ** max_degree > FIELD_SIZE_CAP:
-        raise PreconditionError("irreducible enumeration too large")
-    found: list[Polynomial] = []
-    by_degree: dict[int, list[Polynomial]] = {}
-    for d in range(1, max_degree + 1):
-        level = []
-        for tail in itertools.product(range(q), repeat=d):
-            cand = Polynomial(field, tail + (1,))
-            if d == 1:
-                level.append(cand)
-                continue
-            if cand.coeffs[0] == 0:
-                continue  # divisible by x
-            if any(cand(a) == 0 for a in range(q)):
-                continue  # has a linear factor
-            composite = False
-            for e in range(2, d // 2 + 1):
-                for pi in by_degree.get(e, ()):
-                    if (cand % pi).is_zero:
-                        composite = True
-                        break
-                if composite:
-                    break
-            if not composite:
-                level.append(cand)
-        by_degree[d] = level
-        found.extend(level)
-    return tuple(found)
+    least, _ = _factor_sieve(field, max_degree)
+    index = np.arange(1, (field.q ** (max_degree + 1) - 1) // (field.q - 1))
+    return tuple(_monic_at(field, int(i)) for i in index[least[index] == index])
 
 
 def _least_irreducible(p: int, degree: int) -> tuple[int, ...]:
@@ -891,27 +908,16 @@ def _least_irreducible(p: int, degree: int) -> tuple[int, ...]:
 
 def factorize(poly: Polynomial) -> dict[Polynomial, int]:
     """Factor a nonzero polynomial into monic irreducibles with
-    multiplicities (the leading unit is dropped)."""
+    multiplicities, in key order (the leading unit is dropped)."""
     if poly.is_zero:
         raise PreconditionError("cannot factor the zero polynomial")
+    q, d = poly.field.q, poly.degree
+    least, cofactor = _factor_sieve(poly.field, d)
+    index = (q ** d - 1) // (q - 1) + sum(
+        c * q ** (d - 1 - k) for k, c in enumerate(poly.monic().coeffs[:-1]))
     out: dict[Polynomial, int] = {}
-    work = poly.monic()
-    if work.degree == 0:
-        return out
-    for pi in enumerate_irreducibles(poly.field, work.degree):
-        if work.degree == 0:
-            break
-        if pi.degree > work.degree:
-            break
-        m = 0
-        while True:
-            qt, r = divmod(work, pi)
-            if not r.is_zero:
-                break
-            work = qt
-            m += 1
-        if m:
-            out[pi] = m
-    if work.degree != 0:
-        raise AssertionError("incomplete factorization")
+    while index:
+        pi = _monic_at(poly.field, int(least[index]))
+        out[pi] = out.get(pi, 0) + 1
+        index = int(cofactor[index])
     return out

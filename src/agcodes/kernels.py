@@ -34,25 +34,13 @@ SPAN_CELL_CAP = 1 << 26
 
 _CHUNK_CELLS = 1 << 22
 
-_TABLE_CACHE: dict = {}
-
 
 def field_tables(field):
-    """(ADD, MUL) numpy lookup tables for a field of order <= 256."""
-    cached = _TABLE_CACHE.get(field)
-    if cached is not None:
-        return cached
-    q = field.q
-    if q > 256:
+    """The field's own read-only (ADD, MUL) uint8 lookup tables
+    (FieldSpec.tables), for the field orders <= 256 these kernels support."""
+    if field.q > 256:
         raise PreconditionError("vector kernels support field order <= 256")
-    add = np.empty((q, q), dtype=np.uint8)
-    mul = np.empty((q, q), dtype=np.uint8)
-    for a in range(q):
-        for b in range(q):
-            add[a, b] = field.add(a, b)
-            mul[a, b] = field.mul(a, b)
-    _TABLE_CACHE[field] = (add, mul)
-    return add, mul
+    return field.tables
 
 
 def linear_span_words(field, basis_rows) -> np.ndarray:

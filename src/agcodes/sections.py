@@ -340,8 +340,8 @@ def phi0_words(curve: ProjectiveLine, sections, points, twists: TwistFamily) -> 
     mult(u) - mult(v) (deg v - deg u at infinity): positive gives 0,
     negative gives infinity, and zero gives the ratio of the leading Taylor
     coefficients (of the leading coefficients at infinity) times the value
-    of the twist's unit part there. Needs q <= 256, the limit of the
-    field lookup tables (kernels.field_tables).
+    of the twist's unit part there. Needs q <= 256, the limit of
+    kernels.field_tables, which hands out the field's own lookup tables.
     """
     F = curve.field
     q = F.q

@@ -3,17 +3,19 @@
 These deliberately avoid the library's own search kernels and candidate
 bookkeeping: distances are measured by plain Python loops, optimizer
 locations by golden-section search, irreducible counts by the divisor-sum
-formula, multiplicity totals by enumerating every place up to a degree
-bound, multiplicities at places of degree > 1 by root multiplicity over the
-residue field, sections by one gcd per candidate pair, and evaluation words
-and census rows by symbolic twist-times-section arithmetic, expansion words
-one function and point at a time, and subspaces by set closure. Code words
-and code files have tuple-and-set versions, the form the library used
-before it kept words as one integer array.
+formula, irreducible lists and factorizations by trial division (the
+library reads a least-factor sieve), multiplicity totals by enumerating
+every place up to a degree bound, multiplicities at places of degree > 1 by
+root multiplicity over the residue field, sections by one gcd per candidate
+pair, and evaluation words and census rows by symbolic twist-times-section
+arithmetic, expansion words one function and point at a time, and subspaces
+by set closure. Code words and code files have tuple-and-set versions, the
+form the library used before it kept words as one integer array.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import mpmath
@@ -27,7 +29,6 @@ from agcodes.field import (
     RationalFunction,
     enumerate_irreducibles,
     factor_multiplicity,
-    factorize,
     rational_valuation,
 )
 from agcodes.sections import RationalSection
@@ -98,6 +99,65 @@ def golden_section_max(fn, lo, hi, tol="1e-13", dps=60):
         return (a + b) / 2
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_enumerate_irreducibles(field, max_degree):
+    """All monic irreducibles of degree <= max_degree by trial division:
+    every monic candidate with a nonzero constant term, no root and no
+    irreducible factor of degree 2 .. d/2, in key order."""
+    q = field.q
+    found = []
+    by_degree = {}
+    for d in range(1, max_degree + 1):
+        level = []
+        for tail in itertools.product(range(q), repeat=d):
+            cand = Polynomial(field, tail + (1,))
+            if d == 1:
+                level.append(cand)
+                continue
+            if cand.coeffs[0] == 0:
+                continue  # divisible by x
+            if any(cand(a) == 0 for a in range(q)):
+                continue  # has a linear factor
+            composite = False
+            for e in range(2, d // 2 + 1):
+                for pi in by_degree.get(e, ()):
+                    if (cand % pi).is_zero:
+                        composite = True
+                        break
+                if composite:
+                    break
+            if not composite:
+                level.append(cand)
+        by_degree[d] = level
+        found.extend(level)
+    return tuple(found)
+
+
+def oracle_factorize(poly):
+    """Monic irreducible factors with multiplicities of a nonzero
+    polynomial, by trial division with every irreducible up to its degree
+    in key order (the leading unit is dropped)."""
+    out = {}
+    work = poly.monic()
+    if work.degree == 0:
+        return out
+    for pi in oracle_enumerate_irreducibles(poly.field, work.degree):
+        if work.degree == 0 or pi.degree > work.degree:
+            break
+        m = 0
+        while True:
+            qt, r = divmod(work, pi)
+            if not r.is_zero:
+                break
+            work = qt
+            m += 1
+        if m:
+            out[pi] = m
+    if work.degree != 0:
+        raise AssertionError("incomplete factorization")
+    return out
+
+
 def oracle_total_multiplicity(curve, sec_a, sec_b, twists, max_degree):
     """Degree-weighted multiplicity total by scanning every place of degree
     at most max_degree plus infinity, with base-field valuations only."""
@@ -149,7 +209,7 @@ def oracle_multiplicity_census(curve, f, f2, twists):
     diff = f.f - f2.f
     for poly in (diff.numer, f.f.denom, f2.f.denom):
         if not poly.is_zero and poly.degree > 0:
-            places.update(curve.place_of_poly(pi) for pi in factorize(poly))
+            places.update(curve.place_of_poly(pi) for pi in oracle_factorize(poly))
     rows = []
     for pl in sorted(places, key=Place.sort_key):
         desc = INF if pl.kind == "inf" else pl.poly

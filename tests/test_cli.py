@@ -431,7 +431,7 @@ _FUZZ = {
     "verify distance": {"--code": (["{code}", "{tampered}"], ["{garbage}", "{missing}", "{dir}"])},
     "verify averaging": {"--kind": (["xing", "combined"], ["goppa"]), "--q": _Q,
                          "--divisor": _DIVISOR, "--m": (["0", "1"], ["-1", "x"]),
-                         "--radii": _RADII, "--h": _SMALL, "--s0": _SMALL, "--d0": _SMALL},
+                         "--radii": _RADII, "--h": _SMALL, "--s0": _SMALL},
     "replay manifest": {"": (["{manifest}", "{diverged}"], ["{garbage}", "{empty}", "{missing}"])},
 }
 # options present in every example, so that a default never sets the size

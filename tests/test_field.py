@@ -11,13 +11,19 @@ from agcodes.field import (
     RationalFunction,
     enumerate_irreducibles,
     factor_multiplicity,
+    factorize,
     linear_poly,
     local_expand,
     make_field,
     make_field_q,
     rational_valuation,
 )
-from conftest import irreducible_count, oracle_root_multiplicity
+from conftest import (
+    irreducible_count,
+    oracle_enumerate_irreducibles,
+    oracle_factorize,
+    oracle_root_multiplicity,
+)
 
 # every prime power q <= 49
 SMALL_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49)
@@ -66,6 +72,9 @@ def test_field_axioms_randomized(p, alpha):
         assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
     for a in range(q):
         assert F.pow(a, q) == a
+    add, mul = F.tables
+    assert add[a, b] == F.add(a, b) and mul[a, b] == F.mul(a, b)
+    assert not add.flags.writeable and not mul.flags.writeable
 
 
 @pytest.mark.parametrize("p,alpha", [(2, 2), (5, 1), (3, 2)])
@@ -143,6 +152,9 @@ def test_field_axioms_on_encodings(q, data):
     if a:
         assert F.mul(a, F.inv(a)) == 1
     assert F.pow(a, q) == a
+    add, mul = F.tables
+    assert add[a, b] == F.add(a, b) and mul[a, b] == F.mul(a, b)
+    assert not add.flags.writeable and not mul.flags.writeable
 
 
 def _polys(q, max_len):
@@ -345,11 +357,20 @@ def test_irreducibles_gf3_degree_one():
     assert got == [(0, 1), (1, 1), (2, 1)]
 
 
-@pytest.mark.parametrize("q,n", [(2, 4), (2, 6), (3, 3), (4, 2), (4, 3), (5, 2)])
+# The trial-division oracle takes about 200 s on the whole grid (2 vCPUs), so
+# it is compared up to q^n <= ORACLE_GRID; the divisor-sum count covers all.
+ORACLE_GRID = 10 ** 4
+IRREDUCIBLE_GRID = [(q, n) for q in SMALL_Q for n in range(1, 17) if q ** n <= 10 ** 5]
+
+
+@pytest.mark.parametrize("q,n", IRREDUCIBLE_GRID)
 def test_irreducible_counts_match_divisor_sum(q, n):
     F = make_field_q(q)
-    got = sum(1 for p in enumerate_irreducibles(F, n) if p.degree == n)
-    assert got == irreducible_count(q, n)
+    got = enumerate_irreducibles(F, n)
+    assert sum(1 for p in got if p.degree == n) == irreducible_count(q, n)
+    if q ** n <= ORACLE_GRID:
+        top = max(d for d in range(n, 17) if q ** d <= ORACLE_GRID)
+        assert got == tuple(p for p in oracle_enumerate_irreducibles(F, top) if p.degree <= n)
 
 
 def test_irreducibles_are_sorted_and_irreducible():
@@ -361,6 +382,38 @@ def test_irreducibles_are_sorted_and_irreducible():
         for d in polys:
             if d.degree < p.degree:
                 assert not (p % d).is_zero
+
+
+FACTOR_Q = (2, 3, 4, 5, 7, 8, 9, 25)
+
+
+def _factor_degree(q):
+    """Largest degree the factorization properties draw over GF(q)."""
+    return max(d for d in range(1, 12) if q ** d <= 2000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FACTOR_Q), st.data())
+def test_factorize_recovers_a_product_of_irreducibles(q, data):
+    F = make_field_q(q)
+    top = _factor_degree(q)
+    irreducibles = oracle_enumerate_irreducibles(F, top)
+    lead = data.draw(st.integers(1, q - 1))
+    expected, poly = {}, Polynomial.constant(F, lead)
+    for pi in data.draw(st.lists(st.sampled_from(irreducibles), max_size=4, unique=True)):
+        e = data.draw(st.integers(1, 3))
+        if poly.degree + e * pi.degree <= top:
+            expected[pi] = e
+            poly = poly * pi ** e
+    assert list(factorize(poly).items()) == sorted(expected.items(), key=lambda pe: pe[0].key())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FACTOR_Q), st.data())
+def test_factorize_matches_trial_division(q, data):
+    F = make_field_q(q)
+    poly = Polynomial(F, data.draw(_polys(q, _factor_degree(q) + 1).filter(any)))
+    assert list(factorize(poly).items()) == list(oracle_factorize(poly).items())
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,8 @@ def test_goppa_sum_check_rows():
     rep = build_goppa(p14, p14.zero_divisor())
     rows = goppa_sum_check([rs, h83, rep])
     assert all(r["ok"] for r in rows)
+    # a code read back from its file carries dim and genus as text
+    assert goppa_sum_check([code_from_text(code_to_text(c)) for c in (rs, h83)]) == rows[:2]
     from fractions import Fraction
 
     assert rows[0]["lhs"] == Fraction(6, 5) and rows[0]["rhs"] == 1
