@@ -11,7 +11,6 @@ from .errors import PreconditionError, VerificationError
 from .field import (
     INF,
     FieldSpec,
-    LocalExpansion,
     Polynomial,
     RationalFunction,
     enumerate_irreducibles,

@@ -394,6 +394,10 @@ def cmd_verify_averaging(args) -> int:
     return EXIT_OK
 
 
+# the commands that write manifests; replay runs nothing else
+REPLAYABLE = ("goppa build", "xing build", "sections enumerate", "combined build", "bounds table")
+
+
 def cmd_replay_manifest(args) -> int:
     try:
         doc = json.loads(_read_text(args.manifest))
@@ -403,6 +407,8 @@ def cmd_replay_manifest(args) -> int:
     if not isinstance(doc, dict) or any(not isinstance(doc.get(k), t) for k, t in fields.items()):
         raise PreconditionError("manifest needs " + ", ".join(fields))
     command = doc["command"]
+    if command not in REPLAYABLE:
+        raise PreconditionError(f"manifest command {command!r} is not one that writes manifests")
     params = doc["params"]
     out_dir = args.out or tempfile.mkdtemp(prefix="agcodes-replay-")
     argv = command.split()

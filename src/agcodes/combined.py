@@ -11,7 +11,9 @@ integral radius s0 the distance guarantee is exact:
     2h <= 2N - 4*s0 - d0
 
 forces the first-order map to be injective on the survivors and the image
-code to have minimum distance at least d0.
+code to have minimum distance at least d0. Both the order-0 words that pick
+the center and the order-1 words of the survivors come from one call each
+of the table kernel sections.phi_words.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from . import kernels
 from .codes import Alphabet, Code, finish_code
 from .curves import Divisor, ProjectiveLine, distinct_points
 from .errors import PreconditionError, VerificationError
-from .field import INF, local_expand
 from .sections import (
     RationalSection,
     TwistFamily,
     canonical_twists,
     enumerate_sections,
-    phi0_words,
+    phi_words,
 )
 from .xing import ball_size
 
@@ -64,24 +65,12 @@ def phi_r_projective(
     twists: TwistFamily,
     r: int,
 ) -> tuple[int, ...]:
-    """Order-r expansion word over the base field (r >= 1): at each point,
-    the t^r coefficient of the twisted section, or of its inverse when the
-    twisted value is infinite."""
+    """Order-r expansion word of one section over the base field (r >= 1):
+    at each point, the t^r coefficient of the twisted section, or of its
+    inverse when the twisted value is infinite."""
     if r < 1:
         raise PreconditionError("use the projective evaluation word for r = 0")
-    word = []
-    for p in points:
-        g = twists.at_point(p) * f.f
-        place = curve.place_of_point(p)
-        desc = INF if place.kind == "inf" else place.poly
-        v = curve.evaluate(g, p)
-        target = g.inverse() if v is INF else g
-        word.append(local_expand(target, desc, r).coeffs[r])
-    return tuple(word)
-
-
-def phi1_projective(curve, f, points, twists) -> tuple[int, ...]:
-    return phi_r_projective(curve, f, points, twists, 1)
+    return tuple(phi_words(curve, (f,), points, twists, r)[0].tolist())
 
 
 def averaging_census(curve: ProjectiveLine, D: Divisor, h: int, s0: int,
@@ -103,7 +92,7 @@ def averaging_census(curve: ProjectiveLine, D: Divisor, h: int, s0: int,
     if not 0 <= s0 <= n:
         raise PreconditionError("radius must lie in [0, N]")
     sections = enumerate_sections(curve, D, h)
-    arr0 = phi0_words(curve, sections, points, twists)
+    arr0 = phi_words(curve, sections, points, twists, 0)
     outcome = kernels.center_search(
         [arr0], [s0], alphabet_size=q + 1, strategy="exhaustive", census=True
     )
@@ -163,7 +152,7 @@ def build_combined(
     if twists is None:
         twists = canonical_twists(curve, D)
     sections = enumerate_sections(curve, D, params.h)
-    arr0 = phi0_words(curve, sections, points, twists)
+    arr0 = phi_words(curve, sections, points, twists, 0)
     outcome = kernels.center_search(
         [arr0],
         [params.s0],
@@ -195,7 +184,7 @@ def build_combined(
         "linear": False,
         "threshold_exceeded": int(threshold_check(q, params.h, n)),
     }
-    words1 = [phi1_projective(curve, s, points, twists) for s in survivors]
+    words1 = phi_words(curve, survivors, points, twists, 1)
     code = finish_code(Alphabet("field", q), n, words1, curve.field, metadata, measure)
     return CombinedResult(
         center=outcome.centers[0],

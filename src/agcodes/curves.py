@@ -282,7 +282,7 @@ class ProjectiveLine:
     def local_expansion(self, f: RationalFunction, point: Point, r_max: int) -> tuple:
         """Expansion coefficients of f at a rational point, as encoded ints."""
         place = self.place_of_point(point)
-        return local_expand(f, self._descriptor(place), r_max).coeffs
+        return local_expand(f, self._descriptor(place), r_max)
 
     def valuation(self, f: RationalFunction, place: Place) -> int:
         return rational_valuation(f, self._descriptor(place))

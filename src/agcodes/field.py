@@ -1,6 +1,6 @@
 """Exact arithmetic in small finite fields GF(p^alpha), univariate
-polynomials, reduced rational functions, and local power-series expansions
-at places of the projective line.
+polynomials, reduced rational functions, valuations at places of the
+projective line, and local power-series expansions at its rational places.
 
 Canonical conventions used by every downstream module and serialized file:
 
@@ -24,7 +24,6 @@ only replaced whole and values are immutable, so all of it is thread-safe.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -726,9 +725,9 @@ class RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# Valuations and local expansions at places of the projective line. A place
-# is a monic irreducible polynomial (degree 1 places are the finite rational
-# points) or INF with uniformizer 1/x.
+# Valuations at places of the projective line and local expansions at its
+# rational places. A place is a monic irreducible polynomial (degree 1 places
+# are the finite rational points) or INF with uniformizer 1/x.
 
 def rational_valuation(f: RationalFunction, at) -> int:
     """Valuation of a nonzero f at a place (monic irreducible or INF).
@@ -757,30 +756,21 @@ def _series_div_field(F: FieldSpec, num, den, k):
     return out
 
 
-@dataclass(frozen=True)
-class LocalExpansion:
-    """Truncated expansion of a function in the canonical uniformizer of a
-    place. Coefficients are encoded ints at degree-1 places and at INF; at a
-    higher-degree place they are the residue digits, polynomials of degree
-    below the place degree."""
-
-    at: object
-    coeffs: tuple
-
-
-def local_expand(f: RationalFunction, at, r_max: int) -> LocalExpansion:
-    """Expansion of f to order r_max at a place where f is regular.
+def local_expand(f: RationalFunction, at, r_max: int) -> tuple[int, ...]:
+    """Coefficients of the expansion of f to order r_max in the canonical
+    uniformizer of a rational place (a monic linear polynomial, or INF)
+    where f is regular.
 
     Raises PreconditionError when f has a pole there; expand the inverse
     instead for the projective-value conventions.
     """
     if r_max < 0:
         raise PreconditionError("r_max must be nonnegative")
+    if at is not INF and at.degree != 1:
+        raise PreconditionError("expansions are taken at rational places only")
     F = f.field
     if f.is_zero:
-        if at is not INF and at.degree > 1:
-            return LocalExpansion(at, tuple(Polynomial.zero(F) for _ in range(r_max + 1)))
-        return LocalExpansion(at, (0,) * (r_max + 1))
+        return (0,) * (r_max + 1)
     if at is INF:
         du, dv = f.numer.degree, f.denom.degree
         if du > dv:
@@ -789,40 +779,13 @@ def local_expand(f: RationalFunction, at, r_max: int) -> LocalExpansion:
         num = list(f.numer.reversed_coeffs())
         den = list(f.denom.reversed_coeffs())
         body = _series_div_field(F, num, den, r_max + 1 - shift)
-        return LocalExpansion(INF, tuple([0] * shift + body)[: r_max + 1])
-    if at.degree == 1:
-        a = F.neg(at.coeffs[0])  # at = x - a
-        if f.denom(a) == 0:
-            raise PreconditionError("pole at the place; expand the inverse")
-        num = list(f.numer.shifted_coeffs(a))
-        den = list(f.denom.shifted_coeffs(a))
-        return LocalExpansion(at, tuple(_series_div_field(F, num, den, r_max + 1)))
-    # higher-degree place: digits of the pi-adic expansion
-    pi = at
-    u, v = f.numer, f.denom
-    if (v % pi).is_zero:
+        return tuple([0] * shift + body)[: r_max + 1]
+    a = F.neg(at.coeffs[0])  # at = x - a
+    if f.denom(a) == 0:
         raise PreconditionError("pole at the place; expand the inverse")
-    v_inv = _poly_inverse_mod(v % pi, pi)
-    digits = []
-    for _ in range(r_max + 1):
-        d = ((u % pi) * v_inv) % pi
-        digits.append(d)
-        u = (u - d * v) // pi
-    return LocalExpansion(pi, tuple(digits))
-
-
-def _poly_inverse_mod(a: Polynomial, m: Polynomial) -> Polynomial:
-    """Inverse of a modulo m (gcd(a, m) = 1) by extended Euclid."""
-    F = a.field
-    r0, r1 = m, a % m
-    s0, s1 = Polynomial.zero(F), Polynomial.one(F)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree != 0:
-        raise PreconditionError("element not invertible modulo the place")
-    return (s0 % m).scale(F.inv(r0.coeffs[0]))
+    num = list(f.numer.shifted_coeffs(a))
+    den = list(f.denom.shifted_coeffs(a))
+    return tuple(_series_div_field(F, num, den, r_max + 1))
 
 
 # ---------------------------------------------------------------------------

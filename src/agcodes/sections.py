@@ -21,18 +21,20 @@ trivial, so every degree-zero divisor is principal and the section sets for
 any D are the section sets for 0 twisted by one global function, which the
 tests verify explicitly.
 
-Enumeration and order-0 evaluation work on integer encodings. Every monic
+Enumeration and evaluation work on integer encodings. Every monic
 polynomial up to the degree bound is factored once, so coprimality is a
 disjointness test of factor sets and heights come from cached degrees and
-multiplicities, with no gcd per candidate pair. Evaluation words are
-computed for all sections together from their (u, v) coefficient arrays
-with the field's lookup tables: the valuation of the twisted section at a
-point decides 0 or infinity, and its leading Taylor coefficients give a
-finite nonzero value. The multiplicity audit (solution_multiplicity,
-total_multiplicity, multiplicity_census) is integer bookkeeping too: it
-factors the two sections and the numerator of their difference once per
-pair, and reads every multiplicity, at places of any degree, from those
-factor multiplicities and the coefficients of D; it needs no twist.
+multiplicities, with no gcd per candidate pair. One kernel, phi_words,
+computes the words of every order for all sections together from their
+(u, v) coefficient arrays with the field's lookup tables: Horner division
+gives each polynomial's multiplicity and leading Taylor coefficients at a
+point, the valuation of the twisted section decides 0, infinity or the
+inverse branch, and the quotient of the unit series gives the coefficient.
+The multiplicity audit (solution_multiplicity, total_multiplicity,
+multiplicity_census) is integer bookkeeping too: it factors the two
+sections and the numerator of their difference once per pair, and reads
+every multiplicity, at places of any degree, from those factor
+multiplicities and the coefficients of D; it needs no twist.
 """
 
 from __future__ import annotations
@@ -48,7 +50,15 @@ from . import kernels
 from .codes import Alphabet, Code, finish_code
 from .curves import Divisor, Place, Point, ProjectiveLine
 from .errors import PreconditionError, VerificationError
-from .field import INF, Polynomial, RationalFunction, factorize, rational_valuation
+from .field import (
+    INF,
+    Polynomial,
+    RationalFunction,
+    _factor_sieve,
+    _series_div_field,
+    factorize,
+    rational_valuation,
+)
 
 SECTION_ENUM_GUARD = 10 ** 6
 
@@ -95,12 +105,10 @@ class TwistFamily:
             if rational_valuation(phi, INF if pl.kind == "inf" else pl.poly) != divisor.coeff(pl):
                 raise PreconditionError("twist valuation does not match the divisor")
         self._map = dict(mapping)
+        self._one = RationalFunction.one(curve.field)
 
     def at_place(self, place: Place) -> RationalFunction:
-        phi = self._map.get(place)
-        if phi is None:
-            return RationalFunction.one(self.curve.field)
-        return phi
+        return self._map.get(place, self._one)
 
     def at_point(self, point: Point) -> RationalFunction:
         return self.at_place(self.curve.place_of_point(point))
@@ -150,6 +158,7 @@ def _monic_table(field, max_deg: int):
         for tail in itertools.product(range(q), repeat=d)
     )
     degrees = np.array([m.degree for m in monics], dtype=np.int32)
+    _factor_sieve(field, max_deg)  # once, at the top degree, before any factorization
     factors = tuple(factorize(m) for m in monics)
     bits: dict[Polynomial, int] = {}
     masks = tuple(
@@ -292,87 +301,109 @@ def multiplicity_census(curve: ProjectiveLine, f: RationalSection, f2: RationalS
 # ---------------------------------------------------------------------------
 # The code over the projective alphabet.
 
-def _unit_at(curve: ProjectiveLine, phi: RationalFunction, point: Point):
-    """(c, w) for a nonzero function at a rational point: its valuation c
-    and the value w of its unit part phi * t^(-c) in the canonical
-    uniformizer t."""
-    F = curve.field
+def _twist_series(curve: ProjectiveLine, phi: RationalFunction, point: Point, r: int):
+    """(c, s) for a nonzero function at a rational point: its valuation c
+    and the first r + 1 coefficients s of its unit part phi * t^(-c) in the
+    canonical uniformizer t."""
     u, v = phi.numer, phi.denom
     if point.is_infinity:
-        return v.degree - u.degree, F.div(u.lead, v.lead)
-    a = point.coords[0]
-    tu, tv = u.shifted_coeffs(a), v.shifted_coeffs(a)
-    mu = next(k for k, c in enumerate(tu) if c)
-    mv = next(k for k, c in enumerate(tv) if c)
-    return mu - mv, F.div(tu[mu], tv[mv])
+        tu, tv, c = u.reversed_coeffs(), v.reversed_coeffs(), v.degree - u.degree
+    else:
+        tu, tv, c = u.shifted_coeffs(point.coords[0]), v.shifted_coeffs(point.coords[0]), 0
+    mu = next(k for k, x in enumerate(tu) if x)
+    mv = next(k for k, x in enumerate(tv) if x)
+    return c + mu - mv, _series_div_field(curve.field, tu[mu:], tv[mv:], r + 1)
 
 
-def _leading_taylor(coeffs: np.ndarray, a: int, add, mul):
-    """For every row of a coefficient array (constant term first), the
-    multiplicity m of the root a and the Taylor coefficient of (x - a)^m:
-    rounds of table-driven Horner division by x - a, the remainder of round
-    k being the k-th Taylor coefficient. An all-zero row gives (0, 0)."""
-    rows = coeffs.shape[0]
-    mult = np.zeros(rows, dtype=np.int64)
-    lead = np.zeros(rows, dtype=coeffs.dtype)
-    open_ = coeffs.any(axis=1)
-    cur = coeffs.copy()
-    for k in range(coeffs.shape[1]):
-        if not open_.any():
-            break
-        acc = np.zeros(rows, dtype=coeffs.dtype)
-        for j in range(cur.shape[1] - 1, -1, -1):
-            acc = add[mul[acc, a], cur[:, j]]
-            cur[:, j] = acc
-        hit = open_ & (acc != 0)  # acc is the remainder; the quotient is cur[:, 1:]
-        mult[hit], lead[hit] = k, acc[hit]
-        open_ &= ~hit
-        cur = cur[:, 1:]
-    return mult, lead
+def _taylor(coeffs: np.ndarray, a: int, r: int, add, mul):
+    """For every column of a coefficient array (row j holds the x^j
+    coefficients), the multiplicity m of the root a and the Taylor
+    coefficients of (x - a)^m .. (x - a)^(m + r), one row per order: rounds
+    of table-driven Horner division by x - a, the remainder of round k
+    being the k-th Taylor coefficient, stopped r rounds after the last
+    column's leading coefficient. An all-zero column gives (0, zeros)."""
+    width, n = coeffs.shape
+    taylor = np.zeros((width + r, n), dtype=coeffs.dtype)
+    if a == 0:
+        taylor[:width] = coeffs  # dividing by x only shifts
+    else:
+        times_a = mul[:, a]
+        open_ = coeffs.any(axis=0)
+        cur, last = coeffs.copy(), -1
+        for k in range(width):
+            if k > last + r and not open_.any():
+                break
+            acc = np.zeros(n, dtype=coeffs.dtype)
+            for j in range(width - 1 - k, -1, -1):
+                acc = add[times_a[acc], cur[j]]
+                cur[j] = acc
+            taylor[k] = acc  # the remainder; the quotient is cur[1:]
+            if (open_ & (acc != 0)).any():
+                open_ &= acc == 0
+                last = k
+            cur = cur[1:]
+    mult = np.argmax(taylor != 0, axis=0)
+    return mult, taylor[mult + np.arange(r + 1)[:, None], np.arange(n)]
 
 
-def phi0_words(curve: ProjectiveLine, sections, points, twists: TwistFamily) -> np.ndarray:
-    """Twisted evaluation words of many sections at once, one row each:
-    field encodings for finite values, symbol q for infinity.
+def phi_words(curve: ProjectiveLine, sections, points, twists: TwistFamily, r: int) -> np.ndarray:
+    """Order-r words of many sections at once, one row each. At r = 0 the
+    twisted evaluation word: field encodings for finite values, symbol q
+    for infinity. At r >= 1 the expansion word over the base field: the t^r
+    coefficient of the twisted section, or of its inverse where the twisted
+    value is infinite.
 
     The sections are read as (u, v) coefficient arrays. At each point the
-    valuation of the twisted section is the twist's valuation c plus
-    mult(u) - mult(v) (deg v - deg u at infinity): positive gives 0,
-    negative gives infinity, and zero gives the ratio of the leading Taylor
-    coefficients (of the leading coefficients at infinity) times the value
-    of the twist's unit part there. Needs q <= 256, the limit of
-    kernels.field_tables, which hands out the field's own lookup tables.
+    twisted section phi * u / v has valuation c + mult(u) - mult(v), with c
+    the twist's valuation, and unit series (twist unit) * (u unit) / (v
+    unit); the inverse swaps numerator and denominator. At infinity the
+    multiplicities and units come from the reversed arrays, whose common
+    offset cancels. The order-r coefficient of a function of valuation
+    val >= 0 is its unit coefficient r - val, and 0 when val > r. Needs
+    q <= 256, the limit of kernels.field_tables, which hands out the
+    field's own lookup tables.
     """
+    if r < 0:
+        raise PreconditionError("order must be nonnegative")
     F = curve.field
     q = F.q
     add, mul = kernels.field_tables(F)
-    inv = np.argmax(mul == 1, axis=1).astype(np.uint8)
-    points = tuple(points)
+    inv = np.argmax(mul == 1, axis=1).astype(add.dtype)
+    neg = np.argmax(add == 0, axis=1).astype(add.dtype)
     width = max(max(len(s.f.numer.coeffs), len(s.f.denom.coeffs)) for s in sections)
 
-    def padded(polys):
-        rows = [p.coeffs + (0,) * (width - len(p.coeffs)) for p in polys]
-        return np.array(rows, dtype=np.uint8).reshape(-1, width)
+    def padded(polys):  # one column per polynomial
+        cols = [p.coeffs + (0,) * (width - len(p.coeffs)) for p in polys]
+        return np.array(cols, dtype=add.dtype).reshape(-1, width).T.copy()
 
     U = padded(s.f.numer for s in sections)
     V = padded(s.f.denom for s in sections)
-    nonzero = U.any(axis=1)
-    rows = np.arange(len(sections))
+    nonzero = U.any(axis=0)
+    cols = np.arange(len(sections))
     out = np.empty((len(sections), len(points)), dtype=np.uint8 if q + 1 <= 256 else np.uint16)
     for k, p in enumerate(points):
-        c, w = _unit_at(curve, twists.at_point(p), p)
+        c, twist = _twist_series(curve, twists.at_point(p), p, r)
         if p.is_infinity:
-            du = width - 1 - np.argmax(U[:, ::-1] != 0, axis=1)
-            dv = width - 1 - np.argmax(V[:, ::-1] != 0, axis=1)
-            val, lead_u, lead_v = dv - du + c, U[rows, du], V[rows, dv]
+            (mult_u, su), (mult_v, sv) = (_taylor(A[::-1], 0, r, add, mul) for A in (U, V))
         else:
-            mult_u, lead_u = _leading_taylor(U, p.coords[0], add, mul)
-            mult_v, lead_v = _leading_taylor(V, p.coords[0], add, mul)
-            val = mult_u - mult_v + c
-        value = mul[mul[lead_u, inv[lead_v]], w].astype(out.dtype)
-        value[nonzero & (val > 0)] = 0
-        value[nonzero & (val < 0)] = q
-        out[:, k] = value
+            (mult_u, su), (mult_v, sv) = (_taylor(A, p.coords[0], r, add, mul) for A in (U, V))
+        val = c + mult_u - mult_v
+        num = mul[twist[0], su]  # twist unit times u unit
+        for n in range(1, r + 1):
+            for i in range(1, n + 1):
+                num[n] = add[num[n], mul[twist[i], su[n - i]]]
+        if r:
+            pole = val < 0
+            num, sv = np.where(pole, sv, num), np.where(pole, num, sv)
+        inv0 = inv[sv[0]]
+        series = mul[num, inv0]  # num / sv
+        for n in range(1, r + 1):
+            for i in range(1, n + 1):
+                series[n] = add[series[n], neg[mul[mul[sv[i], inv0], series[n - i]]]]
+        at = r - np.abs(val)
+        out[:, k] = np.where(nonzero & (at >= 0), series[np.maximum(at, 0), cols], 0)
+        if not r:
+            out[nonzero & (val < 0), k] = q
     return out
 
 
@@ -381,7 +412,7 @@ def phi0_projective(
 ) -> tuple[int, ...]:
     """Twisted evaluation word of one section over P^1(k): field encodings
     for finite values, symbol q for infinity."""
-    return tuple(phi0_words(curve, (f,), points, twists)[0].tolist())
+    return tuple(phi_words(curve, (f,), points, twists, 0)[0].tolist())
 
 
 def build_section_code(
@@ -419,5 +450,5 @@ def build_section_code(
         "linear": False,
         "threshold_exceeded": int(Fraction(h, n) > Fraction(q, q * q - 1)),
     }
-    words = phi0_words(curve, sections, points, twists)
+    words = phi_words(curve, sections, points, twists, 0)
     return finish_code(Alphabet("p1", q), n, words, curve.field, metadata, measure)

@@ -300,6 +300,18 @@ def oracle_phi0(curve, section, points, twists):
     return tuple(word)
 
 
+def oracle_phi_r(curve, section, points, twists, r):
+    """Order-r expansion word (r >= 1) by symbolic arithmetic: at each
+    point the reduced product of twist and section, or its inverse where
+    that is infinite, expanded one function and point at a time."""
+    word = []
+    for p in points:
+        g = twists.at_point(p) * section.f
+        target = g.inverse() if curve.evaluate(g, p) is INF else g
+        word.append(curve.local_expansion(target, p, r)[r])
+    return tuple(word)
+
+
 def oracle_phi_word(curve, f, points, r):
     """The order-r expansion word of a single function regular at every
     point: coordinate j is the t_j^r coefficient at point j."""

@@ -68,6 +68,18 @@ def test_replay_detects_divergence(tmp_path):
     assert rc == EXIT_VERIFICATION
 
 
+@pytest.mark.parametrize("command", ["replay manifest {path}", "verify distance --code x"])
+def test_replay_refuses_commands_that_write_no_manifest(tmp_path, capsys, command):
+    # a manifest naming itself used to recurse until RecursionError
+    path = tmp_path / "manifest.json"
+    doc = {"command": command.format(path=path), "params": {},
+           "artifact": "manifest.json", "artifact_sha256": "0" * 64}
+    path.write_text(json.dumps(doc))
+    rc = main(["replay", "manifest", str(path), "--out", str(tmp_path / "r")])
+    assert rc == EXIT_PRECONDITION
+    assert repr(doc["command"]) in capsys.readouterr().err
+
+
 def test_verify_distance_catches_false_claim(tmp_path):
     out = tmp_path / "g"
     assert main(["goppa", "build", "--q", "5", "--divisor", "inf:2", "--out", str(out)]) == EXIT_OK

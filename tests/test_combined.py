@@ -12,7 +12,6 @@ from agcodes.combined import (
     build_combined,
     distance_budget_ok,
     optimal_sigma0,
-    phi1_projective,
     phi_r_projective,
     threshold_check,
 )
@@ -48,7 +47,7 @@ def test_phi1_inverse_branch_example():
     inv_x = RationalSection(
         RationalFunction(Polynomial.one(F), Polynomial.x(F)), D, 1
     )
-    word = phi1_projective(curve, inv_x, (curve.points[0],), tw)
+    word = phi_r_projective(curve, inv_x, (curve.points[0],), tw, 1)
     assert word == (1,)
 
 
@@ -57,7 +56,7 @@ def test_phi1_constants_are_zero_words():
     D = curve.zero_divisor()
     tw = canonical_twists(curve, D)
     c = RationalSection(RationalFunction.constant(curve.field, 3), D, 0)
-    assert phi1_projective(curve, c, curve.points, tw) == (0,) * 5
+    assert phi_r_projective(curve, c, curve.points, tw, 1) == (0,) * 5
 
 
 def test_phi1_series_example():
@@ -68,7 +67,7 @@ def test_phi1_series_example():
     f = RationalSection(
         RationalFunction(Polynomial.x(F), Polynomial(F, (1, 1))), D, 1
     )
-    word = phi1_projective(curve, f, (curve.points[0],), tw)
+    word = phi_r_projective(curve, f, (curve.points[0],), tw, 1)
     assert word == (1,)
 
 
@@ -226,8 +225,8 @@ def test_agreement_accounting_chain():
             f, f2 = res.survivors[i], res.survivors[j]
             w0a = phi0_projective(curve, f, res.points, tw)
             w0b = phi0_projective(curve, f2, res.points, tw)
-            w1a = phi1_projective(curve, f, res.points, tw)
-            w1b = phi1_projective(curve, f2, res.points, tw)
+            w1a = phi_r_projective(curve, f, res.points, tw, 1)
+            w1b = phi_r_projective(curve, f2, res.points, tw, 1)
             a = sum(1 for x, y in zip(w0a, w0b) if x == y)
             b = sum(1 for (x, y, u, v) in zip(w0a, w0b, w1a, w1b) if x == y and u == v)
             d1 = sum(1 for x, y in zip(w1a, w1b) if x != y)

@@ -11,6 +11,7 @@ from agcodes.field import (
     Polynomial,
     RationalFunction,
     enumerate_irreducibles,
+    linear_poly,
     make_field_q,
 )
 from agcodes.sections import (
@@ -22,7 +23,7 @@ from agcodes.sections import (
     global_twist_function,
     multiplicity_census,
     phi0_projective,
-    phi0_words,
+    phi_words,
     section_height,
     solution_multiplicity,
     total_multiplicity,
@@ -32,6 +33,7 @@ from conftest import (
     oracle_enumerate_sections,
     oracle_multiplicity_census,
     oracle_phi0,
+    oracle_phi_r,
     oracle_residue_multiplicity,
     oracle_total_multiplicity,
 )
@@ -161,11 +163,16 @@ def _assert_pipeline_matches_oracles(curve, D, h, points=None):
     assert [(s.f, s.height) for s in secs] == [(s.f, s.height) for s in expected]
     assert all(s.divisor == D for s in secs)
     for tw in _twist_families(curve, D):
-        words = phi0_words(curve, secs, points, tw)
+        words = phi_words(curve, secs, points, tw, 0)
         assert words.shape == (len(secs), len(points))
         assert words.dtype == np.uint8
         oracle = [oracle_phi0(curve, s, points, tw) for s in expected]
         assert [tuple(w) for w in words.tolist()] == oracle
+        sample = secs[:: max(1, len(secs) // 40)]
+        for r in (1, 2):
+            words = phi_words(curve, sample, points, tw, r)
+            assert [tuple(w) for w in words.tolist()] == [
+                oracle_phi_r(curve, s, points, tw, r) for s in sample]
     return secs
 
 
@@ -220,7 +227,7 @@ def test_evaluation_with_unit_twists_off_the_support():
     }
     tw = TwistFamily(curve, D, mapping)
     secs = enumerate_sections(curve, D, 1)
-    words = phi0_words(curve, secs, curve.points, tw)
+    words = phi_words(curve, secs, curve.points, tw, 0)
     assert [tuple(w) for w in words.tolist()] == [oracle_phi0(curve, s, curve.points, tw) for s in secs]
     assert all(phi0_projective(curve, s, curve.points, tw) == tuple(w)
                for s, w in zip(secs[::7], words[::7].tolist()))
@@ -252,6 +259,53 @@ def _small_divisors(draw):
 def test_pipeline_matches_oracles_on_random_divisors(case):
     curve, D, h = case
     _assert_pipeline_matches_oracles(curve, D, h)
+
+
+@st.composite
+def _expansion_cases(draw):
+    """A projective line over GF(q); a degree-zero divisor on up to two
+    degree-1 places and one degree-2 place, balanced at infinity; one of
+    its twist families; and the zero section followed by functions u/v
+    whose numerator and denominator are products of repeated linear and
+    quadratic factors, so that zeros and poles of every order up to 3
+    meet the points."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    curve = _p1(q)
+    F = curve.field
+    quad = next(pi for pi in enumerate_irreducibles(F, 2) if pi.degree == 2)
+    places = [curve.place_of_point(p) for p in curve.points[:-1]] + [curve.place_of_poly(quad)]
+    picked = draw(st.lists(st.sampled_from(places), max_size=2, unique=True))
+    coeffs = {pl: draw(st.integers(-2, 2)) for pl in picked}
+    coeffs[curve.place_inf()] = -sum(c * pl.degree for pl, c in coeffs.items())
+    D = curve.divisor({pl: c for pl, c in coeffs.items() if c})
+    tw = draw(st.sampled_from(_twist_families(curve, D)))
+    factors = [linear_poly(F, a) for a in range(q)] + [quad]
+
+    def poly():
+        out = Polynomial.constant(F, draw(st.integers(1, q - 1)))
+        for pi in draw(st.lists(st.sampled_from(factors), max_size=3)):
+            out = out * pi
+        return out
+
+    secs = [RationalSection(RationalFunction.zero(F), D, 0)]
+    for _ in range(draw(st.integers(1, 8))):
+        f = RationalFunction(poly(), poly())
+        secs.append(RationalSection(f, D, section_height(curve, D, f)))
+    return curve, tw, tuple(secs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_expansion_cases())
+def test_phi_words_match_the_symbolic_oracles(case):
+    curve, tw, secs = case
+    points = curve.points
+    for r in range(4):
+        words = phi_words(curve, secs, points, tw, r)
+        if r == 0:
+            expected = [oracle_phi0(curve, s, points, tw) for s in secs]
+        else:
+            expected = [oracle_phi_r(curve, s, points, tw, r) for s in secs]
+        assert [tuple(w) for w in words.tolist()] == expected
 
 
 # ---------------------------------------------------------------------------
