@@ -35,11 +35,11 @@ from .codes import Alphabet, Code, build_goppa, exact_min_distance, goppa_sum_ch
 from .xing import XingParams, ball_size, build_xing, optimal_sigma, search_centers
 from .sections import (
     RationalSection,
+    SectionTable,
     TwistFamily,
     build_section_code,
     canonical_twists,
     enumerate_sections,
-    section_height,
     solution_multiplicity,
     total_multiplicity,
 )

@@ -245,6 +245,12 @@ def cmd_xing_build(args) -> int:
     return EXIT_OK
 
 
+def _serialize_row(coeffs: list) -> str:  # Polynomial.serialize of a padded row
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return ",".join(map(str, coeffs))
+
+
 def cmd_sections_enumerate(args) -> int:
     t0 = time.perf_counter()
     field = make_field_q(args.q)
@@ -254,7 +260,8 @@ def cmd_sections_enumerate(args) -> int:
     q, n = field.q, curve.n_points
     reference = ((q + 1) / q) ** n * q ** (2 * args.h)
     lines = [f"# sections of height <= {args.h} for divisor {D.serialize()} over GF({q})"]
-    lines += [s.f.serialize() + f" height={s.height}" for s in sections]
+    lines += [f"{_serialize_row(u)}/{_serialize_row(v)} height={ht}" for u, v, ht in
+              zip(sections.numer.tolist(), sections.denom.tolist(), sections.heights.tolist())]
     text = "\n".join(lines) + "\n"
     extra = {
         "count": len(sections),
@@ -283,14 +290,14 @@ def cmd_sections_proposition(args) -> int:
     curve = build_curve("p1", field)
     D = curve.parse_divisor(args.divisor)
     h_each = args.h_max // 2
-    sections = [s for s in enumerate_sections(curve, D, h_each)]
+    sections = enumerate_sections(curve, D, h_each)
     rng = random.Random(args.seed)
     checked = 0
     while checked < args.pairs:
-        a = sections[rng.randrange(len(sections))]
-        b = sections[rng.randrange(len(sections))]
-        if a.f == b.f:
+        i, j = rng.randrange(len(sections)), rng.randrange(len(sections))
+        if i == j:  # rows are distinct sections
             continue
+        a, b = sections[i], sections[j]
         rows = multiplicity_census(curve, a, b)
         total = sum(r["m"] * r["place"].degree for r in rows)
         mu_total = sum((r["mu"] + r["mu2"]) * r["place"].degree for r in rows)

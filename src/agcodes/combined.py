@@ -11,9 +11,11 @@ integral radius s0 the distance guarantee is exact:
     2h <= 2N - 4*s0 - d0
 
 forces the first-order map to be injective on the survivors and the image
-code to have minimum distance at least d0. Both the order-0 words that pick
-the center and the order-1 words of the survivors come from one call each
-of the table kernel sections.phi_words.
+code to have minimum distance at least d0. The sections stay one
+SectionTable throughout: the order-0 words that pick the center and the
+order-1 words of the survivors come from one call each of the table kernel
+sections.phi_words, and only the survivors become RationalSection objects,
+for the result.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .curves import Divisor, ProjectiveLine, distinct_points
 from .errors import PreconditionError, VerificationError
 from .sections import (
     RationalSection,
+    SectionTable,
     TwistFamily,
     canonical_twists,
     enumerate_sections,
@@ -70,7 +73,7 @@ def phi_r_projective(
     inverse when the twisted value is infinite."""
     if r < 1:
         raise PreconditionError("use the projective evaluation word for r = 0")
-    return tuple(phi_words(curve, (f,), points, twists, r)[0].tolist())
+    return tuple(phi_words(curve, SectionTable.of(f.divisor, (f,)), points, twists, r)[0].tolist())
 
 
 def averaging_census(curve: ProjectiveLine, D: Divisor, h: int, s0: int,
@@ -82,13 +85,10 @@ def averaging_census(curve: ProjectiveLine, D: Divisor, h: int, s0: int,
     This is independent of the distance-budget preconditions; the identity
     is purely combinatorial.
     """
-    if points is None:
-        points = curve.points
-    points = tuple(points)
+    points = tuple(curve.points if points is None else points)
     n = len(points)
     q = curve.field.q
-    if twists is None:
-        twists = canonical_twists(curve, D)
+    twists = canonical_twists(curve, D) if twists is None else twists
     if not 0 <= s0 <= n:
         raise PreconditionError("radius must lie in [0, N]")
     sections = enumerate_sections(curve, D, h)
@@ -143,14 +143,11 @@ def build_combined(
 ) -> CombinedResult:
     """Enumerate the sections, pick the best projective ball center, and map
     the survivors through the first-order word."""
-    if points is None:
-        points = curve.points
-    points = distinct_points(points)
+    points = distinct_points(curve.points if points is None else points)
     n = len(points)
     q = curve.field.q
     params.validate(n, q)
-    if twists is None:
-        twists = canonical_twists(curve, D)
+    twists = canonical_twists(curve, D) if twists is None else twists
     sections = enumerate_sections(curve, D, params.h)
     arr0 = phi_words(curve, sections, points, twists, 0)
     outcome = kernels.center_search(
@@ -165,7 +162,7 @@ def build_combined(
     outcome.check_average(average)
     if outcome.best_count < 1:
         raise VerificationError("no survivors at the chosen center")
-    survivors = tuple(sections[int(i)] for i in outcome.survivor_indices)
+    survivors = sections[outcome.survivor_indices]
     metadata = {
         "construction": "combined",
         "curve": curve.kind,
@@ -188,7 +185,7 @@ def build_combined(
     code = finish_code(Alphabet("field", q), n, words1, curve.field, metadata, measure)
     return CombinedResult(
         center=outcome.centers[0],
-        survivors=survivors,
+        survivors=tuple(survivors),
         code=code,
         exact_average=average,
         claimed_distance=params.d0,

@@ -791,19 +791,18 @@ def local_expand(f: RationalFunction, at, r_max: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Factorization from one least-factor sieve per field.
 
-def _monic_at(field: FieldSpec, index: int) -> Polynomial:
-    """The monic polynomial at a sieve index (see _factor_sieve)."""
-    q, d = field.q, 0
-    while (q ** (d + 1) - 1) // (q - 1) <= index:
-        d += 1
-    index -= (q ** d - 1) // (q - 1)
-    return Polynomial(field, [index // q ** (d - 1 - k) % q for k in range(d)] + [1])
+def _monic_index(poly: Polynomial) -> int:
+    """The sieve index of the monic associate of a nonzero polynomial."""
+    q, d = poly.field.q, poly.degree
+    return (q ** d - 1) // (q - 1) + sum(
+        c * q ** (d - 1 - k) for k, c in enumerate(poly.monic().coeffs[:-1]))
 
 
 def _factor_sieve(field: FieldSpec, degree: int):
-    """(least, cofactor) index arrays over every monic of degree <= degree:
-    its least irreducible factor in key order and the quotient by it (an
-    irreducible is its own least factor, with cofactor 1 at index 0).
+    """(least, cofactor, rows) over every monic of degree <= degree: index
+    arrays of its least irreducible factor in key order and of the quotient
+    by it (an irreducible is its own least factor, with cofactor 1 at index
+    0), and its coefficient rows, constant term first, padded to degree + 1.
 
     The monics of degree d take the indices from (q^d - 1) / (q - 1) on, in
     the order of their coefficients read as base-q digits with the constant
@@ -819,10 +818,12 @@ def _factor_sieve(field: FieldSpec, degree: int):
         start = [(q ** d - 1) // (q - 1) for d in range(degree + 2)]
         least = np.full(start[-1], -1, dtype=np.int32)
         cofactor = np.zeros(start[-1], dtype=np.int32)
-        monics = [np.ones((1, 1), dtype=np.min_scalar_type(q - 1))]  # coefficient rows
-        for d in range(1, degree):
-            first = np.arange(q, dtype=monics[0].dtype).repeat(q ** (d - 1))[:, None]
-            monics.append(np.hstack((first, np.tile(monics[-1], (q, 1)))))
+        rows = np.zeros((start[-1], degree + 1), dtype=np.min_scalar_type(q - 1))
+        monics = [rows[start[d] : start[d + 1], : d + 1] for d in range(degree + 1)]
+        monics[0][:] = 1
+        for d in range(1, degree + 1):  # the constant term is the most significant digit
+            monics[d][:, 0] = np.arange(q).repeat(q ** (d - 1))
+            monics[d][:, 1:] = np.tile(monics[d - 1], (q, 1))
         for e in range(1, degree // 2 + 1):
             add, mul = field.tables  # q^2 <= q^degree <= FIELD_SIZE_CAP
             for i in np.flatnonzero(least[start[e] : start[e + 1]] < 0):
@@ -837,7 +838,8 @@ def _factor_sieve(field: FieldSpec, degree: int):
                     cofactor[index[new]] = start[d] + np.flatnonzero(new)
         unmarked = np.flatnonzero(least < 0)  # the irreducibles, and 1 at index 0
         least[unmarked] = unmarked
-        sieve = field._sieve = (degree, least, cofactor)
+        least.flags.writeable = cofactor.flags.writeable = rows.flags.writeable = False
+        sieve = field._sieve = (degree, least, cofactor, rows)
     return sieve[1:]
 
 
@@ -847,9 +849,9 @@ def enumerate_irreducibles(field: FieldSpec, max_degree: int) -> tuple[Polynomia
     by coefficient tuple, constant term first."""
     if max_degree < 1:
         raise PreconditionError("max_degree must be at least 1")
-    least, _ = _factor_sieve(field, max_degree)
+    least, _, rows = _factor_sieve(field, max_degree)
     index = np.arange(1, (field.q ** (max_degree + 1) - 1) // (field.q - 1))
-    return tuple(_monic_at(field, int(i)) for i in index[least[index] == index])
+    return tuple(Polynomial(field, row) for row in rows[index[least[index] == index]].tolist())
 
 
 def _least_irreducible(p: int, degree: int) -> tuple[int, ...]:
@@ -874,13 +876,11 @@ def factorize(poly: Polynomial) -> dict[Polynomial, int]:
     multiplicities, in key order (the leading unit is dropped)."""
     if poly.is_zero:
         raise PreconditionError("cannot factor the zero polynomial")
-    q, d = poly.field.q, poly.degree
-    least, cofactor = _factor_sieve(poly.field, d)
-    index = (q ** d - 1) // (q - 1) + sum(
-        c * q ** (d - 1 - k) for k, c in enumerate(poly.monic().coeffs[:-1]))
+    least, cofactor, rows = _factor_sieve(poly.field, poly.degree)
+    index = _monic_index(poly)
     out: dict[Polynomial, int] = {}
     while index:
-        pi = _monic_at(poly.field, int(least[index]))
+        pi = Polynomial(poly.field, rows[least[index]].tolist())
         out[pi] = out.get(pi, 0) + 1
         index = int(cofactor[index])
     return out

@@ -21,15 +21,15 @@ trivial, so every degree-zero divisor is principal and the section sets for
 any D are the section sets for 0 twisted by one global function, which the
 tests verify explicitly.
 
-Enumeration and evaluation work on integer encodings. Every monic
-polynomial up to the degree bound is factored once, so coprimality is a
-disjointness test of factor sets and heights come from cached degrees and
-multiplicities, with no gcd per candidate pair. One kernel, phi_words,
-computes the words of every order for all sections together from their
-(u, v) coefficient arrays with the field's lookup tables: Horner division
-gives each polynomial's multiplicity and leading Taylor coefficients at a
-point, the valuation of the twisted section decides 0, infinity or the
-inverse branch, and the quotient of the unit series gives the coefficient.
+Enumeration and evaluation work on integer encodings. enumerate_sections
+returns a SectionTable of padded (u, v) coefficient arrays and heights, read
+from the field's factor sieve with no gcd and no object per candidate pair;
+a row becomes a RationalSection only when asked for. One kernel, phi_words,
+computes the words of every order for a whole table with the field's lookup
+tables: Horner division gives each distinct polynomial's multiplicity and
+leading Taylor coefficients at a point, the valuation of the twisted section
+decides 0, infinity or the inverse branch, and the quotient of the unit
+series gives the coefficient.
 The multiplicity audit (solution_multiplicity, total_multiplicity,
 multiplicity_census) is integer bookkeeping too: it factors the two
 sections and the numerator of their difference once per pair, and reads
@@ -39,22 +39,21 @@ multiplicities and the coefficients of D; it needs no twist.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from . import kernels
-from .codes import Alphabet, Code, finish_code
+from .codes import Alphabet, Code, _row_keys, finish_code
 from .curves import Divisor, Place, Point, ProjectiveLine
-from .errors import PreconditionError, VerificationError
+from .errors import PreconditionError
 from .field import (
     INF,
     Polynomial,
     RationalFunction,
     _factor_sieve,
+    _monic_index,
     _series_div_field,
     factorize,
     rational_valuation,
@@ -71,10 +70,6 @@ class RationalSection:
     f: RationalFunction
     divisor: Divisor
     height: int
-
-    @property
-    def is_zero(self) -> bool:
-        return self.f.is_zero
 
 
 class TwistFamily:
@@ -118,72 +113,53 @@ def canonical_twists(curve: ProjectiveLine, divisor: Divisor) -> TwistFamily:
     return TwistFamily(curve, divisor)
 
 
-def global_twist_function(curve: ProjectiveLine, divisor: Divisor) -> RationalFunction:
-    """The principal realization of a degree-zero divisor: the product of
-    pi^c over finite places; the order at infinity then matches
-    automatically."""
-    if divisor.degree != 0:
-        raise PreconditionError("divisor must have degree zero")
-    f = RationalFunction.one(curve.field)
-    for pl, c in divisor.items():
-        if pl.kind != "inf":
-            f = f * (RationalFunction.from_poly(pl.poly) ** c)
-    return f
-
-
 # ---------------------------------------------------------------------------
 # Heights and enumeration.
 
-def section_height(curve: ProjectiveLine, D: Divisor, f: RationalFunction) -> int:
-    """Exact height of a nonzero section: the degree of the positive part of
-    (f) + D, computed from a full factorization. Audit-grade."""
-    if f.is_zero:
-        return 0
-    E = curve.divisor_of(f) + D
-    if E.degree != 0:
-        raise VerificationError("(f) + D must have degree zero")
-    return E.pos_part().degree
+@dataclass(frozen=True, eq=False)
+class SectionTable:
+    """Sections u/v as padded coefficient arrays, one row per section with
+    the constant term first (numer and denom, v monic and 1 for the zero
+    section), with their heights. A row becomes a RationalSection on
+    demand; any other index gives the table of the rows it selects."""
+
+    divisor: Divisor
+    numer: np.ndarray
+    denom: np.ndarray
+    heights: np.ndarray
+
+    @classmethod
+    def of(cls, divisor: Divisor, sections) -> SectionTable:
+        """The table of given sections, padded to their widest polynomial."""
+        polys = [p.coeffs for s in sections for p in (s.f.numer, s.f.denom)]
+        uv = np.zeros((len(polys), max(map(len, polys), default=1)),
+                      dtype=np.min_scalar_type(divisor.curve.field.q - 1))
+        for row, coeffs in zip(uv, polys):
+            row[: len(coeffs)] = coeffs
+        return cls(divisor, uv[0::2], uv[1::2], np.array([s.height for s in sections], dtype=np.int32))
+
+    def __len__(self) -> int:
+        return len(self.heights)
+
+    def __getitem__(self, i):
+        if not isinstance(i, (int, np.integer)):
+            return SectionTable(self.divisor, self.numer[i], self.denom[i], self.heights[i])
+        F = self.divisor.curve.field
+        f = RationalFunction.from_reduced(
+            Polynomial(F, self.numer[i].tolist()), Polynomial(F, self.denom[i].tolist()))
+        return RationalSection(f, self.divisor, int(self.heights[i]))
 
 
-@lru_cache(maxsize=32)
-def _monic_table(field, max_deg: int):
-    """Every monic polynomial of degree <= max_deg in canonical key order,
-    with its degree, its factorization and a bitmask of its irreducible
-    factors; and every nonzero polynomial lead * monic in canonical key
-    order, with the index of its monic."""
-    q = field.q
-    monics = tuple(
-        Polynomial(field, tail + (1,))
-        for d in range(max_deg + 1)
-        for tail in itertools.product(range(q), repeat=d)
-    )
-    degrees = np.array([m.degree for m in monics], dtype=np.int32)
-    _factor_sieve(field, max_deg)  # once, at the top degree, before any factorization
-    factors = tuple(factorize(m) for m in monics)
-    bits: dict[Polynomial, int] = {}
-    masks = tuple(
-        sum(1 << bits.setdefault(pi, len(bits)) for pi in fac) for fac in factors
-    )
-    scaled = sorted(
-        ((m.scale(lead), j) for j, m in enumerate(monics) for lead in range(1, q)),
-        key=lambda uj: uj[0].key(),
-    )
-    nonzero = tuple(u for u, _ in scaled)
-    monic_of = np.array([j for _, j in scaled], dtype=np.intp)
-    degrees.flags.writeable = monic_of.flags.writeable = False  # shared by every caller
-    return monics, degrees, factors, masks, nonzero, monic_of
-
-
-def enumerate_sections(curve: ProjectiveLine, D: Divisor, h: int):
-    """The zero function plus every section of height at most h, as a
-    canonically sorted tuple.
+def enumerate_sections(curve: ProjectiveLine, D: Divisor, h: int) -> SectionTable:
+    """The table of the zero function (row 0) and every section of height
+    at most h, in canonical (denominator key, numerator key) order.
 
     Enumerates reduced pairs u/v up to degree h + deg(D_+) and filters by
-    exact height, so the result is complete and duplicate-free. Every monic
-    polynomial is factored once: u = lead * m and v are coprime iff their
-    factor sets are disjoint, and the height is max(deg u, deg v) corrected
-    by the valuations at supp(D), read from the cached multiplicities.
-    """
+    exact height, so the result is complete and duplicate-free. Everything
+    is read from the field's factor sieve, whose monic indices ascend in key
+    order: u = lead * m and v are coprime iff they share no irreducible
+    factor, and the height is max(deg u, deg v) corrected by the valuations
+    at supp(D), the multiplicities along the cofactor chain."""
     if not isinstance(curve, ProjectiveLine):
         raise PreconditionError("sections are restricted to the projective line")
     if D.curve is not curve:
@@ -192,16 +168,32 @@ def enumerate_sections(curve: ProjectiveLine, D: Divisor, h: int):
         raise PreconditionError("reference divisor must have degree zero")
     if h < 0:
         raise PreconditionError("height bound must be nonnegative")
-    q = curve.field.q
+    F = curve.field
+    q = F.q
     if q ** (2 * h + 1) > SECTION_ENUM_GUARD:
         raise PreconditionError("section enumeration guard exceeded")
-    w_pos = D.pos_part().degree
-    max_deg = h + w_pos
+    max_deg = h + D.pos_part().degree
     if q ** (2 * max_deg + 1) > 8 * SECTION_ENUM_GUARD:
         raise PreconditionError("twisted enumeration too large for this divisor")
-    F = curve.field
-    monics, deg, factors, masks, nonzero, monic_of = _monic_table(F, max_deg)
-    # height[i, j] for v = monics[i], u = lead * monics[j]: the degree of the
+    start = [(q ** d - 1) // (q - 1) for d in range(max_deg + 2)]
+    least, cofactor, rows = (a[: start[-1]] for a in _factor_sieve(F, max_deg))
+    rows = rows[:, : max_deg + 1]
+    deg = np.repeat(np.arange(max_deg + 1, dtype=np.int32), np.diff(start))
+
+    def along_chain(first, step):
+        # a value per monic from its cofactor's, one degree block at a time
+        out = np.zeros((start[-1],) + np.shape(first), dtype=first.dtype)
+        for d in range(1, max_deg + 1):
+            block = slice(start[d], start[d + 1])
+            out[block] = step(out[cofactor[block]], least[block])
+        return out
+
+    # incidence[i, k]: the k-th irreducible divides monic i; the product
+    # counts common factors, at most max_deg, so float32 is exact
+    index = np.arange(start[-1])
+    incidence = along_chain(index < 0, lambda inc, pi: inc | (index == pi[:, None]))
+    incidence = incidence[:, least == index].astype(np.float32)
+    # height[i, j] for v = monic i, u = lead * monic j: the degree of the
     # zero divisor of u/v, shifted by each place of supp(D) where the
     # coefficient moves the positive part
     height = np.maximum.outer(deg, deg)
@@ -209,20 +201,23 @@ def enumerate_sections(curve: ProjectiveLine, D: Divisor, h: int):
         if pl.kind == "inf":
             val = deg[:, None] - deg[None, :]
         else:
-            mult = np.array([fac.get(pl.poly, 0) for fac in factors], dtype=np.int32)
+            mult = along_chain(np.int32(0), lambda m, pi, p=_monic_index(pl.poly): m + (pi == p))
             val = mult[None, :] - mult[:, None]
         height += (np.maximum(val + c, 0) - np.maximum(val, 0)) * pl.degree
-    keep = height <= h
-    for i, j in zip(*np.nonzero(keep)):
-        keep[i, j] = not masks[i] & masks[j]
-    # rows follow v and columns u in canonical key order, so the row-major
-    # scan is already sorted by (v.key(), u.key())
-    out = [RationalSection(RationalFunction.zero(F), D, 0)]
-    for i, k in zip(*np.nonzero(keep[:, monic_of])):
-        out.append(RationalSection(
-            RationalFunction.from_reduced(nonzero[k], monics[i]), D, int(height[i, monic_of[k]])
-        ))
-    return tuple(out)
+    keep = (height <= h) & (incidence @ incidence.T == 0)
+    # the numerators lead * monic in key order: degree, then coefficients
+    # from the constant term (at degree 0 the one monic is 1, and a field
+    # that large may have no lookup tables)
+    leads = np.arange(1, q, dtype=rows.dtype)[:, None, None]
+    scaled = (F.tables[1][leads, rows] if max_deg else leads).reshape(-1, max_deg + 1)
+    order = np.lexsort(np.vstack((scaled.T[::-1], np.tile(deg, q - 1))))
+    monic_of = order % start[-1]
+    # rows follow v and columns u in key order, so the row-major scan is
+    # sorted by (v.key(), u.key())
+    i, k = np.nonzero(keep[:, monic_of])
+    zero = np.zeros((1, max_deg + 1), dtype=rows.dtype)
+    return SectionTable(D, np.vstack((zero, scaled[order[k]])), np.vstack((rows[:1], rows[i])),
+                        np.append(0, height[i, monic_of[k]]).astype(np.int32))
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +341,20 @@ def _taylor(coeffs: np.ndarray, a: int, r: int, add, mul):
     return mult, taylor[mult + np.arange(r + 1)[:, None], np.arange(n)]
 
 
-def phi_words(curve: ProjectiveLine, sections, points, twists: TwistFamily, r: int) -> np.ndarray:
-    """Order-r words of many sections at once, one row each. At r = 0 the
+def phi_words(
+    curve: ProjectiveLine, sections: SectionTable, points, twists: TwistFamily, r: int
+) -> np.ndarray:
+    """Order-r words of the sections of a table, one row each. At r = 0 the
     twisted evaluation word: field encodings for finite values, symbol q
     for infinity. At r >= 1 the expansion word over the base field: the t^r
     coefficient of the twisted section, or of its inverse where the twisted
     value is infinite.
 
-    The sections are read as (u, v) coefficient arrays. At each point the
-    twisted section phi * u / v has valuation c + mult(u) - mult(v), with c
-    the twist's valuation, and unit series (twist unit) * (u unit) / (v
-    unit); the inverse swaps numerator and denominator. At infinity the
-    multiplicities and units come from the reversed arrays, whose common
-    offset cancels. The order-r coefficient of a function of valuation
+    At each point the twisted section phi * u / v of a table row has
+    valuation c + mult(u) - mult(v), with c the twist's valuation, and unit
+    series (twist unit) * (u unit) / (v unit); the inverse swaps numerator
+    and denominator. At infinity the multiplicities and units come from the
+    reversed arrays, whose common offset cancels. The order-r coefficient of a function of valuation
     val >= 0 is its unit coefficient r - val, and 0 when val > r. Needs
     q <= 256, the limit of kernels.field_tables, which hands out the
     field's own lookup tables.
@@ -368,25 +364,24 @@ def phi_words(curve: ProjectiveLine, sections, points, twists: TwistFamily, r: i
     F = curve.field
     q = F.q
     add, mul = kernels.field_tables(F)
-    inv = np.argmax(mul == 1, axis=1).astype(add.dtype)
-    neg = np.argmax(add == 0, axis=1).astype(add.dtype)
-    width = max(max(len(s.f.numer.coeffs), len(s.f.denom.coeffs)) for s in sections)
+    neg, inv = (add == 0).argmax(axis=1), (mul == 1).argmax(axis=1)
 
-    def padded(polys):  # one column per polynomial
-        cols = [p.coeffs + (0,) * (width - len(p.coeffs)) for p in polys]
-        return np.array(cols, dtype=add.dtype).reshape(-1, width).T.copy()
+    def distinct(A):  # the distinct rows as columns, and each row's column
+        _, first, which = np.unique(_row_keys(A), return_index=True, return_inverse=True)
+        return np.ascontiguousarray(A[first].T, dtype=add.dtype), which
 
-    U = padded(s.f.numer for s in sections)
-    V = padded(s.f.denom for s in sections)
-    nonzero = U.any(axis=0)
+    def taylor(A, which, p):  # _taylor on the distinct columns, one per row
+        mult, s = _taylor(A[::-1], 0, r, add, mul) if p.is_infinity else _taylor(
+            A, p.coords[0], r, add, mul)
+        return mult[which], s[:, which]
+
+    (U, which_u), (V, which_v) = (distinct(A) for A in (sections.numer, sections.denom))
+    nonzero = sections.numer.any(axis=1)
     cols = np.arange(len(sections))
     out = np.empty((len(sections), len(points)), dtype=np.uint8 if q + 1 <= 256 else np.uint16)
     for k, p in enumerate(points):
         c, twist = _twist_series(curve, twists.at_point(p), p, r)
-        if p.is_infinity:
-            (mult_u, su), (mult_v, sv) = (_taylor(A[::-1], 0, r, add, mul) for A in (U, V))
-        else:
-            (mult_u, su), (mult_v, sv) = (_taylor(A, p.coords[0], r, add, mul) for A in (U, V))
+        (mult_u, su), (mult_v, sv) = taylor(U, which_u, p), taylor(V, which_v, p)
         val = c + mult_u - mult_v
         num = mul[twist[0], su]  # twist unit times u unit
         for n in range(1, r + 1):
@@ -412,7 +407,7 @@ def phi0_projective(
 ) -> tuple[int, ...]:
     """Twisted evaluation word of one section over P^1(k): field encodings
     for finite values, symbol q for infinity."""
-    return tuple(phi_words(curve, (f,), points, twists, 0)[0].tolist())
+    return tuple(phi_words(curve, SectionTable.of(f.divisor, (f,)), points, twists, 0)[0].tolist())
 
 
 def build_section_code(
@@ -426,14 +421,11 @@ def build_section_code(
     """Evaluation code of the height-h sections over the projective
     alphabet; needs 2h < N, which makes evaluation injective and forces
     minimum distance at least N - 2h."""
-    if points is None:
-        points = curve.points
-    points = tuple(points)
+    points = tuple(curve.points if points is None else points)
     n = len(points)
     if 2 * h >= n:
         raise PreconditionError("need 2h < N for the plain section code")
-    if twists is None:
-        twists = canonical_twists(curve, D)
+    twists = canonical_twists(curve, D) if twists is None else twists
     sections = enumerate_sections(curve, D, h)
     q = curve.field.q
     ratio_reference = ((q + 1) / q) ** n * q ** (2 * h)  # genus 0 reference count

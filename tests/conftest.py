@@ -259,6 +259,26 @@ def oracle_residue_multiplicity(g, g2, pi):
     return max(val(diff), 0)
 
 
+def oracle_section_height(curve, D, f):
+    """Exact height of a section: the degree of the positive part of
+    (f) + D, from a full factorization of f (0 for the zero function)."""
+    if f.is_zero:
+        return 0
+    E = curve.divisor_of(f) + D
+    assert E.degree == 0
+    return E.pos_part().degree
+
+
+def oracle_global_twist(curve, D):
+    """The principal realization of a degree-zero divisor: the product of
+    pi^c over its finite places; the order at infinity then matches."""
+    f = RationalFunction.one(curve.field)
+    for pl, c in D.items():
+        if pl.kind != "inf":
+            f = f * RationalFunction.from_poly(pl.poly) ** c
+    return f
+
+
 def oracle_enumerate_sections(curve, D, h):
     """The zero function plus every section of height <= h: every pair u/v
     up to degree h + deg(D_+) with v monic, one gcd per pair, valuations at

@@ -149,6 +149,18 @@ def test_build_combined_gf7_height2_pinned(tmp_path):
     assert Fraction(957999, 16777216) == Fraction(16807 * ball_size(8, 1, 8), 8 ** 8)
 
 
+@pytest.mark.parametrize("argv,name,digest", [
+    (["combined", "build", "--q", "4", "--h", "4", "--s0", "0", "--d0", "2"], "combined_code.txt",
+     "fff030e58372cf03c85cc31d80fa144e6cc7ae90b4e05e0f40f0b16d53d67b76"),  # 262144 sections
+    (["sections", "enumerate", "--q", "3", "--divisor", "1,0,1:1;inf:-2", "--h", "2"], "sections.txt",
+     "ca890c461c9cd3677dc6c364f98f1e713499f21e3db5419fc7a21bcac8bf9e86"),  # x^2 + 1 in supp(D)
+])
+def test_section_artifacts_pinned(tmp_path, argv, name, digest):
+    # digests of the artifacts the object-per-section enumeration wrote
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 def test_build_combined_rejects_repeated_points():
     curve = _p1(3)
     p = curve.points

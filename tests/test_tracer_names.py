@@ -8,6 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import agcodes.combined
+import agcodes.sections
+from agcodes.curves import build_curve
+from agcodes.field import make_field_q
+
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -34,3 +39,15 @@ def test_entry_point_resolves(layer, name):
 def test_curve_method_resolves(cls, method):
     curves = importlib.import_module("agcodes.curves")
     assert callable(getattr(getattr(curves, cls), method, None)), f"{cls}.{method}"
+
+
+@pytest.mark.parametrize("q,divisor,h", [(3, "0", 2), (3, "1,0,1:1;inf:-2", 1)])
+def test_section_count_is_the_length_of_the_result(q, divisor, h):
+    # the tracer counts sections with len() of what enumerate_sections returns
+    curve = build_curve("p1", make_field_q(q))
+    assert len(agcodes.sections.enumerate_sections(curve, curve.parse_divisor(divisor), h)) == q ** (2 * h + 1)
+
+
+def test_combined_reaches_enumeration_through_the_sections_name():
+    # the tracer rebinds enumerate_sections in every module that holds it
+    assert agcodes.combined.enumerate_sections is agcodes.sections.enumerate_sections
