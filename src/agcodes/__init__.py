@@ -36,9 +36,7 @@ from .xing import XingParams, ball_size, build_xing, optimal_sigma, search_cente
 from .sections import (
     RationalSection,
     SectionTable,
-    TwistFamily,
     build_section_code,
-    canonical_twists,
     enumerate_sections,
     solution_multiplicity,
     total_multiplicity,

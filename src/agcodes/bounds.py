@@ -83,6 +83,8 @@ def gv_feasible_rate(q: int, delta) -> mpf:
 
 
 def sqrt_if_square(q: int) -> int | None:
+    if q < 0:
+        return None
     r = math.isqrt(q)
     return r if r * r == q else None
 
@@ -206,17 +208,12 @@ def frontier_rows(q: int, grid: int, m: int = 1) -> list[dict]:
         return rows
 
 
-def frontier_csv(q: int, grid: int, m: int = 1, families=None) -> str:
+def frontier_csv(q: int, grid: int, m: int = 1) -> str:
     """CSV text: header plus one row per delta, 12 significant digits,
     LF line endings."""
-    cols = list(FRONTIER_COLUMNS)
-    if families is not None:
-        keep = {"delta", *families}
-        cols = [c for c in cols if c in keep]
-    rows = frontier_rows(q, grid, m)
-    out = [",".join(cols)]
-    for row in rows:
-        out.append(",".join(_fmt(row[c]) for c in cols))
+    out = [",".join(FRONTIER_COLUMNS)]
+    for row in frontier_rows(q, grid, m):
+        out.append(",".join(_fmt(row[c]) for c in FRONTIER_COLUMNS))
     return "\n".join(out) + "\n"
 
 

@@ -26,7 +26,7 @@ from .combined import CombinedParams, build_combined
 from .curves import build_curve, default_eval_points, distinct_points
 from .errors import PreconditionError, VerificationError
 from .field import make_field_q
-from .sections import enumerate_sections, multiplicity_census
+from .sections import count_reference, enumerate_sections, multiplicity_census
 from .xing import XingParams, build_xing, search_centers
 
 EXIT_OK = 0
@@ -257,16 +257,13 @@ def cmd_sections_enumerate(args) -> int:
     curve = build_curve("p1", field)
     D = curve.parse_divisor(args.divisor)
     sections = enumerate_sections(curve, D, args.h)
-    q, n = field.q, curve.n_points
-    reference = ((q + 1) / q) ** n * q ** (2 * args.h)
-    lines = [f"# sections of height <= {args.h} for divisor {D.serialize()} over GF({q})"]
+    lines = [f"# sections of height <= {args.h} for divisor {D.serialize()} over GF({field.q})"]
     lines += [f"{_serialize_row(u)}/{_serialize_row(v)} height={ht}" for u, v, ht in
               zip(sections.numer.tolist(), sections.denom.tolist(), sections.heights.tolist())]
     text = "\n".join(lines) + "\n"
     extra = {
         "count": len(sections),
-        "count_reference": f"{reference:.6g}",
-        "count_ratio": f"{len(sections) / reference:.6g}",
+        **count_reference(field.q, curve.n_points, args.h, len(sections)),
     }
     params = _build_params(args, ("q", "divisor", "h"))
     _emit(args, "sections enumerate", params, extra, "sections.txt", text,

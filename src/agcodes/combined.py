@@ -3,10 +3,11 @@ most h are filtered by one Hamming ball around a projective-valued center,
 and the survivors are mapped through their first-order expansion data.
 
 The order-r coordinate at a point P uses the expansion of the twisted
-section when its value there is finite and of its inverse when the value is
-infinite, so a point is a solution of f = f2 of multiplicity m exactly when
-the coordinates agree through order m - 1 and split at order m. With the
-integral radius s0 the distance guarantee is exact:
+section t^D(P) * f (the canonical twist of sections.py, fixed by the
+divisor) when its value there is finite and of its inverse when the value
+is infinite, so a point is a solution of f = f2 of multiplicity m exactly
+when the coordinates agree through order m - 1 and split at order m. With
+the integral radius s0 the distance guarantee is exact:
 
     2h <= 2N - 4*s0 - d0
 
@@ -30,10 +31,9 @@ from .errors import PreconditionError, VerificationError
 from .sections import (
     RationalSection,
     SectionTable,
-    TwistFamily,
-    canonical_twists,
     enumerate_sections,
     phi_words,
+    threshold_check,
 )
 from .xing import ball_size
 
@@ -46,12 +46,6 @@ def optimal_sigma0(q: int) -> Fraction:
     return Fraction(1, q ** 3 + 1)
 
 
-def threshold_check(q: int, h: int, n: int) -> bool:
-    """Whether h/N clears q/(q^2 - 1), the regime where the asymptotic
-    section-count average applies. Informational at desk scale."""
-    return Fraction(h, n) > Fraction(q, q * q - 1)
-
-
 def radius_ok(n: int, s0: int, q: int) -> bool:
     """s0 < N * q / (q + 1), the projective-alphabet radius cap."""
     return 0 <= s0 and s0 * (q + 1) < n * q
@@ -61,23 +55,16 @@ def distance_budget_ok(n: int, h: int, s0: int, d0: int) -> bool:
     return 2 * h <= 2 * n - 4 * s0 - d0
 
 
-def phi_r_projective(
-    curve: ProjectiveLine,
-    f: RationalSection,
-    points,
-    twists: TwistFamily,
-    r: int,
-) -> tuple[int, ...]:
+def phi_r_projective(curve: ProjectiveLine, f: RationalSection, points, r: int) -> tuple[int, ...]:
     """Order-r expansion word of one section over the base field (r >= 1):
     at each point, the t^r coefficient of the twisted section, or of its
     inverse when the twisted value is infinite."""
     if r < 1:
         raise PreconditionError("use the projective evaluation word for r = 0")
-    return tuple(phi_words(curve, SectionTable.of(f.divisor, (f,)), points, twists, r)[0].tolist())
+    return tuple(phi_words(curve, SectionTable.of(f.divisor, (f,)), points, r)[0].tolist())
 
 
-def averaging_census(curve: ProjectiveLine, D: Divisor, h: int, s0: int,
-                     points=None, twists: TwistFamily | None = None):
+def averaging_census(curve: ProjectiveLine, D: Divisor, h: int, s0: int, points=None):
     """Complete-enumeration check of the averaging identity: the sum over
     every projective center of the survivor count equals the section count
     times the projective ball size. Returns (census_total, expected).
@@ -88,11 +75,10 @@ def averaging_census(curve: ProjectiveLine, D: Divisor, h: int, s0: int,
     points = tuple(curve.points if points is None else points)
     n = len(points)
     q = curve.field.q
-    twists = canonical_twists(curve, D) if twists is None else twists
     if not 0 <= s0 <= n:
         raise PreconditionError("radius must lie in [0, N]")
     sections = enumerate_sections(curve, D, h)
-    arr0 = phi_words(curve, sections, points, twists, 0)
+    arr0 = phi_words(curve, sections, points, 0)
     outcome = kernels.center_search(
         [arr0], [s0], alphabet_size=q + 1, strategy="exhaustive", census=True
     )
@@ -138,7 +124,6 @@ def build_combined(
     D: Divisor,
     params: CombinedParams,
     points=None,
-    twists: TwistFamily | None = None,
     measure: bool = True,
 ) -> CombinedResult:
     """Enumerate the sections, pick the best projective ball center, and map
@@ -147,9 +132,8 @@ def build_combined(
     n = len(points)
     q = curve.field.q
     params.validate(n, q)
-    twists = canonical_twists(curve, D) if twists is None else twists
     sections = enumerate_sections(curve, D, params.h)
-    arr0 = phi_words(curve, sections, points, twists, 0)
+    arr0 = phi_words(curve, sections, points, 0)
     outcome = kernels.center_search(
         [arr0],
         [params.s0],
@@ -181,7 +165,7 @@ def build_combined(
         "linear": False,
         "threshold_exceeded": int(threshold_check(q, params.h, n)),
     }
-    words1 = phi_words(curve, survivors, points, twists, 1)
+    words1 = phi_words(curve, survivors, points, 1)
     code = finish_code(Alphabet("field", q), n, words1, curve.field, metadata, measure)
     return CombinedResult(
         center=outcome.centers[0],

@@ -10,11 +10,14 @@ by convention with height 0.
 
 Values of sections at a point P are read through a twist: a rational
 function phi_P whose valuation at P matches the coefficient of D, making
-phi_P * f regular (or honestly infinite) there. Away from supp(D) the twist
-is 1. The agreement multiplicity of two sections at P is the valuation of
-the difference of the twisted functions when both are finite at P, of the
-difference of their inverses when both are infinite, and 0 otherwise; the
-total over all geometric points is exactly the sum of the two heights.
+phi_P * f regular (or honestly infinite) there. The twist is the canonical
+one, t^D(P) in the uniformizer t = x - a at a finite point and t = 1/x at
+infinity, so it is 1 away from supp(D) and, having unit part 1, is read as
+the number D(P) alone. The agreement multiplicity of two sections at P is
+the valuation of the difference of the twisted functions when both are
+finite at P, of the difference of their inverses when both are infinite,
+and 0 otherwise; the total over all geometric points is exactly the sum of
+the two heights.
 
 The laboratory keeps sections on the projective line only: its Jacobian is
 trivial, so every degree-zero divisor is principal and the section sets for
@@ -46,18 +49,9 @@ import numpy as np
 
 from . import kernels
 from .codes import Alphabet, Code, _row_keys, finish_code
-from .curves import Divisor, Place, Point, ProjectiveLine
+from .curves import Divisor, Place, ProjectiveLine
 from .errors import PreconditionError
-from .field import (
-    INF,
-    Polynomial,
-    RationalFunction,
-    _factor_sieve,
-    _monic_index,
-    _series_div_field,
-    factorize,
-    rational_valuation,
-)
+from .field import Polynomial, RationalFunction, _factor_sieve, _monic_index, factorize
 
 SECTION_ENUM_GUARD = 10 ** 6
 
@@ -70,47 +64,6 @@ class RationalSection:
     f: RationalFunction
     divisor: Divisor
     height: int
-
-
-class TwistFamily:
-    """Per-place twist functions for a degree-zero divisor on P^1.
-
-    Every place of supp(D) needs a twist of valuation D(P); other places
-    get the twist 1. The canonical choice at a finite place pi with
-    coefficient c is pi^c, and x^(-c) at infinity. Agreement multiplicities
-    depend only on these valuations, not on the twists themselves.
-    """
-
-    def __init__(self, curve: ProjectiveLine, divisor: Divisor, mapping=None):
-        self.curve = curve
-        self.divisor = divisor
-        if mapping is None:
-            mapping = {}
-            F = curve.field
-            inv_x = RationalFunction(Polynomial.one(F), Polynomial.x(F))
-            for pl, c in divisor.items():
-                if pl.kind == "inf":
-                    mapping[pl] = inv_x ** c
-                else:
-                    mapping[pl] = RationalFunction.from_poly(pl.poly) ** c
-        for pl in divisor.support:
-            if pl not in mapping:
-                raise PreconditionError(f"no twist at the place {pl.serialize()} of supp(D)")
-        for pl, phi in mapping.items():
-            if rational_valuation(phi, INF if pl.kind == "inf" else pl.poly) != divisor.coeff(pl):
-                raise PreconditionError("twist valuation does not match the divisor")
-        self._map = dict(mapping)
-        self._one = RationalFunction.one(curve.field)
-
-    def at_place(self, place: Place) -> RationalFunction:
-        return self._map.get(place, self._one)
-
-    def at_point(self, point: Point) -> RationalFunction:
-        return self.at_place(self.curve.place_of_point(point))
-
-
-def canonical_twists(curve: ProjectiveLine, divisor: Divisor) -> TwistFamily:
-    return TwistFamily(curve, divisor)
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +249,6 @@ def multiplicity_census(curve: ProjectiveLine, f: RationalSection, f2: RationalS
 # ---------------------------------------------------------------------------
 # The code over the projective alphabet.
 
-def _twist_series(curve: ProjectiveLine, phi: RationalFunction, point: Point, r: int):
-    """(c, s) for a nonzero function at a rational point: its valuation c
-    and the first r + 1 coefficients s of its unit part phi * t^(-c) in the
-    canonical uniformizer t."""
-    u, v = phi.numer, phi.denom
-    if point.is_infinity:
-        tu, tv, c = u.reversed_coeffs(), v.reversed_coeffs(), v.degree - u.degree
-    else:
-        tu, tv, c = u.shifted_coeffs(point.coords[0]), v.shifted_coeffs(point.coords[0]), 0
-    mu = next(k for k, x in enumerate(tu) if x)
-    mv = next(k for k, x in enumerate(tv) if x)
-    return c + mu - mv, _series_div_field(curve.field, tu[mu:], tv[mv:], r + 1)
-
-
 def _taylor(coeffs: np.ndarray, a: int, r: int, add, mul):
     """For every column of a coefficient array (row j holds the x^j
     coefficients), the multiplicity m of the root a and the Taylor
@@ -341,20 +280,18 @@ def _taylor(coeffs: np.ndarray, a: int, r: int, add, mul):
     return mult, taylor[mult + np.arange(r + 1)[:, None], np.arange(n)]
 
 
-def phi_words(
-    curve: ProjectiveLine, sections: SectionTable, points, twists: TwistFamily, r: int
-) -> np.ndarray:
+def phi_words(curve: ProjectiveLine, sections: SectionTable, points, r: int) -> np.ndarray:
     """Order-r words of the sections of a table, one row each. At r = 0 the
     twisted evaluation word: field encodings for finite values, symbol q
     for infinity. At r >= 1 the expansion word over the base field: the t^r
     coefficient of the twisted section, or of its inverse where the twisted
     value is infinite.
 
-    At each point the twisted section phi * u / v of a table row has
-    valuation c + mult(u) - mult(v), with c the twist's valuation, and unit
-    series (twist unit) * (u unit) / (v unit); the inverse swaps numerator
-    and denominator. At infinity the multiplicities and units come from the
-    reversed arrays, whose common offset cancels. The order-r coefficient of a function of valuation
+    At each point P the twisted section t^D(P) * u / v of a table row has
+    valuation D(P) + mult(u) - mult(v) and unit series (u unit) / (v unit);
+    the inverse swaps numerator and denominator. At infinity the
+    multiplicities and units come from the reversed arrays, whose common
+    offset cancels. The order-r coefficient of a function of valuation
     val >= 0 is its unit coefficient r - val, and 0 when val > r. Needs
     q <= 256, the limit of kernels.field_tables, which hands out the
     field's own lookup tables.
@@ -380,13 +317,8 @@ def phi_words(
     cols = np.arange(len(sections))
     out = np.empty((len(sections), len(points)), dtype=np.uint8 if q + 1 <= 256 else np.uint16)
     for k, p in enumerate(points):
-        c, twist = _twist_series(curve, twists.at_point(p), p, r)
-        (mult_u, su), (mult_v, sv) = taylor(U, which_u, p), taylor(V, which_v, p)
-        val = c + mult_u - mult_v
-        num = mul[twist[0], su]  # twist unit times u unit
-        for n in range(1, r + 1):
-            for i in range(1, n + 1):
-                num[n] = add[num[n], mul[twist[i], su[n - i]]]
+        (mult_u, num), (mult_v, sv) = taylor(U, which_u, p), taylor(V, which_v, p)
+        val = sections.divisor.coeff(curve.place_of_point(p)) + mult_u - mult_v
         if r:
             pole = val < 0
             num, sv = np.where(pole, sv, num), np.where(pole, num, sv)
@@ -402,21 +334,27 @@ def phi_words(
     return out
 
 
-def phi0_projective(
-    curve: ProjectiveLine, f: RationalSection, points, twists: TwistFamily
-) -> tuple[int, ...]:
+def phi0_projective(curve: ProjectiveLine, f: RationalSection, points) -> tuple[int, ...]:
     """Twisted evaluation word of one section over P^1(k): field encodings
     for finite values, symbol q for infinity."""
-    return tuple(phi_words(curve, SectionTable.of(f.divisor, (f,)), points, twists, 0)[0].tolist())
+    return tuple(phi_words(curve, SectionTable.of(f.divisor, (f,)), points, 0)[0].tolist())
+
+
+def threshold_check(q: int, h: int, n: int) -> bool:
+    """Whether h/N clears q/(q^2 - 1), the regime where the asymptotic
+    section-count average applies. Informational at desk scale."""
+    return Fraction(h, n) > Fraction(q, q * q - 1)
+
+
+def count_reference(q: int, n: int, h: int, count: int) -> dict:
+    """The genus-0 reference count ((q+1)/q)^N q^(2h) of the height-h
+    sections and the ratio of the actual count to it, as metadata entries."""
+    reference = ((q + 1) / q) ** n * q ** (2 * h)
+    return {"count_reference": f"{reference:.6g}", "count_ratio": f"{count / reference:.6g}"}
 
 
 def build_section_code(
-    curve: ProjectiveLine,
-    D: Divisor,
-    h: int,
-    points=None,
-    twists: TwistFamily | None = None,
-    measure: bool = True,
+    curve: ProjectiveLine, D: Divisor, h: int, points=None, measure: bool = True
 ) -> Code:
     """Evaluation code of the height-h sections over the projective
     alphabet; needs 2h < N, which makes evaluation injective and forces
@@ -425,22 +363,19 @@ def build_section_code(
     n = len(points)
     if 2 * h >= n:
         raise PreconditionError("need 2h < N for the plain section code")
-    twists = canonical_twists(curve, D) if twists is None else twists
     sections = enumerate_sections(curve, D, h)
     q = curve.field.q
-    ratio_reference = ((q + 1) / q) ** n * q ** (2 * h)  # genus 0 reference count
     metadata = {
         "construction": "section",
         "curve": curve.kind,
         "divisor": D.serialize(),
         "h": h,
         "n_sections": len(sections),
-        "count_reference": f"{ratio_reference:.6g}",
-        "count_ratio": f"{len(sections) / ratio_reference:.6g}",
+        **count_reference(q, n, h, len(sections)),
         "claimed_distance": n - 2 * h,
         "points": ";".join(p.serialize() for p in points),
         "linear": False,
-        "threshold_exceeded": int(Fraction(h, n) > Fraction(q, q * q - 1)),
+        "threshold_exceeded": int(threshold_check(q, h, n)),
     }
-    words = phi_words(curve, sections, points, twists, 0)
+    words = phi_words(curve, sections, points, 0)
     return finish_code(Alphabet("p1", q), n, words, curve.field, metadata, measure)

@@ -158,7 +158,23 @@ def oracle_factorize(poly):
     return out
 
 
-def oracle_total_multiplicity(curve, sec_a, sec_b, twists, max_degree):
+def oracle_twist(curve, D, place, twists=None):
+    """The twist at a place, a function of valuation D(place) there: the
+    entry of a given place-to-function mapping (1 where it has none), or by
+    default the canonical pi^c at a finite place with coefficient c, x^(-c)
+    at infinity and 1 off supp(D)."""
+    F = curve.field
+    if twists is not None:
+        phi = twists.get(place, RationalFunction.one(F))
+    elif place.kind == "inf":
+        phi = RationalFunction(Polynomial.one(F), Polynomial.x(F)) ** D.coeff(place)
+    else:
+        phi = RationalFunction.from_poly(place.poly) ** D.coeff(place)
+    assert rational_valuation(phi, INF if place.kind == "inf" else place.poly) == D.coeff(place)
+    return phi
+
+
+def oracle_total_multiplicity(curve, sec_a, sec_b, max_degree):
     """Degree-weighted multiplicity total by scanning every place of degree
     at most max_degree plus infinity, with base-field valuations only."""
     total = 0
@@ -168,7 +184,7 @@ def oracle_total_multiplicity(curve, sec_a, sec_b, twists, max_degree):
     ]
     for pl in places:
         desc = INF if pl.kind == "inf" else pl.poly
-        phi = twists.at_place(pl)
+        phi = oracle_twist(curve, sec_a.divisor, pl)
         g, g2 = phi * sec_a.f, phi * sec_b.f
         v1 = rational_valuation(g, desc) if not g.is_zero else None
         v2 = rational_valuation(g2, desc) if not g2.is_zero else None
@@ -198,7 +214,7 @@ def _oracle_branch_multiplicity(g, g2, desc):
     return max(rational_valuation(diff, desc), 0)
 
 
-def oracle_multiplicity_census(curve, f, f2, twists):
+def oracle_multiplicity_census(curve, f, f2, twists=None):
     """Per-place rows (place, m, mu, mu2, v_diff) by symbolic arithmetic:
     at infinity, supp(D), the zeros of f - f2 and the poles of f and f2,
     each section is multiplied by the place's twist and the valuations are
@@ -213,7 +229,7 @@ def oracle_multiplicity_census(curve, f, f2, twists):
     rows = []
     for pl in sorted(places, key=Place.sort_key):
         desc = INF if pl.kind == "inf" else pl.poly
-        phi = twists.at_place(pl)
+        phi = oracle_twist(curve, f.divisor, pl, twists)
         g, g2 = phi * f.f, phi * f2.f
         mu = max(-rational_valuation(g, desc), 0) if not g.is_zero else 0
         mu2 = max(-rational_valuation(g2, desc), 0) if not g2.is_zero else 0
@@ -309,24 +325,25 @@ def oracle_enumerate_sections(curve, D, h):
     return tuple(out)
 
 
-def oracle_phi0(curve, section, points, twists):
+def oracle_phi0(curve, section, points):
     """Twisted evaluation word by symbolic arithmetic: the reduced product
     of twist and section, evaluated at each point (q for infinity)."""
     q = curve.field.q
     word = []
     for p in points:
-        v = curve.evaluate(twists.at_point(p) * section.f, p)
+        phi = oracle_twist(curve, section.divisor, curve.place_of_point(p))
+        v = curve.evaluate(phi * section.f, p)
         word.append(q if v is INF else int(v))
     return tuple(word)
 
 
-def oracle_phi_r(curve, section, points, twists, r):
+def oracle_phi_r(curve, section, points, r):
     """Order-r expansion word (r >= 1) by symbolic arithmetic: at each
     point the reduced product of twist and section, or its inverse where
     that is infinite, expanded one function and point at a time."""
     word = []
     for p in points:
-        g = twists.at_point(p) * section.f
+        g = oracle_twist(curve, section.divisor, curve.place_of_point(p)) * section.f
         target = g.inverse() if curve.evaluate(g, p) is INF else g
         word.append(curve.local_expansion(target, p, r)[r])
     return tuple(word)

@@ -194,6 +194,14 @@ def test_bounds_crossing_runs(capsys):
     assert "crossing=false" in capsys.readouterr().out
 
 
+def test_bounds_negative_q_exits_precondition(tmp_path, capsys):
+    # a negative q is no square alphabet size, and math.isqrt must not see it
+    for argv in (["crossing"], ["table", "--out", str(tmp_path / "o")]):
+        assert main(["bounds", *argv, "--q", "-4"]) == EXIT_PRECONDITION
+        assert capsys.readouterr().err.startswith("precondition violated: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_field_selftest():
     assert main(["field", "selftest", "--q", "4", "--q", "9"]) == EXIT_OK
 
@@ -437,9 +445,9 @@ _FUZZ = {
     "combined build": {"--q": _Q, "--divisor": _DIVISOR, "--h": _SMALL, "--s0": _SMALL,
                        "--d0": _SMALL, "--strategy": _STRATEGY, "--seed": _SEED,
                        "--trials": _COUNT, "--points": _POINTS},
-    "bounds table": {"--q": (["4", "9", "2"], ["0", "x"]), "--grid": (["3", "10"], ["0", "-1"]),
+    "bounds table": {"--q": (["4", "9", "2"], ["0", "-4", "x"]), "--grid": (["3", "10"], ["0", "-1"]),
                      "--m": _SMALL},
-    "bounds crossing": {"--q": (["4", "9", "25", "2"], ["0", "x"])},
+    "bounds crossing": {"--q": (["4", "9", "25", "2"], ["0", "-4", "x"])},
     "verify distance": {"--code": (["{code}", "{tampered}"], ["{garbage}", "{missing}", "{dir}"])},
     "verify averaging": {"--kind": (["xing", "combined"], ["goppa"]), "--q": _Q,
                          "--divisor": _DIVISOR, "--m": (["0", "1"], ["-1", "x"]),

@@ -20,7 +20,6 @@ from agcodes.errors import PreconditionError
 from agcodes.field import Polynomial, RationalFunction, make_field, make_field_q
 from agcodes.sections import (
     RationalSection,
-    canonical_twists,
     enumerate_sections,
     phi0_projective,
     solution_multiplicity,
@@ -42,32 +41,29 @@ def test_phi1_inverse_branch_example():
     # 1/x is infinite at 0; the inverse expands as t, so the coordinate is 1
     curve = _p1(2)
     D = curve.zero_divisor()
-    tw = canonical_twists(curve, D)
     F = curve.field
     inv_x = RationalSection(
         RationalFunction(Polynomial.one(F), Polynomial.x(F)), D, 1
     )
-    word = phi_r_projective(curve, inv_x, (curve.points[0],), tw, 1)
+    word = phi_r_projective(curve, inv_x, (curve.points[0],), 1)
     assert word == (1,)
 
 
 def test_phi1_constants_are_zero_words():
     curve = _p1(4)
     D = curve.zero_divisor()
-    tw = canonical_twists(curve, D)
     c = RationalSection(RationalFunction.constant(curve.field, 3), D, 0)
-    assert phi_r_projective(curve, c, curve.points, tw, 1) == (0,) * 5
+    assert phi_r_projective(curve, c, curve.points, 1) == (0,) * 5
 
 
 def test_phi1_series_example():
     curve = _p1(2)
     D = curve.zero_divisor()
-    tw = canonical_twists(curve, D)
     F = curve.field
     f = RationalSection(
         RationalFunction(Polynomial.x(F), Polynomial(F, (1, 1))), D, 1
     )
-    word = phi_r_projective(curve, f, (curve.points[0],), tw, 1)
+    word = phi_r_projective(curve, f, (curve.points[0],), 1)
     assert word == (1,)
 
 
@@ -76,7 +72,6 @@ def test_multiplicity_bridge():
     # split at r = m, for m up to 2
     curve = _p1(3)
     D = curve.zero_divisor()
-    tw = canonical_twists(curve, D)
     secs = enumerate_sections(curve, D, 2)
     rng = random.Random(8)
     checked = 0
@@ -86,12 +81,12 @@ def test_multiplicity_bridge():
         if a.f == b.f:
             continue
         checked += 1
-        w0a = phi0_projective(curve, a, curve.points, tw)
-        w0b = phi0_projective(curve, b, curve.points, tw)
-        w1a = phi_r_projective(curve, a, curve.points, tw, 1)
-        w1b = phi_r_projective(curve, b, curve.points, tw, 1)
-        w2a = phi_r_projective(curve, a, curve.points, tw, 2)
-        w2b = phi_r_projective(curve, b, curve.points, tw, 2)
+        w0a = phi0_projective(curve, a, curve.points)
+        w0b = phi0_projective(curve, b, curve.points)
+        w1a = phi_r_projective(curve, a, curve.points, 1)
+        w1b = phi_r_projective(curve, b, curve.points, 1)
+        w2a = phi_r_projective(curve, a, curve.points, 2)
+        w2b = phi_r_projective(curve, b, curve.points, 2)
         for j, pt in enumerate(curve.points):
             m = solution_multiplicity(curve, a, b, curve.place_of_point(pt))
             agrees = (w0a[j] == w0b[j], w1a[j] == w1b[j], w2a[j] == w2b[j])
@@ -154,9 +149,18 @@ def test_build_combined_gf7_height2_pinned(tmp_path):
      "fff030e58372cf03c85cc31d80fa144e6cc7ae90b4e05e0f40f0b16d53d67b76"),  # 262144 sections
     (["sections", "enumerate", "--q", "3", "--divisor", "1,0,1:1;inf:-2", "--h", "2"], "sections.txt",
      "ca890c461c9cd3677dc6c364f98f1e713499f21e3db5419fc7a21bcac8bf9e86"),  # x^2 + 1 in supp(D)
+    # rational points in supp(D), where the twist changes the words: 9 words
+    # at measured distance 3, and 6 words at measured distance 4
+    (["combined", "build", "--q", "4", "--divisor", "0,1:2;1,1:-1;inf:-1", "--h", "2", "--s0", "1",
+      "--d0", "2"], "combined_code.txt",
+     "312839753239b40a9a6fcf56fb743082d547c694bfe9fac4bcadd414a214b939"),
+    (["combined", "build", "--q", "5", "--divisor", "2,1:1;inf:-1", "--h", "2", "--s0", "1",
+      "--d0", "2"], "combined_code.txt",
+     "2798f9d053dea9558b418c27f5f25b3c18a49e15d772269956785bff5648b08a"),
 ])
 def test_section_artifacts_pinned(tmp_path, argv, name, digest):
-    # digests of the artifacts the object-per-section enumeration wrote
+    # digests from earlier, independent implementations: the object-per-section
+    # enumeration (first two) and the symbolic twist series (all four)
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
@@ -195,12 +199,11 @@ def test_zero_radius_reduces_to_shared_evaluation():
     # with radius 0 every survivor evaluates to the center word exactly
     curve = _p1(4)
     D = curve.zero_divisor()
-    tw = canonical_twists(curve, D)
     params = CombinedParams(h=3, s0=0, d0=4, strategy="exhaustive")
     res = build_combined(curve, D, params)
     assert res.claimed_distance == 2 * 5 - 2 * 3
     for s in res.survivors:
-        assert phi0_projective(curve, s, res.points, tw) == res.center
+        assert phi0_projective(curve, s, res.points) == res.center
     assert res.code.metadata["measured_distance"] >= 4
     # pairwise: the total agreement multiplicity bound forces >= 2N - 2h
     assert len(res.survivors) >= 2
@@ -228,17 +231,16 @@ def test_agreement_accounting_chain():
     # a + b while staying within 2h
     curve = _p1(4)
     D = curve.zero_divisor()
-    tw = canonical_twists(curve, D)
     params = CombinedParams(h=2, s0=1, d0=2, strategy="exhaustive")
     res = build_combined(curve, D, params)
     n = len(res.points)
     for i in range(len(res.survivors)):
         for j in range(i + 1, len(res.survivors)):
             f, f2 = res.survivors[i], res.survivors[j]
-            w0a = phi0_projective(curve, f, res.points, tw)
-            w0b = phi0_projective(curve, f2, res.points, tw)
-            w1a = phi_r_projective(curve, f, res.points, tw, 1)
-            w1b = phi_r_projective(curve, f2, res.points, tw, 1)
+            w0a = phi0_projective(curve, f, res.points)
+            w0b = phi0_projective(curve, f2, res.points)
+            w1a = phi_r_projective(curve, f, res.points, 1)
+            w1b = phi_r_projective(curve, f2, res.points, 1)
             a = sum(1 for x, y in zip(w0a, w0b) if x == y)
             b = sum(1 for (x, y, u, v) in zip(w0a, w0b, w1a, w1b) if x == y and u == v)
             d1 = sum(1 for x, y in zip(w1a, w1b) if x != y)

@@ -17,9 +17,7 @@ from agcodes.field import (
 from agcodes.sections import (
     RationalSection,
     SectionTable,
-    TwistFamily,
     build_section_code,
-    canonical_twists,
     enumerate_sections,
     multiplicity_census,
     phi0_projective,
@@ -37,6 +35,7 @@ from conftest import (
     oracle_residue_multiplicity,
     oracle_section_height,
     oracle_total_multiplicity,
+    oracle_twist,
 )
 
 
@@ -149,31 +148,21 @@ def test_sections_equal_twist_of_reference_sections():
 # enumeration and twisted evaluation against the symbolic oracles
 
 
-def _twist_families(curve, D):
-    families = [canonical_twists(curve, D)]
-    if not D.is_zero:
-        g = oracle_global_twist(curve, D)
-        families.append(TwistFamily(curve, D, {pl: g for pl in D.support}))
-    return families
-
-
 def _assert_pipeline_matches_oracles(curve, D, h, points=None):
     points = curve.points if points is None else points
     secs = enumerate_sections(curve, D, h)
     expected = oracle_enumerate_sections(curve, D, h)
     assert [(s.f, s.height) for s in secs] == [(s.f, s.height) for s in expected]
     assert all(s.divisor == D for s in secs)
-    for tw in _twist_families(curve, D):
-        words = phi_words(curve, secs, points, tw, 0)
-        assert words.shape == (len(secs), len(points))
-        assert words.dtype == np.uint8
-        oracle = [oracle_phi0(curve, s, points, tw) for s in expected]
-        assert [tuple(w) for w in words.tolist()] == oracle
-        sample = secs[:: max(1, len(secs) // 40)]
-        for r in (1, 2):
-            words = phi_words(curve, sample, points, tw, r)
-            assert [tuple(w) for w in words.tolist()] == [
-                oracle_phi_r(curve, s, points, tw, r) for s in sample]
+    words = phi_words(curve, secs, points, 0)
+    assert words.shape == (len(secs), len(points))
+    assert words.dtype == np.uint8
+    assert [tuple(w) for w in words.tolist()] == [oracle_phi0(curve, s, points) for s in expected]
+    sample = secs[:: max(1, len(secs) // 40)]
+    for r in (1, 2):
+        words = phi_words(curve, sample, points, r)
+        assert [tuple(w) for w in words.tolist()] == [
+            oracle_phi_r(curve, s, points, r) for s in sample]
     return secs
 
 
@@ -209,32 +198,13 @@ def test_pipeline_on_a_permuted_point_subset():
     curve = _p1(5)
     D = curve.parse_divisor("1,1:1;inf:-1")
     points = tuple(curve.points[i] for i in (5, 4, 0, 2))
-    _assert_pipeline_matches_oracles(curve, D, 1, points)
-
-
-def test_evaluation_with_unit_twists_off_the_support():
-    # a twist of valuation 0 scales the value: a constant at one point, a
-    # nonconstant unit at another and at infinity
-    curve = _p1(5)
-    F = curve.field
-    D = curve.parse_divisor("1,1:1;inf:-1")
-    at = curve.place_of_point
-    unit = RationalFunction(Polynomial(F, (2, 1)), Polynomial(F, (3, 1)))
-    mapping = {
-        at(curve.points[4]): RationalFunction.from_poly(Polynomial(F, (1, 1))) * unit,
-        at(curve.points[0]): RationalFunction.constant(F, 2),
-        at(curve.points[1]): unit,
-        curve.place_inf(): unit * RationalFunction.x(F),
-    }
-    tw = TwistFamily(curve, D, mapping)
-    secs = enumerate_sections(curve, D, 1)
-    words = phi_words(curve, secs, curve.points, tw, 0)
-    assert [tuple(w) for w in words.tolist()] == [oracle_phi0(curve, s, curve.points, tw) for s in secs]
-    assert all(phi0_projective(curve, s, curve.points, tw) == tuple(w)
+    secs = _assert_pipeline_matches_oracles(curve, D, 1, points)
+    words = phi_words(curve, secs, points, 0)
+    assert all(phi0_projective(curve, s, points) == tuple(w)
                for s, w in zip(secs[::7], words[::7].tolist()))
     for empty in (secs[:0], SectionTable.of(D, ())):  # no rows, no words
         for r in (0, 1):
-            assert phi_words(curve, empty, curve.points, tw, r).shape == (0, len(curve.points))
+            assert phi_words(curve, empty, points, r).shape == (0, len(points))
 
 
 @st.composite
@@ -268,11 +238,10 @@ def test_pipeline_matches_oracles_on_random_divisors(case):
 @st.composite
 def _expansion_cases(draw):
     """A projective line over GF(q); a degree-zero divisor on up to two
-    degree-1 places and one degree-2 place, balanced at infinity; one of
-    its twist families; and the zero section followed by functions u/v
-    whose numerator and denominator are products of repeated linear and
-    quadratic factors, so that zeros and poles of every order up to 3
-    meet the points."""
+    degree-1 places and one degree-2 place, balanced at infinity; and the
+    zero section followed by functions u/v whose numerator and denominator
+    are products of repeated linear and quadratic factors, so that zeros
+    and poles of every order up to 3 meet the points."""
     q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
     curve = _p1(q)
     F = curve.field
@@ -282,7 +251,6 @@ def _expansion_cases(draw):
     coeffs = {pl: draw(st.integers(-2, 2)) for pl in picked}
     coeffs[curve.place_inf()] = -sum(c * pl.degree for pl, c in coeffs.items())
     D = curve.divisor({pl: c for pl, c in coeffs.items() if c})
-    tw = draw(st.sampled_from(_twist_families(curve, D)))
     factors = [linear_poly(F, a) for a in range(q)] + [quad]
 
     def poly():
@@ -295,20 +263,20 @@ def _expansion_cases(draw):
     for _ in range(draw(st.integers(1, 8))):
         f = RationalFunction(poly(), poly())
         secs.append(RationalSection(f, D, oracle_section_height(curve, D, f)))
-    return curve, tw, SectionTable.of(D, secs)
+    return curve, SectionTable.of(D, secs)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_expansion_cases())
 def test_phi_words_match_the_symbolic_oracles(case):
-    curve, tw, secs = case
+    curve, secs = case
     points = curve.points
     for r in range(4):
-        words = phi_words(curve, secs, points, tw, r)
+        words = phi_words(curve, secs, points, r)
         if r == 0:
-            expected = [oracle_phi0(curve, s, points, tw) for s in secs]
+            expected = [oracle_phi0(curve, s, points) for s in secs]
         else:
-            expected = [oracle_phi_r(curve, s, points, tw, r) for s in secs]
+            expected = [oracle_phi_r(curve, s, points, r) for s in secs]
         assert [tuple(w) for w in words.tolist()] == expected
 
 
@@ -383,7 +351,6 @@ def test_multiplicity_rejects_equal_sections():
 def test_proposition_total_equals_height_sum(q):
     curve = _p1(q)
     D = curve.zero_divisor()
-    tw = canonical_twists(curve, D)
     h_cap = 3 if q < 4 else 2
     secs = enumerate_sections(curve, D, h_cap)
     rng = random.Random(100 + q)
@@ -396,14 +363,13 @@ def test_proposition_total_equals_height_sum(q):
         total = total_multiplicity(curve, a, b)
         assert total == a.height + b.height
         # the independent full-place-enumeration oracle agrees
-        assert total == oracle_total_multiplicity(curve, a, b, tw, a.height + b.height)
+        assert total == oracle_total_multiplicity(curve, a, b, a.height + b.height)
         checked += 1
 
 
 def test_proposition_with_nontrivial_divisor():
     curve = _p1(2)
     D = _nontrivial_divisor_gf2(curve)
-    tw = canonical_twists(curve, D)
     secs = enumerate_sections(curve, D, 2)
     rng = random.Random(55)
     checked = 0
@@ -414,7 +380,7 @@ def test_proposition_with_nontrivial_divisor():
             continue
         total = total_multiplicity(curve, a, b)
         assert total == a.height + b.height
-        assert total == oracle_total_multiplicity(curve, a, b, tw, a.height + b.height + D.pos_part().degree)
+        assert total == oracle_total_multiplicity(curve, a, b, a.height + b.height + D.pos_part().degree)
         checked += 1
 
 
@@ -471,17 +437,16 @@ def _pairs_at_higher_degree_place(draw):
 @given(_pairs_at_higher_degree_place())
 def test_multiplicity_law_on_random_pairs(case):
     curve, D, a, b = case
-    tw = canonical_twists(curve, D)
     law = a.height + b.height
     assert total_multiplicity(curve, a, b) == law
-    assert oracle_total_multiplicity(curve, a, b, tw, max(law, 1)) == law
+    assert oracle_total_multiplicity(curve, a, b, max(law, 1)) == law
     rows = _assert_census_matches_oracles(curve, a, b)
     assert sum(r["m"] * r["place"].degree for r in rows) == law
     assert sum((r["mu"] + r["mu2"]) * r["place"].degree for r in rows) == law
     for r in rows:
         pl = r["place"]
         if pl.kind == "poly" and pl.degree > 1:
-            phi = tw.at_place(pl)
+            phi = oracle_twist(curve, D, pl)
             assert r["m"] == oracle_residue_multiplicity(phi * a.f, phi * b.f, pl.poly)
 
 
@@ -513,7 +478,8 @@ def _assert_census_matches_oracles(curve, a, b, places=()):
     global twist family; the total sums them, and solution_multiplicity
     gives each row's m and 0 at the other given places."""
     rows = multiplicity_census(curve, a, b)
-    for tw in _twist_families(curve, a.divisor):
+    g = oracle_global_twist(curve, a.divisor)
+    for tw in (None, {pl: g for pl in a.divisor.support}):
         assert oracle_multiplicity_census(curve, a, b, tw) == rows
     assert total_multiplicity(curve, a, b) == sum(r["m"] * r["place"].degree for r in rows)
     m_at = {r["place"]: r["m"] for r in rows}
@@ -541,18 +507,6 @@ def test_census_matches_oracle_on_random_divisors(case, data):
     i, j = data.draw(st.lists(st.integers(0, len(secs) - 1), min_size=2, max_size=2, unique=True))
     _assert_census_matches_oracles(curve, secs[0], secs[max(i, j)])  # the zero section
     _assert_census_matches_oracles(curve, secs[i], secs[j])
-
-
-def test_twist_family_needs_every_support_place():
-    # twist 1 at x + 1 would have valuation 0 there, not D(x + 1) = 1
-    curve = _p1(5)
-    D = curve.parse_divisor("1,1:1;inf:-1")
-    canon = canonical_twists(curve, D)
-    with pytest.raises(PreconditionError, match="no twist at the place 1,1 "):
-        TwistFamily(curve, D, {})
-    with pytest.raises(PreconditionError, match="no twist at the place inf "):
-        TwistFamily(curve, D, {pl: canon.at_place(pl) for pl in D.support if pl.kind == "poly"})
-    TwistFamily(curve, D, {pl: canon.at_place(pl) for pl in D.support})
 
 
 # ---------------------------------------------------------------------------
@@ -591,18 +545,6 @@ def test_section_code_rejects_large_height():
     curve = _p1(2)
     with pytest.raises(PreconditionError):
         build_section_code(curve, curve.zero_divisor(), 2)  # 2h = 4 >= N = 3
-
-
-def test_section_code_nontrivial_divisor_parameters_match_twist_choice():
-    curve = _p1(2)
-    D = _nontrivial_divisor_gf2(curve)
-    tw_canon = canonical_twists(curve, D)
-    g = oracle_global_twist(curve, D)
-    tw_global = TwistFamily(curve, D, {pl: g for pl in D.support})
-    c1 = build_section_code(curve, D, 1, twists=tw_canon)
-    c2 = build_section_code(curve, D, 1, twists=tw_global)
-    assert c1.size == c2.size
-    assert c1.metadata["measured_distance"] == c2.metadata["measured_distance"]
 
 
 def test_section_code_needs_lookup_tables():
