@@ -27,9 +27,6 @@ from .curves import (
     ProjectiveLine,
     build_curve,
     default_eval_points,
-    evaluate,
-    riemann_roch_basis,
-    uniformizer,
 )
 from .codes import Alphabet, Code, build_goppa, exact_min_distance, goppa_sum_check
 from .xing import XingParams, ball_size, build_xing, optimal_sigma, search_centers

@@ -1,12 +1,15 @@
 """The asymptotic bound landscape as high-precision functions: the q-ary
 entropy in both printed forms, the random-coding feasibility line, the
 evaluation-code line for square alphabets, the derivative-refinement gains
-for finite order and in the limit, the projective-section gain, and the CSV
-frontier table.
+for finite order and in the limit, the projective-section gain, the
+crossing of the evaluation-code line over the random-coding line, and the
+CSV frontier table.
 
 All real arithmetic runs at 60 significant digits through mpmath, so golden
 values are anchored by the mathematics rather than by double rounding. The
-two entropy forms agree to well below 1e-30 across the open interval.
+two entropy forms agree to well below 1e-30 across the open interval. The
+peak of H_q(delta) - delta is a closed form, and the crossing is decided
+exactly on integers, with no real arithmetic at all.
 
 A note on the ball-size normalization: the limit of N^{-1} log_q of the
 Hamming-ball volume includes the (alphabet - 1)^(delta N) factor, and that
@@ -137,35 +140,45 @@ def new_gain(q: int) -> mpf:
 
 
 def entropy_gap_max(q: int) -> tuple[mpf, mpf]:
-    """(argmax, max) of H_q(delta) - delta over (0, (q-1)/q), by ternary
-    search on the concave objective to 1e-12."""
+    """(argmax, max) of H_q(delta) - delta over (0, (q-1)/q), in closed form:
+    ((q-1)/(2q-1), log_q((2q-1)/q)).
+
+    H_q''(delta) = -1/(delta (1-delta) ln q) < 0, so H_q is strictly concave
+    and a stationary point is the unique maximiser. H_q'(delta) =
+    log_q((q-1)(1-delta)/delta) equals 1 at delta* = (q-1)/(2q-1), which lies
+    in (0, (q-1)/q) because 2q-1 > q. There (q-1)(1-delta*)/delta* = q, so
+    the entropy_alt form gives H_q(delta*) - delta* = -log_q(1-delta*) =
+    log_q((2q-1)/q)."""
+    if q < 2:
+        raise PreconditionError("alphabet must have at least 2 symbols")
     with mp.workdps(_DPS):
-        lo = mpf("1e-30")
-        hi = mpf(q - 1) / q - mpf("1e-30")
+        return mpf(q - 1) / (2 * q - 1), mpmath.log(mpf(2 * q - 1) / q) / mpmath.log(q)
 
-        def g(d):
-            return entropy(q, d) - d
 
-        while hi - lo > mpf("1e-13"):
-            m1 = lo + (hi - lo) / 3
-            m2 = hi - (hi - lo) / 3
-            if g(m1) < g(m2):
-                lo = m1
-            else:
-                hi = m2
-        mid = (lo + hi) / 2
-        return mid, g(mid)
+# Every q0 >= 7 crosses: the test reads (2 - 1/q)^(q0-1) > q0^2, which holds
+# at q0 = 7 (60.2 > 49), and from q0 to q0 + 1 the left side grows by a factor
+# above 1.9 while the right grows by at most (8/7)^2. Beyond this bound
+# gv_crossing answers from that argument instead of forming powers with
+# millions of digits (q0 = 10^9 would need gigabytes).
+_CROSSING_EXACT_Q0_MAX = 1 << 12
 
 
 def gv_crossing(q: int) -> bool:
-    """Whether the evaluation-code line exceeds the random-coding bound
-    anywhere: max of H_q(delta) - delta beats 1/(sqrt(q)-1)."""
+    """Whether the evaluation-code line 1 - delta - 1/(q0-1), q = q0^2,
+    exceeds the random-coding bound anywhere, decided on integers.
+
+    The line exceeds 1 - H_q(delta) somewhere exactly when the peak
+    log_q((2q-1)/q) of H_q(delta) - delta (entropy_gap_max) beats
+    1/(q0-1), that is when ((2q-1)/q)^(q0-1) > q, or
+    (2q-1)^(q0-1) > q^q0. Equality is impossible: gcd(2q-1, q) = 1, so no
+    power of 2q-1 equals a power of q > 1. Past _CROSSING_EXACT_Q0_MAX the
+    answer is True without forming the powers."""
     q0 = sqrt_if_square(q)
     if q0 is None or q0 < 2:
         raise PreconditionError("need a square alphabet size")
-    with mp.workdps(_DPS):
-        _, peak = entropy_gap_max(q)
-        return peak > mpf(1) / (q0 - 1)
+    if q0 > _CROSSING_EXACT_Q0_MAX:
+        return True
+    return (2 * q - 1) ** (q0 - 1) > q ** q0
 
 
 # ---------------------------------------------------------------------------
@@ -215,23 +228,6 @@ def frontier_csv(q: int, grid: int, m: int = 1) -> str:
     for row in frontier_rows(q, grid, m):
         out.append(",".join(_fmt(row[c]) for c in FRONTIER_COLUMNS))
     return "\n".join(out) + "\n"
-
-
-def gains_table(q_values, m: int = 1) -> list[dict]:
-    """Per-q gain summary (works for non-square q too, where only the gains
-    are defined)."""
-    out = []
-    for q in q_values:
-        with mp.workdps(_DPS):
-            out.append(
-                {
-                    "q": q,
-                    "xing_gain_m": xing_gain(q, m),
-                    "xing_gain_limit": xing_gain_limit(q),
-                    "new_gain": new_gain(q),
-                }
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------

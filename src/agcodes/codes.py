@@ -13,7 +13,6 @@ serialization is byte-stable.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -50,15 +49,6 @@ class Code:
     @property
     def size(self) -> int:
         return len(self.words)
-
-    def rate(self) -> float:
-        """log of the codebook size per symbol, base = alphabet size."""
-        if self.size < 1 or self.length < 1:
-            return 0.0
-        return math.log(self.size, self.alphabet.size) / self.length
-
-    def as_array(self) -> np.ndarray:
-        return self.words
 
 
 def _row_keys(arr: np.ndarray) -> np.ndarray:

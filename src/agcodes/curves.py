@@ -670,18 +670,6 @@ def build_curve(kind: str, field: FieldSpec):
     raise PreconditionError(f"unknown curve kind {kind!r}")
 
 
-def riemann_roch_basis(curve, D: Divisor):
-    return curve.riemann_roch_basis(D)
-
-
-def evaluate(curve, f, point: Point):
-    return curve.evaluate(f, point)
-
-
-def uniformizer(curve, point: Point):
-    return curve.uniformizer(point)
-
-
 def default_eval_points(curve, D: Divisor) -> tuple[Point, ...]:
     """All rational points whose place avoids supp(D), in canonical order."""
     supp = set(D.support)

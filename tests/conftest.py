@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 
-import mpmath
 from mpmath import mp, mpf
 
 from agcodes.curves import Place

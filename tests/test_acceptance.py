@@ -6,7 +6,6 @@ exact integer arithmetic, and every closed form is certified against an
 independent numeric search at the stated tolerance.
 """
 
-import math
 import random
 import time
 from fractions import Fraction

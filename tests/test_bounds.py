@@ -109,8 +109,9 @@ def test_new_gain_value():
 
 
 def test_new_gain_beats_limit_gain():
+    # the gains need no square alphabet: the ordering holds at 2, 3, 5, 8 too
     for q in range(2, 65):
-        assert bounds.new_gain(q) > bounds.xing_gain_limit(q)
+        assert bounds.new_gain(q) > bounds.xing_gain_limit(q) > bounds.xing_gain(q, 1) > 0
 
 
 def test_gv_crossing_values():
@@ -121,14 +122,46 @@ def test_gv_crossing_values():
         bounds.gv_crossing(8)
 
 
-def test_crossing_peak_against_golden_section():
+def _golden_peak(q):
+    """(argmax, max) of H_q(delta) - delta by the conftest golden-section
+    search, independent of the closed form."""
     with mp.workdps(60):
-        argmax, peak = bounds.entropy_gap_max(49)
         loc = golden_section_max(
-            lambda d: bounds.entropy(49, d) - d, mpf("1e-20"), mpf(48) / 49 - mpf("1e-20")
+            lambda d: bounds.entropy(q, d) - d, mpf("1e-20"), mpf(q - 1) / q - mpf("1e-20")
         )
+        return loc, bounds.entropy(q, loc) - loc
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 49, 64, 1024])
+def test_crossing_peak_against_golden_section(q):
+    argmax, peak = bounds.entropy_gap_max(q)
+    loc, value = _golden_peak(q)
+    with mp.workdps(60):
         assert abs(argmax - loc) < mpf("1e-9")
-        assert abs(peak - (bounds.entropy(49, loc) - loc)) < mpf("1e-12")
+        assert abs(peak - value) < mpf("1e-12")
+
+
+@pytest.mark.parametrize("q0", range(2, 13))
+def test_gv_crossing_against_golden_section(q0):
+    _, value = _golden_peak(q0 * q0)
+    with mp.workdps(60):
+        assert bounds.gv_crossing(q0 * q0) is bool(value > mpf(1) / (q0 - 1))
+
+
+def test_gv_crossing_beyond_exact_range():
+    # past the bound the answer comes from the q0 >= 7 argument; the integer
+    # test still holds on both sides of it
+    for q0 in (bounds._CROSSING_EXACT_Q0_MAX, bounds._CROSSING_EXACT_Q0_MAX + 1):
+        q = q0 * q0
+        assert (2 * q - 1) ** (q0 - 1) > q ** q0
+        assert bounds.gv_crossing(q) is True
+    assert bounds.gv_crossing(10 ** 40) is True
+
+
+@pytest.mark.parametrize("q", [1, 0, -4])
+def test_entropy_gap_max_requires_two_symbols(q):
+    with pytest.raises(PreconditionError):
+        bounds.entropy_gap_max(q)
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +227,6 @@ def test_frontier_csv_matches_golden_file():
 def test_frontier_requires_square_q():
     with pytest.raises(PreconditionError):
         bounds.frontier_csv(5, 9)
-
-
-def test_gains_table_supports_non_square_q():
-    rows = bounds.gains_table([2, 3, 5, 8])
-    assert [r["q"] for r in rows] == [2, 3, 5, 8]
-    for r in rows:
-        assert r["new_gain"] > r["xing_gain_limit"] > r["xing_gain_m"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import os
 import re
 
 import numpy as np
@@ -192,6 +191,25 @@ def test_bounds_table_matches_library(tmp_path):
 def test_bounds_crossing_runs(capsys):
     assert main(["bounds", "crossing", "--q", "25"]) == EXIT_OK
     assert "crossing=false" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", [
+    "q=4 crossing=false peak=0.403677461 at delta=0.428571429",
+    "q=25 crossing=false peak=0.209061955 at delta=0.489795918",
+    "q=49 crossing=true peak=0.175468194 at delta=0.494845361",
+    "q=81 crossing=true peak=0.156323395 at delta=0.496894410",
+])
+def test_bounds_crossing_output_pinned(line, capsys):
+    q = line.split()[0].removeprefix("q=")
+    assert main(["bounds", "crossing", "--q", q]) == EXIT_OK
+    assert capsys.readouterr().out == line + "\n"
+
+
+@pytest.mark.parametrize("q", ["0", "1", "2", "8"])
+def test_bounds_crossing_non_square_exits_precondition(q, capsys):
+    assert main(["bounds", "crossing", "--q", q]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("precondition violated: ")
 
 
 def test_bounds_negative_q_exits_precondition(tmp_path, capsys):

@@ -52,7 +52,7 @@ def test_make_code_matches_tuple_oracle(alphabet):
             code = make_code(alphabet, length, given_words)
             assert code.words.tolist() == expected
             assert code.words.dtype == (np.uint8 if alphabet.size <= 256 else np.uint16)
-            assert code.size == len(expected) and code.as_array() is code.words
+            assert code.size == len(expected)
             assert not code.words.flags.writeable
 
 

@@ -17,7 +17,7 @@ from agcodes.combined import (
 )
 from agcodes.curves import build_curve
 from agcodes.errors import PreconditionError
-from agcodes.field import Polynomial, RationalFunction, make_field, make_field_q
+from agcodes.field import Polynomial, RationalFunction, make_field_q
 from agcodes.sections import (
     RationalSection,
     enumerate_sections,

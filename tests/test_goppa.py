@@ -54,7 +54,7 @@ def test_hermitian_q0_3_code():
     assert code.metadata["claimed_distance"] == 22
     # dual route: linear weight shortcut against full pairwise scan
     weight_route = exact_min_distance(code)
-    pairwise_route, _ = kernels.pairwise_min_distance(code.as_array())
+    pairwise_route, _ = kernels.pairwise_min_distance(code.words)
     assert weight_route == pairwise_route >= 22
 
 
@@ -141,13 +141,13 @@ def test_linear_shortcut_agrees_with_pairwise():
     curve = build_curve("p1", make_field(5, 1))
     code = build_goppa(curve, curve.divisor({curve.place_inf(): 2}))
     assert code.metadata["linear"]
-    assert exact_min_distance(code) == kernels.pairwise_min_distance(code.as_array())[0]
+    assert exact_min_distance(code) == kernels.pairwise_min_distance(code.words)[0]
 
 
 def test_distance_independent_of_chunk_size(monkeypatch):
     curve = build_curve("hermitian", make_field(3, 2))
     code = build_goppa(curve, curve.one_point_divisor(5), measure=False)
-    arr = code.as_array()
+    arr = code.words
     base = kernels.pairwise_min_distance(arr)
     for cells in (1, 4096, 1 << 16):
         monkeypatch.setattr(kernels, "_CHUNK_CELLS", cells)

@@ -1,0 +1,41 @@
+"""Every module-level import in the library and the tests is read somewhere
+in its module. The package ``__init__.py`` is exempt: its imports are the
+public re-exports."""
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    p for p in (*(ROOT / "src" / "agcodes").glob("*.py"), *(ROOT / "tests").glob("*.py"))
+    if p.name != "__init__.py"
+)
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound -> line, for each import statement at module level."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_module_level_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = _read_names(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported_names(tree).items()
+              if name not in read]
+    assert not unused, f"{path.name} imports names it never reads: {', '.join(unused)}"
