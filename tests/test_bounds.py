@@ -109,8 +109,13 @@ def test_new_gain_value():
 
 
 def test_new_gain_beats_limit_gain():
-    # the gains need no square alphabet: the ordering holds at 2, 3, 5, 8 too
     for q in range(2, 65):
+        assert bounds.new_gain(q) > bounds.xing_gain_limit(q)
+
+
+def test_gains_table_supports_non_square_q():
+    # the gains need no square alphabet, unlike the frontier and the crossing
+    for q in [2, 3, 5, 8]:
         assert bounds.new_gain(q) > bounds.xing_gain_limit(q) > bounds.xing_gain(q, 1) > 0
 
 
