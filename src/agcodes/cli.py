@@ -59,8 +59,10 @@ def _resolve_curve(args):
 
 
 def _read_text(path: str) -> str:
+    """The file's text as written: no newline translation, so a carriage
+    return reaches the code-file reader, which rejects it."""
     try:
-        with open(path) as fh:
+        with open(path, newline="") as fh:
             return fh.read()
     except OSError as exc:
         raise PreconditionError(f"cannot read {path}: {exc.strerror}") from None

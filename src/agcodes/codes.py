@@ -8,6 +8,15 @@ A Code is a finite set of equal-length words over either the base field k
 are one read-only integer array, a row per word (uint8 up to 256 symbols,
 uint16 up to 65536), with unique rows in ascending lexicographic order, so
 serialization is byte-stable.
+
+A code file is a header of `key: value` lines, then `words: M` and the word
+block: exactly M lines, each the N symbols of one word joined by commas and
+ended by a newline (the last newline may be missing; for N = 0 every line is
+empty). A symbol is 1 to 9 ASCII decimal digits, leading zeros accepted; a
+sign, a space or a carriage return is malformed. The lines must be M
+distinct words, and nothing may follow the last. The writer emits the
+sorted words with each symbol in shortest decimal, from one per-alphabet
+byte table; the reader parses the block as bytes, about 32 KiB at a time.
 """
 
 from __future__ import annotations
@@ -220,6 +229,11 @@ _HEADER = "agcodes-code v1"
 _ALPHABET_TAGS = {"field": "field", "p1": "P1(k)"}
 _TAG_KINDS = {v: k for k, v in _ALPHABET_TAGS.items()}
 
+_COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
+
+# text per block of word lines that _read_words parses at once
+_READ_BLOCK_BYTES = 1 << 15
+
 
 def code_to_text(code: Code) -> str:
     lines = [_HEADER]
@@ -241,15 +255,33 @@ def code_to_text(code: Code) -> str:
             v = int(v)
         lines.append(f"param {k}: {v}")
     lines.append(f"words: {code.size}")
-    lines.extend(map(",".join, _symbol_strings(code.alphabet.size)[code.words].tolist()))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + _word_block(code.words, code.alphabet.size)
+
+
+def _word_block(words: np.ndarray, alphabet_size: int) -> str:
+    """The word lines: one gather of every symbol from the alphabet's byte
+    table, the last comma of each line turned into a newline, the padding
+    dropped."""
+    if not words.size:
+        return "\n" * len(words)  # no words, or empty words
+    cells = np.take(_symbol_table(alphabet_size), words)
+    text = cells.view(np.uint8).reshape(len(words), -1)
+    last = text[:, -cells.itemsize :]
+    last[last == _COMMA] = _NEWLINE
+    data = text.tobytes()
+    if alphabet_size > 10:  # the cells of the one-digit symbols end in padding
+        data = data.translate(None, b"\0")
+    return data.decode("ascii")
 
 
 @functools.lru_cache(maxsize=8)
-def _symbol_strings(alphabet_size: int) -> np.ndarray:
-    """The decimal text of every symbol, indexed by the symbol (shared, so
+def _symbol_table(alphabet_size: int) -> np.ndarray:
+    """Symbol s's decimal digits and a comma, NUL-padded to 2, 4 or 8 bytes
+    and viewed as one uint16, uint32 or uint64 per symbol (shared, so
     read-only)."""
-    table = np.array([str(s) for s in range(alphabet_size)], dtype=object)
+    width = next(w for w in (2, 4, 8) if len(str(alphabet_size - 1)) < w)
+    raw = "".join(f"{s},".ljust(width, "\0") for s in range(alphabet_size))
+    table = np.frombuffer(raw.encode("ascii"), dtype=f"<u{width}").copy()
     table.flags.writeable = False
     return table
 
@@ -263,25 +295,24 @@ def _int(text: str, what: str) -> int:
 
 def code_from_text(text: str) -> Code:
     """Parse a code file; any malformed part raises PreconditionError."""
-    lines = text.splitlines()
+    at = text.find("\nwords: ")
+    lines = (text[:at] if at >= 0 else text).splitlines()
     if not lines or lines[0] != _HEADER:
         raise PreconditionError("not a code file")
     fields: dict[str, str] = {}
     meta: dict[str, object] = {}
-    i = 1
-    while i < len(lines):
-        line = lines[i]
-        i += 1
-        if line.startswith("words: "):
-            count = _int(line.split(": ", 1)[1], "word count")
-            break
+    for line in lines[1:]:
         is_param = line.startswith("param ")
         k, sep, v = line[len("param ") if is_param else 0 :].partition(": ")
         if not sep:
             raise PreconditionError(f"malformed header line {line!r}")
         (meta if is_param else fields)[k] = v
-    else:
+    if at < 0:
         raise PreconditionError("missing word count")
+    at += len("\nwords: ")
+    end = text.find("\n", at)
+    end = len(text) if end < 0 else end
+    count = _int(text[at:end], "word count")
     missing = [k for k in ("alphabet", "q", "length") if k not in fields]
     if missing:
         raise PreconditionError("missing header " + ", ".join(missing))
@@ -291,18 +322,7 @@ def code_from_text(text: str) -> Code:
     length = _int(fields["length"], "length")
     if length < 0:
         raise PreconditionError(f"negative length {length}")
-    block = lines[i : i + count]
-    if count < 0 or len(block) < count:
-        raise PreconditionError(f"word count {count} does not match the {len(block)} word lines")
-    if any(line.count(",") != length - 1 for line in block) if length else any(block):
-        raise PreconditionError("word length mismatch")
-    # fromstring raises on a token that is not an integer; an empty last
-    # token shortens the result, and the reshape raises on that
-    try:
-        words = np.fromstring(",".join(block) if length else "", dtype=np.int64, sep=",")
-        words = words.reshape(count, length)
-    except ValueError:
-        raise PreconditionError("word symbols must be integers") from None
+    words = _read_words(text[end + 1 :], count, length)
     q = _int(fields["q"], "q")
     fld = None
     if "p" in fields:
@@ -315,10 +335,68 @@ def code_from_text(text: str) -> Code:
     for key in ("claimed_distance", "measured_distance"):
         value = fields.get(key)
         meta[key] = None if value in (None, "none", "None") else _int(value, key)
-    return make_code(
-        Alphabet(kind, q),
-        length,
-        words,
-        field=fld,
-        metadata=meta,
-    )
+    code = make_code(Alphabet(kind, q), length, words, field=fld, metadata=meta)
+    if code.size != count:
+        raise PreconditionError(f"{count} word lines hold only {code.size} distinct words")
+    return code
+
+
+def _read_words(block: str, count: int, length: int) -> np.ndarray:
+    """The (count, length) symbols of a word block: exactly `count` lines
+    (the last newline may be missing), each `length` symbols of 1-9 decimal
+    digits joined by commas. Parsed about _READ_BLOCK_BYTES of text at a
+    time; a block that fails is parsed again line by line, so the error
+    names the first malformed line whatever the block size."""
+    if block and not block.endswith("\n"):
+        block += "\n"
+    data = np.frombuffer(block.encode("ascii", "replace"), dtype=np.uint8)
+    ends = np.flatnonzero(data == _NEWLINE)
+    if len(ends) != count:
+        raise PreconditionError(f"word count {count} does not match the {len(ends)} word lines")
+    if length == 0:
+        if len(data) != count:
+            raise PreconditionError("word length mismatch")
+        return np.empty((count, 0), dtype=np.uint32)
+    bounds = np.concatenate(([0], ends + 1))
+
+    def parse(lo, hi):
+        return _parse_lines(data[bounds[lo] : bounds[hi]], hi - lo, length)
+
+    step = max(1, _READ_BLOCK_BYTES * count // max(len(data), 1))
+    parts = [np.empty((0, length), dtype=np.uint32)]
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        try:
+            parts.append(parse(lo, hi))
+        except PreconditionError:
+            for r in range(lo, hi):  # name the first malformed line
+                try:
+                    parts.append(parse(r, r + 1))
+                except PreconditionError as err:
+                    raise PreconditionError(f"word line {r + 1}: {err}") from None
+    return np.concatenate(parts)
+
+
+def _parse_lines(chunk: np.ndarray, rows: int, length: int) -> np.ndarray:
+    """The symbols of `rows` whole word lines of ASCII bytes, the last ending
+    in its newline. Each symbol is read from the digits before its
+    separator, in one pass per digit place."""
+    sep = (chunk == _COMMA) | (chunk == _NEWLINE)
+    at = np.flatnonzero(sep)
+    # the chunk holds `rows` newlines, so with rows * length separators, a
+    # newline at every length-th one leaves length - 1 commas on each line
+    if len(at) != rows * length or (chunk[at[length - 1 :: length]] != _NEWLINE).any():
+        raise PreconditionError("word length mismatch")
+    if np.count_nonzero(chunk - np.uint8(_ZERO) < 10) != len(chunk) - len(at):
+        raise PreconditionError("word symbols must be decimal digits")
+    digits = at.copy()
+    digits[1:] -= at[:-1] + 1
+    width = int(digits.max())
+    if digits.min() < 1 or width > 9:
+        raise PreconditionError("word symbols must have 1 to 9 digits")
+    zero = np.uint32(_ZERO)
+    values = chunk[at - 1] - zero
+    for place in range(1, width):  # the digit of 10^place, 0 where a symbol is shorter
+        digit = chunk[np.maximum(at - 1 - place, 0)] - zero
+        values += digit * (digits > place) * np.uint32(10 ** place)
+    return values.reshape(rows, length)

@@ -16,8 +16,10 @@ Canonical conventions used by every downstream module and serialized file:
   degree is None (never -1), so accidental arithmetic on it fails loudly.
 
 A field builds its lookup data on first use: scalar digit and log/exp tables,
-read-only numpy (add, mul) tables when q^2 <= FIELD_SIZE_CAP, and a sieve of
-least factors over monic polynomials behind every factorization. A cache is
+read-only numpy (add, mul) tables when q^2 <= FIELD_SIZE_CAP (whose add table,
+as tuples, also serves scalar add, sub and neg in odd-characteristic extension
+fields), and a sieve of least factors over monic polynomials behind every
+factorization. A cache is
 only replaced whole and values are immutable, so all of it is thread-safe.
 """
 
@@ -80,7 +82,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "degree", "modulus", "q", "_digits", "_xpow", "_exp", "_log", "_tables",
-                 "_sieve")
+                 "_sums", "_sieve")
 
     def __init__(self, p: int, degree: int, modulus: tuple[int, ...]):
         self.p = p
@@ -91,6 +93,7 @@ class FieldSpec:
         self._exp = None
         self._log = None
         self._tables = None
+        self._sums = None
         self._sieve = None
         # reductions of x^k mod modulus for k = degree .. 2*degree-2
         red = []
@@ -139,6 +142,9 @@ class FieldSpec:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
+        sums = self._sums or self._sum_rows()
+        if sums:
+            return sums[0][a][b]
         da, db = self.decode(a), self.decode(b)
         p = self.p
         return self.encode([(x + y) % p for x, y in zip(da, db)])
@@ -148,6 +154,9 @@ class FieldSpec:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
+        sums = self._sums or self._sum_rows()
+        if sums:
+            return sums[0][a][sums[1][b]]
         da, db = self.decode(a), self.decode(b)
         p = self.p
         return self.encode([(x - y) % p for x, y in zip(da, db)])
@@ -157,6 +166,9 @@ class FieldSpec:
             return (-a) % self.p
         if self.p == 2:
             return a
+        sums = self._sums or self._sum_rows()
+        if sums:
+            return sums[1][a]
         return self.encode([(-x) % self.p for x in self.decode(a)])
 
     def _mul_slow(self, a: int, b: int) -> int:
@@ -263,6 +275,19 @@ class FieldSpec:
             add.flags.writeable = mul.flags.writeable = False
             self._tables = add, mul
         return self._tables
+
+    def _sum_rows(self):
+        """(rows of the add table, the additive inverse of every encoding) as
+        lists, read from the field's add table, for scalar add, sub and neg;
+        () for a field too large for lookup tables."""
+        if self._sums is None:
+            if self.q * self.q > FIELD_SIZE_CAP:
+                self._sums = ()
+            else:
+                add = self.tables[0]
+                self._sums = (tuple(map(tuple, add.tolist())),
+                              tuple((add == 0).argmax(axis=1).tolist()))
+        return self._sums
 
     def __repr__(self):
         return f"GF({self.q})"

@@ -126,24 +126,42 @@ def pairwise_min_distance(arr: np.ndarray) -> tuple[int, tuple[int, int]] | None
 
 
 def is_subspace(arr: np.ndarray, field) -> bool:
-    """Whether the distinct, sorted rows of `arr` are exactly a subspace of
-    GF(q)^n, q <= 256: there are q^k rows, row 0 is zero, and k pivot
-    eliminations clear every row. Then every row lies in the span of the k
-    pivot rows, which has at most q^k words, so the rows fill it; and k
-    eliminations clear any k-dimensional subspace."""
+    """Whether the distinct rows of `arr` are exactly a subspace of GF(q)^n,
+    q <= 256, in any order with the zero row first.
+
+    There must be q^k rows with row 0 zero. Pivot i is the first nonzero
+    entry of the first nonzero row among the rows that vanish at pivot
+    columns 0..i-1; the basis is kept in reduced echelon form, so the span
+    word with coefficients c_0..c_{k-1} (`linear_span_words`, index
+    sum c_i q^i) holds c_i at pivot column i. Every row is then compared
+    with the span word indexed by its own pivot-column symbols. If all are
+    equal, the rows lie in the span, which has q^k words; the rows are
+    distinct and q^k many, so they fill it. Conversely, in a k-dimensional
+    subspace the rows vanishing at i pivot columns form a subspace of
+    dimension k - i, so every pivot is found, and each row is the one span
+    word with its pivot-column symbols. The span is as large as `arr`; past
+    SPAN_CELL_CAP cells `linear_span_words` raises PreconditionError.
+    """
     q, m = field.q, arr.shape[0]
     k = round(math.log(max(m, 1), q))
     if q ** k != m or arr[0].any():
         return False
+    if k == 0:
+        return True
     add, mul = field_tables(field)
     neg, inv = (add == 0).argmax(axis=1), (mul == 1).argmax(axis=1)
-    rows = arr
+    rows, basis, pivots = arr, [], []
     for _ in range(k):
         r, c = divmod(int((rows != 0).argmax()), rows.shape[1])
-        # every multiple of the pivot row scaled to 1 at column c
-        multiples = mul[:, mul[inv[rows[r, c]], rows[r]]]
-        rows = add.ravel()[rows.astype(np.uint16) * q + multiples[neg[rows[:, c]]]]
-    return not rows.any()
+        if not rows[r, c]:
+            return False  # only the zero row vanishes at the pivot columns so far
+        pivot = mul[inv[rows[r, c]], rows[r]]  # scaled to 1 at column c
+        # clear column c from the earlier basis rows: b - b[c] * pivot
+        basis = [add[b, mul[neg[b[c]], pivot]] for b in basis] + [pivot]
+        pivots.append(c)
+        rows = rows[rows[:, c] == 0]
+    index = arr[:, pivots].astype(np.int64) @ q ** np.arange(k, dtype=np.int64)
+    return bool((linear_span_words(field, basis)[index] == arr).all())
 
 
 @dataclass

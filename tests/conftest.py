@@ -9,15 +9,18 @@ every place up to a degree bound, multiplicities at places of degree > 1 by
 root multiplicity over the residue field, sections by one gcd per candidate
 pair, and evaluation words and census rows by symbolic twist-times-section
 arithmetic, expansion words one function and point at a time, and subspaces
-by set closure. Code words and code files have tuple-and-set versions, the
-form the library used before it kept words as one integer array.
+by set closure or, past its reach, by k pivot eliminations over every row.
+Code words and code files have tuple-and-set versions, the form the library
+used before it kept words as one integer array.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
+import numpy as np
 from mpmath import mp, mpf
 
 from agcodes.curves import Place
@@ -429,3 +432,23 @@ def oracle_is_subspace(words, field):
     return bool(members) and all(
         tuple(field.add(x, y) for x, y in zip(a, b)) in members for a, b in pairs
     ) and all(tuple(field.mul(c, x) for x in a) in members for a in members for c in range(field.q))
+
+
+def oracle_eliminate_subspace(arr, field):
+    """Whether the distinct rows of a uint8 array are exactly a subspace:
+    there are q^k rows, row 0 is zero, and k pivot eliminations, each over
+    every row, clear them all. Then every row lies in the span of the k
+    pivot rows, which has at most q^k words, so the rows fill it."""
+    q, m = field.q, arr.shape[0]
+    k = round(math.log(max(m, 1), q))
+    if q ** k != m or arr[0].any():
+        return False
+    add, mul = field.tables
+    neg, inv = (add == 0).argmax(axis=1), (mul == 1).argmax(axis=1)
+    rows = arr
+    for _ in range(k):
+        r, c = divmod(int((rows != 0).argmax()), rows.shape[1])
+        # every multiple of the pivot row scaled to 1 at column c
+        multiples = mul[:, mul[inv[rows[r, c]], rows[r]]]
+        rows = add.ravel()[rows.astype(np.uint16) * q + multiples[neg[rows[:, c]]]]
+    return not rows.any()

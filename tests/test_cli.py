@@ -1,13 +1,16 @@
 import contextlib
+import importlib.util
 import io
 import json
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from agcodes import bounds, kernels
+from agcodes import bounds, codes, kernels
 from agcodes.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -15,6 +18,9 @@ from agcodes.cli import (
     EXIT_VERIFICATION,
     main,
 )
+from agcodes.curves import build_curve
+from agcodes.errors import PreconditionError
+from agcodes.field import make_field
 
 
 def _exit_code(argv) -> int:
@@ -390,35 +396,40 @@ _GOOD_HEADER = ("agcodes-code v1\nalphabet: field\nq: 3\np: 3\nalpha: 1\nmodulus
                 "length: 3\nclaimed_distance: 2\nmeasured_distance: none\n")
 
 
-@pytest.mark.parametrize("text", [
-    _GOOD_HEADER + "words: x\n0,0,0\n",
-    _GOOD_HEADER + "words: 3\n0,0,0\n1,1,1\n",
-    _GOOD_HEADER.replace("length: 3\n", "") + "words: 1\n0,0,0\n",
-    _GOOD_HEADER.replace("q: 3\n", "q 3\n") + "words: 1\n0,0,0\n",
-    _GOOD_HEADER + "words: 2\n0,0,0\n1,x,1\n",
-    _GOOD_HEADER + "words: 2\n0,0,0\n1,1\n",
-    _GOOD_HEADER + "words: 2\n0,0,0\n1,1,1,1\n",
-    _GOOD_HEADER + "words: 2\n0,0,0,0\n1,1\n",
-    _GOOD_HEADER + "words: 2\n0,0,0\n1,1.5,1\n",
-    _GOOD_HEADER + "words: 2\n0,0,0\n1,1,\n",
-    _GOOD_HEADER + "words: 2\n0,0,0\n1,99999999999999999999,1\n",
-    _GOOD_HEADER + "words: 2\n0,0,0\n1,3,1\n",
-    _GOOD_HEADER + "words: 2\n0,0,0\n1,-1,1\n",
-    _GOOD_HEADER.replace("alphabet: field\n", "") + "words: 1\n0,0,0\n",
-    _GOOD_HEADER.replace("q: 3\n", "") + "words: 1\n0,0,0\n",
-    _GOOD_HEADER.replace("p: 3\n", "p: 4\n") + "words: 1\n0,0,0\n",
-    _GOOD_HEADER.replace("alpha: 1\n", "alpha: one\n") + "words: 1\n0,0,0\n",
-    _GOOD_HEADER.replace("q: 3\n", "q: 5\n") + "words: 1\n0,0,0\n",
-    _GOOD_HEADER.replace("claimed_distance: 2", "claimed_distance: two") + "words: 1\n0,0,0\n",
-    _GOOD_HEADER.replace("length: 3", "length: -1") + "words: 0\n",
-    _GOOD_HEADER + "words: -1\n",
-], ids=["count-not-int", "count-above-lines", "missing-length", "header-no-separator",
-        "symbol-not-int", "row-short", "row-long", "rows-compensate",
-        "symbol-fraction", "symbol-empty",
-        "symbol-huge", "symbol-oversize", "symbol-negative",
-        "missing-alphabet", "missing-q", "p-not-prime", "alpha-not-int",
-        "q-not-field-order", "claim-not-int",
-        "length-negative", "count-negative"])
+# malformed code files, by id; every one exits 3 from verify distance
+_MALFORMED = {
+    "count-not-int": _GOOD_HEADER + "words: x\n0,0,0\n",
+    "count-above-lines": _GOOD_HEADER + "words: 3\n0,0,0\n1,1,1\n",
+    "missing-length": _GOOD_HEADER.replace("length: 3\n", "") + "words: 1\n0,0,0\n",
+    "header-no-separator": _GOOD_HEADER.replace("q: 3\n", "q 3\n") + "words: 1\n0,0,0\n",
+    "symbol-not-int": _GOOD_HEADER + "words: 2\n0,0,0\n1,x,1\n",
+    "row-short": _GOOD_HEADER + "words: 2\n0,0,0\n1,1\n",
+    "row-long": _GOOD_HEADER + "words: 2\n0,0,0\n1,1,1,1\n",
+    "rows-compensate": _GOOD_HEADER + "words: 2\n0,0,0,0\n1,1\n",
+    "symbol-fraction": _GOOD_HEADER + "words: 2\n0,0,0\n1,1.5,1\n",
+    "symbol-empty": _GOOD_HEADER + "words: 2\n0,0,0\n1,1,\n",
+    "symbol-huge": _GOOD_HEADER + "words: 2\n0,0,0\n1,99999999999999999999,1\n",
+    "symbol-oversize": _GOOD_HEADER + "words: 2\n0,0,0\n1,3,1\n",
+    "symbol-negative": _GOOD_HEADER + "words: 2\n0,0,0\n1,-1,1\n",
+    "missing-alphabet": _GOOD_HEADER.replace("alphabet: field\n", "") + "words: 1\n0,0,0\n",
+    "missing-q": _GOOD_HEADER.replace("q: 3\n", "") + "words: 1\n0,0,0\n",
+    "p-not-prime": _GOOD_HEADER.replace("p: 3\n", "p: 4\n") + "words: 1\n0,0,0\n",
+    "alpha-not-int": _GOOD_HEADER.replace("alpha: 1\n", "alpha: one\n") + "words: 1\n0,0,0\n",
+    "q-not-field-order": _GOOD_HEADER.replace("q: 3\n", "q: 5\n") + "words: 1\n0,0,0\n",
+    "claim-not-int": (_GOOD_HEADER.replace("claimed_distance: 2", "claimed_distance: two")
+                      + "words: 1\n0,0,0\n"),
+    "length-negative": _GOOD_HEADER.replace("length: 3", "length: -1") + "words: 0\n",
+    "count-negative": _GOOD_HEADER + "words: -1\n",
+    # a repeated line would make a code of fewer words than the file lists
+    "rows-repeated": _GOOD_HEADER + "words: 2\n1,1,1\n1,1,1\n",
+    "rows-beyond-count": _GOOD_HEADER + "words: 2\n0,0,0\n1,1,1\n2,2,2\n",
+    "symbol-space": _GOOD_HEADER + "words: 2\n0,0,0\n1, 1,1\n",
+    "symbol-plus": _GOOD_HEADER + "words: 2\n0,0,0\n1,+1,1\n",
+    "row-crlf": _GOOD_HEADER + "words: 2\n0,0,0\r\n1,1,1\r\n",
+}
+
+
+@pytest.mark.parametrize("text", list(_MALFORMED.values()), ids=list(_MALFORMED))
 def test_malformed_code_file_exits_precondition(tmp_path, capsys, text):
     path = tmp_path / "code.txt"
     path.write_text(text)
@@ -432,6 +443,64 @@ def test_well_formed_hand_written_code_file_verifies(tmp_path):
     path = tmp_path / "code.txt"
     path.write_text(_GOOD_HEADER + "words: 2\n0,0,0\n1,1,1\n")
     assert main(["verify", "distance", "--code", str(path)]) == EXIT_OK
+
+
+def _read(text):
+    """The words code_from_text reads from a text, or its error message."""
+    try:
+        return codes.code_from_text(text).words.tolist()
+    except PreconditionError as err:
+        return str(err)
+
+
+def test_code_file_reader_does_not_depend_on_its_block_size(monkeypatch):
+    # a 729-word file (two ~32 KiB blocks) with a defect on one of its lines,
+    # read block-wise and one line at a time: the same words, or the same
+    # error naming the same line
+    curve = build_curve("hermitian", make_field(3, 2))
+    code = codes.build_goppa(curve, curve.one_point_divisor(5), measure=False)
+    text = codes.code_to_text(code)
+    head, _, block = text.partition("\nwords: 729\n")
+    lines = block.splitlines()
+    cases = {text: code.words.tolist(), text.rstrip("\n"): code.words.tolist(),
+             _GOOD_HEADER + "words: 2\n00,0,0\n1,01,001\n": [[0, 0, 0], [1, 1, 1]],
+             text + "\n": "word count 729 does not match the 730 word lines"}
+    for row in (0, 400, 728):
+        at = f"word line {row + 1}: "
+        for bad, error in (("x" + lines[row][1:], at + "word symbols must be decimal digits"),
+                           (" " + lines[row], at + "word symbols must be decimal digits"),
+                           (lines[row] + "\r", at + "word symbols must be decimal digits"),
+                           (lines[row] + ",1", at + "word length mismatch"),
+                           (lines[row][2:], at + "word length mismatch"),
+                           ("0" * 10 + lines[row], at + "word symbols must have 1 to 9 digits"),
+                           (lines[row - 1], "729 word lines hold only 728 distinct words")):
+            body = "\n".join(lines[:row] + [bad] + lines[row + 1 :])
+            cases[f"{head}\nwords: 729\n{body}\n"] = error
+    texts = list(_MALFORMED.values()) + list(cases)
+    default = [_read(t) for t in texts]
+    assert default[len(_MALFORMED) :] == list(cases.values())
+    assert all(isinstance(error, str) for error in default[: len(_MALFORMED)])
+    monkeypatch.setattr(codes, "_READ_BLOCK_BYTES", 1)
+    assert [_read(t) for t in texts] == default
+
+
+def test_verify_workload_goppa_artifacts_round_trip(tmp_path, monkeypatch):
+    # the verify benchmark's eight Goppa set-up builds at seed 1, through the
+    # CLI: each artifact reads back and writes the same bytes, and verifies
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    setup = workloads.generate("verify", 1).setup
+    assert len(setup) == 8 and all(op.kind == "goppa build" for op in setup)
+    for op in setup:
+        argv = op.resolve(str(tmp_path), str(tmp_path / "unused"))
+        assert main(argv) == EXIT_OK
+        artifact = Path(argv[argv.index("--out") + 1]) / "goppa_code.txt"
+        text = artifact.read_text()
+        assert codes.code_to_text(codes.code_from_text(text)) == text
+        assert main(["verify", "distance", "--code", str(artifact)]) == EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The integer-array code representation against the tuple oracles in
 conftest: make_code, the code-file writer and reader, and the subspace proof
-behind the minimum-weight distance, against set closure and the pairwise scan."""
+behind the minimum-weight distance, against set closure, the k-step
+elimination and the pairwise scan."""
 
 import importlib.util
 import random
@@ -30,6 +31,7 @@ from conftest import (
     oracle_code_from_text,
     oracle_code_to_text,
     oracle_code_words,
+    oracle_eliminate_subspace,
     oracle_is_subspace,
 )
 
@@ -200,6 +202,9 @@ def test_subspace_proof_on_built_and_perturbed_codes(built_codes, monkeypatch):
         assert exact_min_distance(code) == found[0]
 
 
+_SPAN_VARIANTS = ["span", "dependent", "symbol", "coset", "extra", "union"]
+
+
 def _span_code(q, n, k, variant, seed):
     """The span of k random rows of GF(q)^n, or one of its near misses."""
     F = make_field_q(q)
@@ -209,6 +214,11 @@ def _span_code(q, n, k, variant, seed):
         return [rng.randrange(q) for _ in range(n)]
 
     rows = [vector() for _ in range(k)]
+    if variant == "dependent" and rows:  # rank-deficient: the last row depends on the rest
+        rows[-1] = [0] * n
+        for row in rows[:-1]:
+            c = rng.randrange(q)
+            rows[-1] = [F.add(x, F.mul(c, y)) for x, y in zip(rows[-1], row)]
     words = kernels.linear_span_words(F, rows) if rows else np.zeros((1, n), dtype=np.uint8)
     if variant == "symbol":
         i, j = rng.randrange(len(words)), rng.randrange(n)
@@ -232,7 +242,7 @@ def _span_code(q, n, k, variant, seed):
     st.sampled_from([2, 3, 4, 5, 8, 9]),
     st.integers(1, 10),
     st.integers(0, 4),
-    st.sampled_from(["span", "symbol", "coset", "extra", "union"]),
+    st.sampled_from(_SPAN_VARIANTS),
     st.integers(0, 2 ** 32),
 )
 @example(2, 3, 1, "union", 1)
@@ -246,6 +256,38 @@ def test_subspace_proof_matches_set_closure(q, n, k, variant, seed):
     assert codes_mod.closest_pair(code) == kernels.pairwise_min_distance(code.words)
 
 
+# (q, the largest k with q^k <= 6561)
+_SPAN_ORDERS = {2: 12, 3: 8, 4: 6, 5: 5, 7: 4, 8: 4, 9: 4}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(_SPAN_ORDERS)).flatmap(
+        lambda q: st.tuples(st.just(q), st.integers(0, _SPAN_ORDERS[q]))),
+    st.integers(1, 27),
+    st.sampled_from(_SPAN_VARIANTS),
+    st.integers(0, 2 ** 32),
+)
+@example((9, 4), 27, "span", 0)
+@example((9, 4), 27, "symbol", 1)
+@example((3, 8), 9, "coset", 2)
+@example((3, 8), 10, "union", 3)
+@example((2, 12), 12, "extra", 4)
+@example((2, 7), 5, "dependent", 5)
+def test_is_subspace_matches_the_elimination_oracle(qk, n, variant, seed):
+    # spans of up to 6561 words, past the set-closure oracle's reach, and
+    # their near misses: one symbol changed, a coset, an extra row, a union
+    # of cosets, a rank-deficient basis
+    q, k = qk
+    code = _span_code(q, n, k, variant, seed)
+    expected = oracle_eliminate_subspace(code.words, code.field)
+    assert kernels.is_subspace(code.words, code.field) == expected
+    # the proof needs no row order but the zero row first
+    words = code.words
+    shuffled = np.vstack([words[:1], np.random.default_rng(seed).permutation(words[1:])])
+    assert kernels.is_subspace(shuffled, code.field) == expected
+
+
 def _codes_strategy():
     def build(kind, q, length, n_words, seed, claimed, linear):
         size = q if kind == "field" else q + 1
@@ -257,7 +299,7 @@ def _codes_strategy():
     return st.builds(
         build,
         st.sampled_from(["field", "p1"]),
-        st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 256, 257]),
+        st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 16, 101, 256, 257, 65521]),
         st.integers(0, 6),
         st.integers(0, 30),
         st.integers(0, 2 ** 32),
@@ -269,6 +311,9 @@ def _codes_strategy():
 @settings(max_examples=60, deadline=None)
 @given(_codes_strategy())
 @example(make_code(Alphabet("p1", 257), 3, [(256, 257, 0), (1, 2, 3)], field=make_field(257, 1)))
+@example(make_code(Alphabet("p1", 101), 2, [(9, 10), (99, 101)], field=make_field(101, 1)))
+@example(make_code(Alphabet("p1", 65521), 3, [(65521, 9, 0), (10, 65520, 9999)],
+                   field=make_field(65521, 1)))
 @example(make_code(Alphabet("field", 4), 0, [()], field=make_field(2, 2)))
 @example(make_code(Alphabet("p1", 3), 4, [], field=make_field(3, 1)))
 def test_code_file_roundtrip_property(code):

@@ -157,6 +157,29 @@ def test_field_axioms_on_encodings(q, data):
     assert not add.flags.writeable and not mul.flags.writeable
 
 
+@pytest.mark.parametrize("p,alpha", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 7)])
+def test_add_sub_neg_match_the_digitwise_definition(p, alpha):
+    # GF(9), GF(25), GF(27) and GF(49) read their add table, on every pair;
+    # GF(3^7) has no tables and adds digits, on a sample of pairs
+    F = make_field(p, alpha)
+    q = F.q
+    elements = range(q) if q <= 49 else random.Random(q).sample(range(q), 40)
+
+    def digits(a):
+        return [a // p ** i % p for i in range(alpha)]
+
+    def encode(ds):
+        return sum(d % p * p ** i for i, d in enumerate(ds))
+
+    for a in elements:
+        assert type(F.neg(a)) is int and F.neg(a) == encode([-x for x in digits(a)])
+        for b in elements:
+            pairs = list(zip(digits(a), digits(b)))
+            assert type(F.add(a, b)) is int and type(F.sub(a, b)) is int
+            assert F.add(a, b) == encode([x + y for x, y in pairs])
+            assert F.sub(a, b) == encode([x - y for x, y in pairs])
+
+
 def _polys(q, max_len):
     return st.lists(st.integers(0, q - 1), max_size=max_len)
 
