@@ -17,7 +17,6 @@ from .field import (
     local_expand,
     make_field,
     make_field_q,
-    rational_valuation,
 )
 from .curves import (
     Divisor,
@@ -36,7 +35,6 @@ from .sections import (
     build_section_code,
     enumerate_sections,
     solution_multiplicity,
-    total_multiplicity,
 )
 from .combined import CombinedParams, build_combined, optimal_sigma0, threshold_check
 from . import bounds

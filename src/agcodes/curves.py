@@ -3,8 +3,9 @@ Hermitian curve y^q0 + y = x^(q0+1) over GF(q0^2).
 
 Both curves expose the same small surface: an ordered list of rational
 points (affine points ascending by coordinate encodings, the point at
-infinity last), places and divisors, canonical uniformizers, Riemann-Roch
-bases, and evaluation plus local expansion of functions at rational points.
+infinity last), places and divisors, Riemann-Roch bases, and evaluation
+plus local expansion of functions at rational points (in t = x - a at an
+affine point, and in 1/x at infinity on the projective line).
 The point order fixes codeword coordinate order once and for all; code
 files record it explicitly.
 
@@ -28,7 +29,6 @@ from .field import (
     factorize,
     linear_poly,
     local_expand,
-    rational_valuation,
 )
 
 
@@ -47,13 +47,6 @@ class Point:
         if self.coords is None:
             return "inf"
         return ",".join(str(c) for c in self.coords)
-
-    @classmethod
-    def parse(cls, text: str) -> "Point":
-        text = text.strip()
-        if text == "inf":
-            return cls(None)
-        return cls(tuple(int(t) for t in text.split(",")))
 
     def __repr__(self):
         return "P(inf)" if self.coords is None else f"P{self.coords}"
@@ -123,10 +116,6 @@ class Divisor:
         return tuple(sorted(self._coeffs, key=Place.sort_key))
 
     @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    @property
     def degree(self) -> int:
         return sum(c * pl.degree for pl, c in self._coeffs.items())
 
@@ -140,9 +129,6 @@ class Divisor:
         for pl, c in other._coeffs.items():
             out[pl] = out.get(pl, 0) + c
         return Divisor(self.curve, out)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __neg__(self):
         return Divisor(self.curve, {pl: -c for pl, c in self._coeffs.items()})
@@ -244,21 +230,6 @@ class ProjectiveLine:
             coeffs[pl] = coeffs.get(pl, 0) + int(c)
         return Divisor(self, coeffs)
 
-    def divisor_of(self, f: RationalFunction) -> Divisor:
-        """The principal divisor (f) of a nonzero function, by factoring."""
-        if f.is_zero:
-            raise PreconditionError("the zero function has no divisor")
-        coeffs: dict[Place, int] = {}
-        for pi, m in factorize(f.numer).items():
-            coeffs[self.place_of_poly(pi)] = m
-        for pi, m in factorize(f.denom).items():
-            pl = self.place_of_poly(pi)
-            coeffs[pl] = coeffs.get(pl, 0) - m
-        vinf = f.denom.degree - f.numer.degree
-        if vinf:
-            coeffs[Place("inf")] = vinf
-        return Divisor(self, coeffs)
-
     # -- function operations ----------------------------------------------------
 
     def evaluate(self, f: RationalFunction, point: Point):
@@ -267,25 +238,10 @@ class ProjectiveLine:
             return f.evaluate_at_infinity()
         return f.evaluate(point.coords[0])
 
-    def uniformizer(self, point: Point) -> RationalFunction:
-        """Canonical local parameter: x - a at a finite point, 1/x at
-        infinity."""
-        if point.is_infinity:
-            return RationalFunction(
-                Polynomial.one(self.field), Polynomial.x(self.field)
-            )
-        return RationalFunction.from_poly(linear_poly(self.field, point.coords[0]))
-
-    def _descriptor(self, place: Place):
-        return INF if place.kind == "inf" else place.poly
-
     def local_expansion(self, f: RationalFunction, point: Point, r_max: int) -> tuple:
         """Expansion coefficients of f at a rational point, as encoded ints."""
-        place = self.place_of_point(point)
-        return local_expand(f, self._descriptor(place), r_max)
-
-    def valuation(self, f: RationalFunction, place: Place) -> int:
-        return rational_valuation(f, self._descriptor(place))
+        at = INF if point.is_infinity else linear_poly(self.field, point.coords[0])
+        return local_expand(f, at, r_max)
 
     # -- Riemann-Roch ----------------------------------------------------------
 
@@ -366,14 +322,6 @@ class HermitianFunction:
                 return c
         return 0
 
-    def pole_order_at_infinity(self) -> int:
-        """deg of the polar divisor at P_inf: max over terms of
-        i*q0 + j*(q0+1). Zero function has none."""
-        if self.is_zero:
-            raise PreconditionError("zero function")
-        q0 = self.curve.q0
-        return max(i * q0 + j * (q0 + 1) for (i, j), _ in self.terms)
-
     def __add__(self, other):
         if other.curve is not self.curve:
             raise PreconditionError("functions on different curves")
@@ -385,9 +333,6 @@ class HermitianFunction:
 
     def __sub__(self, other):
         return self + other.scale(self.curve.field.neg(1))
-
-    def __neg__(self):
-        return self.scale(self.curve.field.neg(1))
 
     def scale(self, code: int):
         F = self.curve.field
@@ -401,11 +346,6 @@ class HermitianFunction:
         for (i, j), c in self.terms:
             acc = F.add(acc, F.mul(c, F.mul(F.pow(a, i), F.pow(b, j))))
         return acc
-
-    def serialize(self) -> str:
-        if not self.terms:
-            return "0"
-        return ";".join(f"{i},{j}:{c}" for (i, j), c in self.terms)
 
     def __eq__(self, other):
         return (
@@ -435,15 +375,6 @@ class HermitianFunction:
             )
             bits.append(mono.rstrip("*") or str(c))
         return "H(" + " + ".join(bits) + ")"
-
-
-@dataclass(frozen=True)
-class FunctionQuotient:
-    """Formal quotient of two curve functions, used for uniformizers that
-    are not polynomial in the curve coordinates."""
-
-    numer: object
-    denom: object
 
 
 class HermitianCurve:
@@ -506,14 +437,8 @@ class HermitianCurve:
 
     # -- functions ----------------------------------------------------------------
 
-    def zero_function(self) -> HermitianFunction:
-        return HermitianFunction(self, {})
-
     def monomial(self, i: int, j: int, code: int = 1) -> HermitianFunction:
         return HermitianFunction(self, {(i, j): code})
-
-    def constant(self, code: int) -> HermitianFunction:
-        return HermitianFunction(self, {(0, 0): code})
 
     def evaluate(self, f: HermitianFunction, point: Point):
         """Value at a rational point; INF for a non-constant function at
@@ -523,15 +448,6 @@ class HermitianCurve:
                 return f.constant_code
             return INF
         return f.evaluate_affine(*point.coords)
-
-    def uniformizer(self, point: Point):
-        """x - a at an affine point (a, b); y^(q0-1) / x^q0 at P_inf."""
-        if point.is_infinity:
-            return FunctionQuotient(
-                self.monomial(0, self.q0 - 1), self.monomial(self.q0, 0)
-            )
-        a = point.coords[0]
-        return HermitianFunction(self, {(1, 0): 1, (0, 0): self.field.neg(a)})
 
     def _y_series(self, point: Point, depth: int) -> tuple:
         """Coefficients of y along the branch at an affine point, in the
@@ -597,23 +513,6 @@ class HermitianCurve:
                 if s[n]:
                     out[n] = F.add(out[n], F.mul(c, s[n]))
         return tuple(out)
-
-    def valuation(self, f: HermitianFunction, place: Place) -> int:
-        """Exact valuation of a nonzero function at a place."""
-        if f.is_zero:
-            raise PreconditionError("the zero function has no valuation")
-        if place.kind == "inf":
-            return -f.pole_order_at_infinity()
-        point = place.point
-        bound = f.pole_order_at_infinity()
-        series = self.local_expansion(f, point, bound)
-        for n, c in enumerate(series):
-            if c:
-                return n
-        raise VerificationError("nonzero function with too many zeros at a point")
-
-    def quotient_valuation(self, fq: FunctionQuotient, place: Place) -> int:
-        return self.valuation(fq.numer, place) - self.valuation(fq.denom, place)
 
     # -- Riemann-Roch -----------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Exact arithmetic in small finite fields GF(p^alpha), univariate
-polynomials, reduced rational functions, valuations at places of the
-projective line, and local power-series expansions at its rational places.
+polynomials, reduced rational functions, and local power-series expansions
+at the rational places of the projective line. Valuations live in the test
+oracles (tests/conftest.py); no library caller needs them.
 
 Canonical conventions used by every downstream module and serialized file:
 
@@ -362,10 +363,6 @@ class Polynomial:
     def constant(cls, field, code):
         return cls(field, (code,))
 
-    @classmethod
-    def monomial(cls, field, k, code=1):
-        return cls(field, (0,) * k + (code,))
-
     # -- basic queries --------------------------------------------------------
 
     @property
@@ -572,21 +569,6 @@ class Polynomial:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def factor_multiplicity(poly: Polynomial, pi: Polynomial) -> int:
-    """Multiplicity of the factor pi in poly (poly nonzero, deg pi >= 1)."""
-    if poly.is_zero:
-        raise PreconditionError("zero polynomial has no finite factor multiplicity")
-    if pi.is_zero or pi.degree == 0:
-        raise PreconditionError("factor must have positive degree")
-    mult = 0
-    while True:
-        q, r = divmod(poly, pi)
-        if not r.is_zero:
-            return mult
-        mult += 1
-        poly = q  # nonzero: an exact quotient of a nonzero polynomial
-
-
 def linear_poly(field: FieldSpec, a: int) -> Polynomial:
     """The monic linear polynomial x - a."""
     return Polynomial(field, (field.neg(a), 1))
@@ -663,13 +645,6 @@ class RationalFunction:
     def is_zero(self):
         return self.numer.is_zero
 
-    @property
-    def degree(self):
-        """max(deg numer, deg denom); None for the zero function."""
-        if self.is_zero:
-            return None
-        return max(self.numer.degree, self.denom.degree)
-
     def __add__(self, other):
         return RationalFunction(
             self.numer * other.denom + other.numer * self.denom,
@@ -681,9 +656,6 @@ class RationalFunction:
             self.numer * other.denom - other.numer * self.denom,
             self.denom * other.denom,
         )
-
-    def __neg__(self):
-        return RationalFunction(-self.numer, self.denom)
 
     def __mul__(self, other):
         return RationalFunction(self.numer * other.numer, self.denom * other.denom)
@@ -740,32 +712,14 @@ class RationalFunction:
     def serialize(self) -> str:
         return f"{self.numer.serialize()}/{self.denom.serialize()}"
 
-    @classmethod
-    def parse(cls, field, text: str):
-        u, v = text.split("/")
-        return cls(Polynomial.parse(field, u), Polynomial.parse(field, v))
-
     def __repr__(self):
         return f"Rat({self.numer!r}/{self.denom!r})"
 
 
 # ---------------------------------------------------------------------------
-# Valuations at places of the projective line and local expansions at its
-# rational places. A place is a monic irreducible polynomial (degree 1 places
-# are the finite rational points) or INF with uniformizer 1/x.
-
-def rational_valuation(f: RationalFunction, at) -> int:
-    """Valuation of a nonzero f at a place (monic irreducible or INF).
-
-    Computed by factor multiplicity in numerator and denominator, so no
-    extension-field arithmetic is needed at higher-degree places.
-    """
-    if f.is_zero:
-        raise PreconditionError("the zero function has no valuation")
-    if at is INF:
-        return f.denom.degree - f.numer.degree
-    return factor_multiplicity(f.numer, at) - factor_multiplicity(f.denom, at)
-
+# Local expansions at the rational places of the projective line: a monic
+# linear polynomial x - a, with uniformizer x - a, or INF, with uniformizer
+# 1/x.
 
 def _series_div_field(F: FieldSpec, num, den, k):
     """First k coefficients of the power series num/den; den[0] invertible."""

@@ -33,11 +33,11 @@ tables: Horner division gives each distinct polynomial's multiplicity and
 leading Taylor coefficients at a point, the valuation of the twisted section
 decides 0, infinity or the inverse branch, and the quotient of the unit
 series gives the coefficient.
-The multiplicity audit (solution_multiplicity, total_multiplicity,
-multiplicity_census) is integer bookkeeping too: it factors the two
-sections and the numerator of their difference once per pair, and reads
-every multiplicity, at places of any degree, from those factor
-multiplicities and the coefficients of D; it needs no twist.
+The multiplicity audit (solution_multiplicity, multiplicity_census) is
+integer bookkeeping too: it factors the two sections and the numerator of
+their difference once per pair, and reads every multiplicity, at places of
+any degree, from those factor multiplicities and the coefficients of D; it
+needs no twist.
 """
 
 from __future__ import annotations
@@ -219,13 +219,6 @@ def solution_multiplicity(
     """Multiplicity of the place as a solution of f = f2 (per geometric
     point; every point over the place carries the same value)."""
     return _census_row(f.divisor, _factored_pair(f, f2), place)[0]
-
-
-def total_multiplicity(curve: ProjectiveLine, f: RationalSection, f2: RationalSection) -> int:
-    """Total multiplicity of solutions of f = f2 over all geometric points:
-    the sum over closed places of degree times multiplicity. Equals the sum
-    of the two heights."""
-    return sum(r["m"] * r["place"].degree for r in multiplicity_census(curve, f, f2))
 
 
 def multiplicity_census(curve: ProjectiveLine, f: RationalSection, f2: RationalSection):

@@ -4,7 +4,9 @@ These deliberately avoid the library's own search kernels and candidate
 bookkeeping: distances are measured by plain Python loops, optimizer
 locations by golden-section search, irreducible counts by the divisor-sum
 formula, irreducible lists and factorizations by trial division (the
-library reads a least-factor sieve), multiplicity totals by enumerating
+library reads a least-factor sieve), valuations and principal divisors by
+repeated division (on the Hermitian curve by pole orders and local
+expansions), multiplicity totals by enumerating
 every place up to a degree bound, multiplicities at places of degree > 1 by
 root multiplicity over the residue field, sections by one gcd per candidate
 pair, and evaluation words and census rows by symbolic twist-times-section
@@ -23,17 +25,10 @@ import math
 import numpy as np
 from mpmath import mp, mpf
 
-from agcodes.curves import Place
+from agcodes.curves import Divisor, Place
 from agcodes.errors import PreconditionError
-from agcodes.field import (
-    INF,
-    Polynomial,
-    RationalFunction,
-    enumerate_irreducibles,
-    factor_multiplicity,
-    rational_valuation,
-)
-from agcodes.sections import RationalSection
+from agcodes.field import INF, Polynomial, RationalFunction, enumerate_irreducibles
+from agcodes.sections import RationalSection, multiplicity_census
 
 
 def naive_min_distance(words):
@@ -160,6 +155,78 @@ def oracle_factorize(poly):
     return out
 
 
+def oracle_factor_multiplicity(poly, pi):
+    """Multiplicity of the factor pi (deg pi >= 1) in the nonzero polynomial
+    poly, by repeated division."""
+    if poly.is_zero:
+        raise PreconditionError("zero polynomial has no finite factor multiplicity")
+    if pi.is_zero or pi.degree == 0:
+        raise PreconditionError("factor must have positive degree")
+    mult = 0
+    while True:
+        quot, rem = divmod(poly, pi)
+        if not rem.is_zero:
+            return mult
+        mult += 1
+        poly = quot
+
+
+def oracle_rational_valuation(f, at):
+    """Valuation of a nonzero rational function at a place of the projective
+    line, a monic irreducible or INF: the factor multiplicities of numerator
+    and denominator, or the degree difference at infinity. No
+    extension-field arithmetic is needed at places of higher degree."""
+    if f.is_zero:
+        raise PreconditionError("the zero function has no valuation")
+    if at is INF:
+        return f.denom.degree - f.numer.degree
+    return oracle_factor_multiplicity(f.numer, at) - oracle_factor_multiplicity(f.denom, at)
+
+
+def oracle_valuation(curve, f, place):
+    """Valuation of a nonzero function at a place of either curve. On the
+    projective line the rational valuation. On the Hermitian curve, at P_inf
+    minus the pole order max(i*q0 + j*(q0+1)) over the terms x^i y^j, and at
+    an affine point the index of the first nonzero coefficient of the
+    expansion in t = x - a, which a nonzero function reaches within its pole
+    order (it has as many zeros as poles)."""
+    if curve.kind == "p1":
+        return oracle_rational_valuation(f, INF if place.kind == "inf" else place.poly)
+    if f.is_zero:
+        raise PreconditionError("the zero function has no valuation")
+    q0 = curve.q0
+    pole_order = max(i * q0 + j * (q0 + 1) for (i, j), _ in f.terms)
+    if place.kind == "inf":
+        return -pole_order
+    for n, c in enumerate(curve.local_expansion(f, place.point, pole_order)):
+        if c:
+            return n
+    raise AssertionError("nonzero function with too many zeros at a point")
+
+
+def oracle_divisor_of(curve, f):
+    """The principal divisor (f) of a nonzero function on the projective
+    line, from trial-division factorizations of numerator and denominator
+    and the degree difference at infinity."""
+    if f.is_zero:
+        raise PreconditionError("the zero function has no divisor")
+    coeffs = {}
+    for poly, sign in ((f.numer, 1), (f.denom, -1)):
+        for pi, m in oracle_factorize(poly).items():
+            pl = curve.place_of_poly(pi)
+            coeffs[pl] = coeffs.get(pl, 0) + sign * m
+    coeffs[Place("inf")] = f.denom.degree - f.numer.degree
+    return Divisor(curve, coeffs)
+
+
+def census_total(curve, f, f2):
+    """The degree-weighted total of the library's multiplicity census of two
+    distinct sections, which the multiplicity law equates with the sum of
+    their heights. Not independent of the library: compare it with
+    oracle_total_multiplicity."""
+    return sum(r["m"] * r["place"].degree for r in multiplicity_census(curve, f, f2))
+
+
 def oracle_twist(curve, D, place, twists=None):
     """The twist at a place, a function of valuation D(place) there: the
     entry of a given place-to-function mapping (1 where it has none), or by
@@ -172,7 +239,7 @@ def oracle_twist(curve, D, place, twists=None):
         phi = RationalFunction(Polynomial.one(F), Polynomial.x(F)) ** D.coeff(place)
     else:
         phi = RationalFunction.from_poly(place.poly) ** D.coeff(place)
-    assert rational_valuation(phi, INF if place.kind == "inf" else place.poly) == D.coeff(place)
+    assert oracle_valuation(curve, phi, place) == D.coeff(place)
     return phi
 
 
@@ -188,8 +255,8 @@ def oracle_total_multiplicity(curve, sec_a, sec_b, max_degree):
         desc = INF if pl.kind == "inf" else pl.poly
         phi = oracle_twist(curve, sec_a.divisor, pl)
         g, g2 = phi * sec_a.f, phi * sec_b.f
-        v1 = rational_valuation(g, desc) if not g.is_zero else None
-        v2 = rational_valuation(g2, desc) if not g2.is_zero else None
+        v1 = oracle_rational_valuation(g, desc) if not g.is_zero else None
+        v2 = oracle_rational_valuation(g2, desc) if not g2.is_zero else None
         inf1 = v1 is not None and v1 < 0
         inf2 = v2 is not None and v2 < 0
         if inf1 != inf2:
@@ -197,7 +264,7 @@ def oracle_total_multiplicity(curve, sec_a, sec_b, max_degree):
         diff = (g.inverse() - g2.inverse()) if inf1 else (g - g2)
         if diff.is_zero:
             raise AssertionError("oracle needs distinct sections")
-        m = max(rational_valuation(diff, desc), 0)
+        m = max(oracle_rational_valuation(diff, desc), 0)
         total += m * pl.degree
     return total
 
@@ -206,14 +273,14 @@ def _oracle_branch_multiplicity(g, g2, desc):
     """Agreement multiplicity of two twisted functions at the place desc:
     the valuation of their difference, or of the difference of their
     inverses when both are infinite there."""
-    inf1 = not g.is_zero and rational_valuation(g, desc) < 0
-    inf2 = not g2.is_zero and rational_valuation(g2, desc) < 0
+    inf1 = not g.is_zero and oracle_rational_valuation(g, desc) < 0
+    inf2 = not g2.is_zero and oracle_rational_valuation(g2, desc) < 0
     if inf1 != inf2:
         return 0
     diff = g.inverse() - g2.inverse() if inf1 else g - g2
     if diff.is_zero:
         raise PreconditionError("sections must be distinct")
-    return max(rational_valuation(diff, desc), 0)
+    return max(oracle_rational_valuation(diff, desc), 0)
 
 
 def oracle_multiplicity_census(curve, f, f2, twists=None):
@@ -233,10 +300,10 @@ def oracle_multiplicity_census(curve, f, f2, twists=None):
         desc = INF if pl.kind == "inf" else pl.poly
         phi = oracle_twist(curve, f.divisor, pl, twists)
         g, g2 = phi * f.f, phi * f2.f
-        mu = max(-rational_valuation(g, desc), 0) if not g.is_zero else 0
-        mu2 = max(-rational_valuation(g2, desc), 0) if not g2.is_zero else 0
+        mu = max(-oracle_rational_valuation(g, desc), 0) if not g.is_zero else 0
+        mu2 = max(-oracle_rational_valuation(g2, desc), 0) if not g2.is_zero else 0
         rows.append({"place": pl, "m": _oracle_branch_multiplicity(g, g2, desc),
-                     "mu": mu, "mu2": mu2, "v_diff": rational_valuation(g - g2, desc)})
+                     "mu": mu, "mu2": mu2, "v_diff": oracle_rational_valuation(g - g2, desc)})
     return rows
 
 
@@ -282,7 +349,7 @@ def oracle_section_height(curve, D, f):
     (f) + D, from a full factorization of f (0 for the zero function)."""
     if f.is_zero:
         return 0
-    E = curve.divisor_of(f) + D
+    E = oracle_divisor_of(curve, f) + D
     assert E.degree == 0
     return E.pos_part().degree
 
@@ -318,7 +385,8 @@ def oracle_enumerate_sections(curve, D, h):
                 if pl.kind == "inf":
                     val = v.degree - m.degree
                 else:
-                    val = factor_multiplicity(m, pl.poly) - factor_multiplicity(v, pl.poly)
+                    val = (oracle_factor_multiplicity(m, pl.poly)
+                           - oracle_factor_multiplicity(v, pl.poly))
                 height += (max(val + c, 0) - max(val, 0)) * pl.degree
             if height <= h:
                 for lead in range(1, q):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -302,6 +303,23 @@ def test_curve_info(capsys):
     info = json.loads(capsys.readouterr().out)
     assert info["n_points"] == 9 and info["genus"] == 1
     assert info["reference_ratio"] == 1
+
+
+def test_goppa_hermitian_constant_code_pinned(tmp_path, capsys):
+    # L(0) is the constants, the only path that evaluates Hermitian
+    # functions at P_inf: the repetition code of length 9 over GF(4)
+    out = tmp_path / "h"
+    argv = ["goppa", "build", "--q", "4", "--curve", "hermitian", "--divisor", "0", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "  n: 9\n" in printed and "  words: 4\n" in printed
+    assert "  measured_distance: 9\n" in printed
+    artifact = (out / "goppa_code.txt").read_bytes()
+    assert hashlib.sha256(artifact).hexdigest() == (
+        "ab97a848d990b4ff709f9e005f3285ce766866ad8f96a2c4682d93aea4b96561"
+    )
+    assert artifact.decode().endswith("words: 4\n" + "".join(",".join([str(c)] * 9) + "\n"
+                                                             for c in range(4)))
 
 
 def test_sections_enumerate(tmp_path):

@@ -23,10 +23,9 @@ from agcodes.sections import (
     enumerate_sections,
     phi0_projective,
     solution_multiplicity,
-    total_multiplicity,
 )
 from agcodes.xing import ball_size
-from conftest import naive_min_distance
+from conftest import census_total, naive_min_distance
 
 
 def _p1(q):
@@ -246,7 +245,7 @@ def test_agreement_accounting_chain():
             d1 = sum(1 for x, y in zip(w1a, w1b) if x != y)
             assert a >= n - 2 * params.s0
             assert b >= a - d1
-            total = total_multiplicity(curve, f, f2)
+            total = census_total(curve, f, f2)
             assert a + b <= total <= 2 * params.h
             assert 2 * n - 4 * params.s0 - d1 <= 2 * params.h
 

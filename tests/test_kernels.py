@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agcodes import kernels
+from agcodes.errors import PreconditionError
 
 
 def scan_center_search(word_arrays, radii, alphabet_size):
@@ -177,6 +178,13 @@ def test_exhaustive_search_ties_across_chunks(cells, monkeypatch):
     for radii in ([1, 2], [3, 3], [0, 0]):
         assert_search_matches_scan(arrays, radii, 4)
         assert_heuristics_match_loops(arrays, radii, 4, seed=5, trials=30)
+
+
+def test_center_search_needs_a_word_array():
+    # no word array gives no length to search over, even though the empty
+    # radii match the empty list of arrays
+    with pytest.raises(PreconditionError):
+        kernels.center_search([], (), 3)
 
 
 @pytest.mark.parametrize("alphabet_size", [2, 5, 9, 10])
