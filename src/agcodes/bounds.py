@@ -23,16 +23,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
-from mpmath import mp, mpf
+from typing import TYPE_CHECKING
 
 from .errors import PreconditionError
 
+if TYPE_CHECKING:
+    from mpmath import mpf
+
+# mpmath is imported inside the functions that use it, so that importing
+# the package, as every command does, does not load it
 _DPS = 60
 
 
 def _to_mpf(x):
+    from mpmath import mpf
+
     if isinstance(x, Fraction):
         return mpf(x.numerator) / mpf(x.denominator)
     return mpf(x)
@@ -41,25 +46,36 @@ def _to_mpf(x):
 def entropy(q: int, delta) -> mpf:
     """H_q(delta) = delta log_q(q-1) - delta log_q delta
     - (1-delta) log_q (1-delta), with the continuous endpoint values."""
+    import mpmath
+    from mpmath import mp
+
     if q < 2:
         raise PreconditionError("alphabet must have at least 2 symbols")
     with mp.workdps(_DPS):
         d = _to_mpf(delta)
         if d < 0 or d > 1:
             raise PreconditionError("delta must lie in [0, 1]")
-        lq = mpmath.log(q)
-        if d == 0:
-            return mpf(0)
-        if d == 1:
-            return mpmath.log(q - 1) / lq
-        return (
-            d * mpmath.log(q - 1) - d * mpmath.log(d) - (1 - d) * mpmath.log(1 - d)
-        ) / lq
+        return _entropy_at(d, mpmath.log(q), mpmath.log(q - 1))
+
+
+def _entropy_at(d, lq, lq1):
+    """H_q at the mpf d in [0, 1], given lq = log q and lq1 = log(q-1)."""
+    import mpmath
+    from mpmath import mpf
+
+    if d == 0:
+        return mpf(0)
+    if d == 1:
+        return lq1 / lq
+    return (d * lq1 - d * mpmath.log(d) - (1 - d) * mpmath.log(1 - d)) / lq
 
 
 def entropy_alt(q: int, delta) -> mpf:
     """The equivalent form delta log_q((q-1)(1-delta)/delta)
     - log_q(1-delta)."""
+    import mpmath
+    from mpmath import mp, mpf
+
     if q < 2:
         raise PreconditionError("alphabet must have at least 2 symbols")
     with mp.workdps(_DPS):
@@ -77,6 +93,8 @@ def entropy_alt(q: int, delta) -> mpf:
 def gv_feasible_rate(q: int, delta) -> mpf:
     """The random-coding feasibility rate 1 - H_q(delta) on
     0 < delta <= (q-1)/q (zero exactly at the right endpoint)."""
+    from mpmath import mp, mpf
+
     with mp.workdps(_DPS):
         d = _to_mpf(delta)
         dmax = mpf(q - 1) / q
@@ -104,6 +122,9 @@ def goppa_line(q: int) -> Fraction:
 def xing_gain(q: int, m: int) -> mpf:
     """sum_{i=2}^{m+1} log_q(1 + (q-1) q^(-2i)): the derivative-refinement
     gain at finite order m."""
+    import mpmath
+    from mpmath import mp, mpf
+
     if q < 2 or m < 1:
         raise PreconditionError("need q >= 2 and m >= 1")
     with mp.workdps(_DPS):
@@ -116,6 +137,9 @@ def xing_gain(q: int, m: int) -> mpf:
 def xing_gain_limit(q: int) -> mpf:
     """The full series sum_{i>=2} log_q(1 + (q-1) q^(-2i)), summed until the
     geometric tail bound drops below 1e-40."""
+    import mpmath
+    from mpmath import mp, mpf
+
     if q < 2:
         raise PreconditionError("need q >= 2")
     with mp.workdps(_DPS):
@@ -133,6 +157,9 @@ def xing_gain_limit(q: int) -> mpf:
 
 def new_gain(q: int) -> mpf:
     """log_q(1 + q^(-3)): the projective-section gain."""
+    import mpmath
+    from mpmath import mp, mpf
+
     if q < 2:
         raise PreconditionError("need q >= 2")
     with mp.workdps(_DPS):
@@ -149,6 +176,9 @@ def entropy_gap_max(q: int) -> tuple[mpf, mpf]:
     in (0, (q-1)/q) because 2q-1 > q. There (q-1)(1-delta*)/delta* = q, so
     the entropy_alt form gives H_q(delta*) - delta* = -log_q(1-delta*) =
     log_q((2q-1)/q)."""
+    import mpmath
+    from mpmath import mp, mpf
+
     if q < 2:
         raise PreconditionError("alphabet must have at least 2 symbols")
     with mp.workdps(_DPS):
@@ -193,7 +223,11 @@ def _fmt(x) -> str:
 
 def frontier_rows(q: int, grid: int, m: int = 1) -> list[dict]:
     """One row per grid point delta = k/(grid+1), k = 1..grid, with every
-    family's rate clipped at zero."""
+    family's rate clipped at zero. The entropy of each row reuses log q and
+    log(q-1), taken once per table."""
+    import mpmath
+    from mpmath import mp, mpf
+
     if grid < 1:
         raise PreconditionError("grid must be positive")
     base = goppa_line(q)  # also validates squareness
@@ -202,12 +236,13 @@ def frontier_rows(q: int, grid: int, m: int = 1) -> list[dict]:
         g_inf = xing_gain_limit(q)
         g_new = new_gain(q)
         base_m = _to_mpf(base)
+        lq, lq1 = mpmath.log(q), mpmath.log(q - 1)
         qm1q = Fraction(q - 1, q)
         rows = []
         for k in range(1, grid + 1):
             delta = Fraction(k, grid + 1)
             d = _to_mpf(delta)
-            r_gv = (1 - entropy(q, delta)) if 0 < delta < qm1q else mpf(0)
+            r_gv = (1 - _entropy_at(d, lq, lq1)) if 0 < delta < qm1q else mpf(0)
             rows.append(
                 {
                     "delta": d,
@@ -248,6 +283,9 @@ class BallEntropyReport:
 def ball_entropy_limit_check(q: int, delta: Fraction, n: int) -> BallEntropyReport:
     """Compare N^{-1} log_q [ C(N, dN) (q-1)^(dN) ] with H_q(delta); the gap
     must vanish like log_q(N)/N (three times that is the pinned bound)."""
+    import mpmath
+    from mpmath import mp, mpf
+
     delta = Fraction(delta)
     dn = delta * n
     if dn.denominator != 1:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import kernels
 from .codes import Alphabet, Code, finish_code
 from .curves import Divisor, ProjectiveLine, distinct_points
-from .errors import PreconditionError, VerificationError
+from .errors import PreconditionError
 from .sections import (
     RationalSection,
     SectionTable,
@@ -35,7 +35,7 @@ from .sections import (
     phi_words,
     threshold_check,
 )
-from .xing import ball_size
+from .kernels import ball_size
 
 
 def optimal_sigma0(q: int) -> Fraction:
@@ -142,10 +142,9 @@ def build_combined(
         seed=params.seed,
         trials=params.trials,
     )
-    average = Fraction(len(sections) * ball_size(n, params.s0, q + 1), (q + 1) ** n)
-    outcome.check_average(average)
-    if outcome.best_count < 1:
-        raise VerificationError("no survivors at the chosen center")
+    average = outcome.finish(
+        len(sections), [params.s0], q + 1, "no survivors at the chosen center"
+    )
     survivors = sections[outcome.survivor_indices]
     metadata = {
         "construction": "combined",

@@ -1,6 +1,6 @@
 """numpy kernels for the exhaustive-search hot paths: spanning a linear
 space of words, the exact proof that a word set is a subspace, the
-ball-center search, and one exact agreement kernel behind the pairwise
+ball-center searches, and one exact agreement kernel behind the pairwise
 minimum distance and the center scans.
 
 `agreements` counts the equal positions of every pair of rows as a float32
@@ -9,14 +9,26 @@ below 2^24, so every product is an exact integer. Work is split into blocks
 of at most _CHUNK_CELLS elements, and every reduction keeps the first
 extremum in ascending index order, so no result depends on the block size.
 
-The exhaustive center search counts ball points rather than scanning
-centers: every (word, point of the ball product around it) pair lands on
-exactly one center, so the survivor counts are one histogram over
-words x ball points. Only the averaging census still scans every center,
-so that the identity sum of counts = words x ball size is checked by
-enumeration rather than holding by construction. The random and greedy
-strategies score their candidates with `agreements` and with per-word
-distances kept across single-coordinate moves.
+When the words are the span of basis rows (Xing's codes), `coset_search`
+never forms them. A center keeps the words within the radii of it, and the
+words form a linear code C, so a center's survivor count depends only on
+its coset modulo C: it is the number of ball-product vectors in that coset
+times the size of the kernel of the basis. The basis is brought to reduced
+echelon form on the field's tables; every ball-product vector reduces to
+the representative that is zero at the pivot columns, which is also the
+lexicographically least vector of its coset, and the representatives are
+counted under exact byte keys. The survivors are then solved for at the
+one chosen center only.
+
+For other word sets (`center_search`) the exhaustive search counts ball
+points rather than scanning centers: every (word, point of the ball product
+around it) pair lands on exactly one center, so the survivor counts are one
+histogram over words x ball points. Only the averaging census still scans
+every center, so that the identity sum of counts = words x ball size is
+checked by enumeration rather than holding by construction. The random and
+greedy strategies score their candidates with `agreements` and with
+per-word distances kept across single-coordinate moves; both searches share
+the candidate draw and the greedy walk, so the routes pick the same centers.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,6 +54,27 @@ def field_tables(field):
     if field.q > 256:
         raise PreconditionError("vector kernels support field order <= 256")
     return field.tables
+
+
+def neg_inv(add: np.ndarray, mul: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(-a, 1/a) for every encoding a, read from the tables (1/0 reads 0)."""
+    return (add == 0).argmax(axis=1), (mul == 1).argmax(axis=1)
+
+
+def row_keys(arr: np.ndarray) -> np.ndarray:
+    """One opaque key per row whose byte order is the rows' lexicographic
+    order (big-endian symbols), so sorted rows give sorted keys."""
+    rows = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder(">"))
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * arr.shape[1]))).ravel()
+
+
+def ball_size(n: int, radius: int, alphabet_size: int) -> int:
+    """Exact size of the closed Hamming ball: sum_{i<=radius} C(n,i)(a-1)^i."""
+    if not 0 <= radius <= n:
+        raise PreconditionError("radius must lie in [0, n]")
+    if alphabet_size < 2:
+        raise PreconditionError("alphabet must have at least 2 symbols")
+    return sum(math.comb(n, i) * (alphabet_size - 1) ** i for i in range(radius + 1))
 
 
 def linear_span_words(field, basis_rows) -> np.ndarray:
@@ -149,7 +183,7 @@ def is_subspace(arr: np.ndarray, field) -> bool:
     if k == 0:
         return True
     add, mul = field_tables(field)
-    neg, inv = (add == 0).argmax(axis=1), (mul == 1).argmax(axis=1)
+    neg, inv = neg_inv(add, mul)
     rows, basis, pivots = arr, [], []
     for _ in range(k):
         r, c = divmod(int((rows != 0).argmax()), rows.shape[1])
@@ -175,10 +209,15 @@ class SearchOutcome:
     n_candidates: int
     census_total: int | None = None
 
-    def check_average(self, average) -> None:
-        """Raise VerificationError, naming the center and its count, when an
-        exhaustive maximum falls below the ceiling of the exact average
-        survivor count over all centers."""
+    def finish(self, n_words: int, radii, alphabet_size: int, empty: str) -> Fraction:
+        """The exact average survivor count over all centers,
+        n_words * prod_r ball(N, s_r) / alphabet_size^(mN), the last step of
+        every center search. Raises VerificationError, naming the center and
+        its count, when an exhaustive maximum falls below the average's
+        ceiling, and with the message `empty` when the center keeps no word."""
+        n = len(self.centers[0])
+        average = Fraction(n_words * math.prod(ball_size(n, s, alphabet_size) for s in radii),
+                           alphabet_size ** (len(radii) * n))
         floor = math.ceil(average)
         if self.strategy == "exhaustive" and self.best_count < floor:
             raise VerificationError(
@@ -186,6 +225,9 @@ class SearchOutcome:
                 f"{_center_text(self.centers)} keeps {self.best_count} words, "
                 f"ceil(average) = {floor}"
             )
+        if self.best_count < 1:
+            raise VerificationError(empty)
+        return average
 
 
 def _center_text(centers) -> str:
@@ -323,51 +365,72 @@ def _candidate_counts(word_arrays, radii, candidates: np.ndarray, q: int) -> np.
     return counts
 
 
-def _greedy_search(word_arrays, radii, q: int, start: list[int]):
+def _greedy_walk(current: list[int], count: int, q: int, symbol_counts, move):
     """(count, center digits, candidates evaluated) of the greedy walk from
-    `start`: at each coordinate in turn, try every other symbol in ascending
-    order and keep a strictly better one; repeat until a full pass stalls.
-
-    Each word's distance to the current center is kept per order, so the
-    counts for all q symbols at coordinate (r, j) come at once: a word that
-    survives at every other order survives any symbol when its distance off
-    j is below s_r, and only its own symbol w_j when that distance is s_r.
-    """
-    n = word_arrays[0].shape[1]
-    current = list(start)
-    dist = [
-        (words != np.asarray(current[r * n : (r + 1) * n], dtype=words.dtype)).sum(axis=1)
-        for r, words in enumerate(word_arrays)
-    ]
-    # number of orders at which each word lies outside its ball
-    outside = sum((d > s).astype(np.int64) for d, s in zip(dist, radii))
-    current_count = int((outside == 0).sum())
+    `current`, whose survivor count is `count`: at each coordinate in turn,
+    try every other symbol in ascending order and keep a strictly better
+    one; repeat until a full pass stalls. symbol_counts(pos, symbol) gives
+    the counts of all q symbols at pos, the other coordinates fixed;
+    move(pos, old, new) follows an accepted change."""
     evaluated = 1
     improved = True
     while improved:
         improved = False
         for pos in range(len(current)):
-            r, j = divmod(pos, n)
-            column, radius = word_arrays[r][:, j], radii[r]
             original = current[pos]
-            off_j = dist[r] - (column != original)
-            elsewhere = (outside - (dist[r] > radius)) == 0
-            sym_counts = int((elsewhere & (off_j < radius)).sum()) + np.bincount(
-                column[elsewhere & (off_j == radius)], minlength=q
-            )
+            sym_counts = symbol_counts(pos, original)
             for sym in range(q):
                 if sym == current[pos]:
                     continue
                 evaluated += 1
-                if sym_counts[sym] > current_count:
-                    current_count = int(sym_counts[sym])
+                if sym_counts[sym] > count:
+                    count = int(sym_counts[sym])
                     current[pos] = sym
                     improved = True
             if current[pos] != original:
-                new_dist = off_j + (column != current[pos])
-                outside += (new_dist > radius).astype(np.int64) - (dist[r] > radius)
-                dist[r] = new_dist
-    return current_count, current, evaluated
+                move(pos, original, current[pos])
+    return count, current, evaluated
+
+
+def _greedy_search(word_arrays, radii, q: int, start: list[int]):
+    """The greedy walk over word arrays. Each word's distance to the current
+    center is kept per order, so the counts for all q symbols at coordinate
+    (r, j) come at once: a word that survives at every other order survives
+    any symbol when its distance off j is below s_r, and only its own symbol
+    w_j when that distance is s_r."""
+    n = word_arrays[0].shape[1]
+    dist = [
+        (words != np.asarray(start[r * n : (r + 1) * n], dtype=words.dtype)).sum(axis=1)
+        for r, words in enumerate(word_arrays)
+    ]
+    # number of orders at which each word lies outside its ball
+    outside = sum((d > s).astype(np.int64) for d, s in zip(dist, radii))
+
+    def symbol_counts(pos, symbol):
+        r, j = divmod(pos, n)
+        column, radius = word_arrays[r][:, j], radii[r]
+        off_j = dist[r] - (column != symbol)
+        elsewhere = (outside - (dist[r] > radius)) == 0
+        return int((elsewhere & (off_j < radius)).sum()) + np.bincount(
+            column[elsewhere & (off_j == radius)], minlength=q
+        )
+
+    def move(pos, old, new):
+        r, j = divmod(pos, n)
+        column, radius = word_arrays[r][:, j], radii[r]
+        new_dist = dist[r] - (column != old) + (column != new)
+        outside[:] += (new_dist > radius).astype(np.int64) - (dist[r] > radius)
+        dist[r] = new_dist
+
+    return _greedy_walk(list(start), int((outside == 0).sum()), q, symbol_counts, move)
+
+
+def _random_candidates(rng: random.Random, q: int, total: int, trials: int) -> np.ndarray:
+    """The all-zeros center, then `trials` seeded centers, one row each."""
+    return np.array(
+        [[0] * total] + [[rng.randrange(q) for _ in range(total)] for _ in range(trials)],
+        dtype=np.min_scalar_type(q - 1),
+    ).reshape(trials + 1, total)
 
 
 def center_search(
@@ -402,14 +465,9 @@ def center_search(
     total_positions = m * n
 
     def outcome(best_count, digits, n_cand, census_total=None):
-        per_r = tuple(tuple(int(x) for x in digits[r * n : (r + 1) * n]) for r in range(m))
         survivors = np.nonzero(_survivor_mask(word_arrays, radii, digits, n))[0]
-        if len(survivors) != best_count:
-            raise VerificationError(
-                f"{len(survivors)} words lie within the radii of center "
-                f"{_center_text(per_r)}, but the {strategy} search counted {best_count}"
-            )
-        return SearchOutcome(int(best_count), per_r, survivors, strategy, n_cand, census_total)
+        return _recounted(best_count, _per_order(digits, m, n), len(survivors), survivors,
+                          strategy, n_cand, census_total)
 
     if strategy == "exhaustive":
         space = alphabet_size ** total_positions
@@ -426,15 +484,8 @@ def center_search(
         return outcome(count, digits, space, census_total)
 
     rng = random.Random(seed)
-    zeros = [0] * total_positions
     if strategy == "random":
-        candidates = np.array(
-            [zeros] + [
-                [rng.randrange(alphabet_size) for _ in range(total_positions)]
-                for _ in range(trials)
-            ],
-            dtype=word_arrays[0].dtype,
-        )
+        candidates = _random_candidates(rng, alphabet_size, total_positions, trials)
         scores = _candidate_counts(word_arrays, radii, candidates, alphabet_size)
         k = int(scores.argmax())
         return outcome(scores[k], candidates[k], len(candidates))
@@ -442,9 +493,215 @@ def center_search(
     if strategy == "greedy":
         start = [rng.randrange(alphabet_size) for _ in range(total_positions)]
         count, current, evaluated = _greedy_search(word_arrays, radii, alphabet_size, start)
+        zeros = [0] * total_positions
         zeros_count = int(_survivor_mask(word_arrays, radii, zeros, n).sum())
         if zeros_count > count:
             return outcome(zeros_count, zeros, evaluated + 1)
         return outcome(count, current, evaluated + 1)
 
     raise PreconditionError(f"unknown center strategy {strategy!r}")
+
+
+def _per_order(digits, m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Center digits split into the m orders' n-symbol tuples."""
+    return tuple(tuple(int(x) for x in digits[r * n : (r + 1) * n]) for r in range(m))
+
+
+def _recounted(best_count, per_r, recount, survivors, strategy, n_cand, census_total=None):
+    """The outcome at center `per_r` once its recount of `recount` words
+    within the radii equals the search's best count; VerificationError,
+    naming the center, otherwise."""
+    if recount != best_count:
+        raise VerificationError(
+            f"{recount} words lie within the radii of center "
+            f"{_center_text(per_r)}, but the {strategy} search counted {best_count}"
+        )
+    return SearchOutcome(int(best_count), per_r, survivors, strategy, n_cand, census_total)
+
+
+# ---------------------------------------------------------------------------
+# Center search over the cosets of a linear code.
+
+class CosetSpace:
+    """The cosets of the code C spanned by k basis rows over GF(q), the rows
+    of every order concatenated into one k x mN matrix, and how many
+    vectors of the ball product fall in each coset.
+
+    The basis is augmented with the k x k identity and brought to reduced
+    echelon form, a few table operations per pivot. Its nonzero rows span C
+    with a 1 at ascending pivot columns; their identity parts (`transform`)
+    give each as a combination of the basis, and the identity parts of the
+    zero rows (`kernel`) span the combinations that vanish. A vector
+    reduces to the representative of its coset that is zero at every pivot
+    column. Any other vector of the coset adds a nonzero word of C, whose
+    first nonzero symbol lies at a pivot column, so the representative is
+    the lexicographically least vector of its coset. Since the ball product
+    is closed under negation, a center c keeps the words c - e for the ball
+    vectors e of its coset, each from q^(k - rank) functions.
+    """
+
+    def __init__(self, field, basis_rows, radii):
+        q = self.q = field.q
+        self.add, self.mul = field_tables(field)
+        self.neg, inv = neg_inv(self.add, self.mul)
+        self.radii = tuple(radii)
+        self.basis = np.concatenate([np.asarray(r, dtype=np.uint8) for r in basis_rows], axis=1)
+        k, total = self.basis.shape
+        self.n = total // len(basis_rows)
+        n_balls = math.prod(ball_size(self.n, s, q) for s in self.radii)
+        if n_balls > EXHAUSTIVE_CENTER_CAP:
+            raise PreconditionError(
+                f"ball product of {n_balls} vectors exceeds cap {EXHAUSTIVE_CENTER_CAP}"
+            )
+        aug = np.concatenate([self.basis, np.eye(k, dtype=np.uint8)], axis=1)
+        pivots = []
+        for i in range(k):
+            # the first nonzero symbol of the remaining rows, column by column
+            nonzero = aug[i:, :total].T != 0
+            c, j = divmod(int(nonzero.argmax()), k - i)
+            if not nonzero[c, j]:
+                break
+            if j:
+                aug[[i, i + j]] = aug[[i + j, i]]
+            aug[i] = self.mul[inv[aug[i, c]], aug[i]]  # scaled to 1 at column c
+            factor = self.neg[aug[:, c]]
+            factor[i] = 0
+            aug = self.add[aug, self.mul[factor[:, None], aug[i]]]  # column c cleared elsewhere
+            pivots.append(c)
+        rank = len(pivots)
+        self.pivots, self.echelon = pivots, aug[:rank, :total]
+        self.transform, self.kernel = aug[:rank, total:], aug[rank:, total:]
+        self.balls = _ball_offsets(self.n, self.radii[0], q)
+        for s in self.radii[1:]:
+            ball = _ball_offsets(self.n, s, q)
+            self.balls = np.concatenate(
+                [np.repeat(self.balls, len(ball), axis=0), np.tile(ball, (len(self.balls), 1))],
+                axis=1,
+            )
+        self.ball_keys = row_keys(self.reduce(self.balls))
+        self.keys, self.hits = self.count()
+
+    def reduce(self, vectors: np.ndarray) -> np.ndarray:
+        """The coset representative of every row: zero at the pivot columns."""
+        for row, c in zip(self.echelon, self.pivots):
+            vectors = self.add[vectors, self.mul[self.neg[vectors[:, c, None]], row]]
+        return vectors
+
+    def count(self) -> tuple[np.ndarray, np.ndarray]:
+        """The counting step: the distinct keys of the ball vectors'
+        representatives in ascending order, and how many ball vectors each
+        has."""
+        return np.unique(self.ball_keys, return_counts=True)
+
+    def hits_of(self, reps: np.ndarray) -> np.ndarray:
+        """How many ball vectors share each representative row's coset."""
+        keys = row_keys(reps)
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[at] == keys, self.hits[at], 0)
+
+    def outcome(self, hits: int, center, strategy: str, n_cand: int) -> SearchOutcome:
+        """The outcome at `center`, whose coset holds `hits` ball vectors.
+
+        The survivors are solved from the ball vectors e of the center's
+        coset: the word c - e of C is the combination of the echelon rows
+        given by its pivot-column symbols, so its coefficients are that
+        combination of `transform` rows plus any combination of `kernel`
+        rows. Each survivor's words are then recomputed from its digits and
+        counted within the radii of the center."""
+        q, k, n, d = self.q, len(self.basis), self.n, len(self.kernel)
+        center = np.asarray(center, dtype=np.uint8)
+        best_count = int(hits) * q ** d
+        if max(best_count, q ** d) * n > SPAN_CELL_CAP:
+            raise PreconditionError(
+                f"{best_count} survivors of length {n} exceed cap {SPAN_CELL_CAP}"
+            )
+        ball = self.balls[self.ball_keys == row_keys(self.reduce(center[None]))]
+        words = self.add[center, self.neg[ball]]
+        digits = _combine(self.add, self.mul, self.transform, words[:, self.pivots])
+        free = np.indices((q,) * d, dtype=np.uint8).reshape(d, q ** d).T
+        kernel = _combine(self.add, self.mul, self.kernel, free)
+        digits = self.add[digits[:, None], kernel].reshape(-1, k)
+        # little-endian function index; past 2^63 as Python integers
+        weights = q ** np.arange(k, dtype=np.int64 if q ** k <= 1 << 63 else object)
+        indices, first = np.unique(digits.astype(weights.dtype) @ weights, return_index=True)
+        words = _combine(self.add, self.mul, self.basis, digits[first])
+        within = np.logical_and.reduce([
+            (words[:, r * n : (r + 1) * n] != center[r * n : (r + 1) * n]).sum(axis=1) <= s
+            for r, s in enumerate(self.radii)
+        ])
+        return _recounted(best_count, _per_order(center, len(self.radii), n), int(within.sum()),
+                          indices, strategy, n_cand)
+
+
+def coset_search(
+    field, basis_rows, radii, strategy: str = "exhaustive", seed: int = 0, trials: int = 64
+) -> SearchOutcome:
+    """`center_search` over the span of basis_rows[r] (k rows of length N
+    per order r), without forming the span: survivor indices are the
+    little-endian coefficient indices of the span words, and every strategy
+    returns the center, count, survivors and candidate count that
+    center_search returns on the spans. Exhaustive takes the least
+    representative among the most frequent ones; random scores each
+    candidate by its representative; greedy moves a representative by a
+    multiple of the unit vector's. The ball product must stay within
+    EXHAUSTIVE_CENTER_CAP vectors and the survivors within SPAN_CELL_CAP
+    symbols per order."""
+    if len(basis_rows) == 0 or len(radii) != len(basis_rows):
+        raise PreconditionError("need one radius per word array")
+    space = CosetSpace(field, basis_rows, radii)
+    q, total = space.q, space.basis.shape[1]
+    if strategy == "exhaustive":
+        best = int(space.hits.argmax())
+        center = np.frombuffer(space.keys[best].tobytes(), dtype=np.uint8)
+        return space.outcome(space.hits[best], center, strategy, q ** total)
+
+    rng = random.Random(seed)
+    if strategy == "random":
+        candidates = _random_candidates(rng, q, total, trials)
+        scores = space.hits_of(space.reduce(candidates))
+        k = int(scores.argmax())
+        return space.outcome(scores[k], candidates[k], strategy, len(candidates))
+
+    if strategy == "greedy":
+        start = [rng.randrange(q) for _ in range(total)]
+        units = space.reduce(np.eye(total, dtype=np.uint8))
+        rep = space.reduce(np.array([start], dtype=np.uint8))[0]
+        symbols = np.arange(q)
+
+        def shifted(pos, old, new):  # the representative with symbol `new` at pos
+            return space.add[rep, space.mul[space.add[new, space.neg[old]], units[pos]]]
+
+        def move(pos, old, new):
+            rep[:] = shifted(pos, old, new)
+
+        hits, current, evaluated = _greedy_walk(
+            start, int(space.hits_of(rep[None])[0]), q,
+            lambda pos, old: space.hits_of(shifted(pos, old, symbols[:, None])), move,
+        )
+        zeros_hits = int(space.hits_of(np.zeros((1, total), dtype=np.uint8))[0])
+        if zeros_hits > hits:
+            return space.outcome(zeros_hits, [0] * total, strategy, evaluated + 1)
+        return space.outcome(hits, current, strategy, evaluated + 1)
+
+    raise PreconditionError(f"unknown center strategy {strategy!r}")
+
+
+def _combine(add, mul, rows: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """sum_j digits[:, j] * rows[j] over the field of the tables, one word
+    per digit row."""
+    words = np.zeros((len(digits), rows.shape[1]), dtype=np.uint8)
+    for j, row in enumerate(rows):
+        words = add[words, mul[digits[:, j, None], row]]
+    return words
+
+
+def span_words_at(field, basis_rows, indices) -> np.ndarray:
+    """The words of `linear_span_words(field, basis_rows)` at the given row
+    indices, computed from their little-endian digits alone."""
+    rows = np.asarray(basis_rows, dtype=np.uint8)
+    indices = np.asarray(indices)
+    digits = np.empty((len(indices), len(rows)), dtype=np.int64)
+    for j in range(len(rows)):
+        digits[:, j] = indices % field.q
+        indices = indices // field.q
+    return _combine(*field_tables(field), rows, digits)

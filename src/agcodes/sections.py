@@ -48,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .codes import Alphabet, Code, _row_keys, finish_code
+from .codes import Alphabet, Code, finish_code
 from .curves import Divisor, Place, ProjectiveLine
 from .errors import PreconditionError
 from .field import Polynomial, RationalFunction, _factor_sieve, _monic_index, factorize
@@ -294,10 +294,10 @@ def phi_words(curve: ProjectiveLine, sections: SectionTable, points, r: int) -> 
     F = curve.field
     q = F.q
     add, mul = kernels.field_tables(F)
-    neg, inv = (add == 0).argmax(axis=1), (mul == 1).argmax(axis=1)
+    neg, inv = kernels.neg_inv(add, mul)
 
     def distinct(A):  # the distinct rows as columns, and each row's column
-        _, first, which = np.unique(_row_keys(A), return_index=True, return_inverse=True)
+        _, first, which = np.unique(kernels.row_keys(A), return_index=True, return_inverse=True)
         return np.ascontiguousarray(A[first].T, dtype=add.dtype), which
 
     def taylor(A, which, p):  # _taylor on the distinct columns, one per row

@@ -24,16 +24,8 @@ import numpy as np
 from . import kernels
 from .codes import Alphabet, Code, finish_code
 from .curves import Divisor, default_eval_points, distinct_points
-from .errors import PreconditionError, VerificationError
-
-
-def ball_size(n: int, radius: int, alphabet_size: int) -> int:
-    """Exact size of the closed Hamming ball: sum_{i<=radius} C(n,i)(a-1)^i."""
-    if not 0 <= radius <= n:
-        raise PreconditionError("radius must lie in [0, n]")
-    if alphabet_size < 2:
-        raise PreconditionError("alphabet must have at least 2 symbols")
-    return sum(math.comb(n, i) * (alphabet_size - 1) ** i for i in range(radius + 1))
+from .errors import PreconditionError
+from .kernels import ball_size
 
 
 def optimal_sigma(q: int, i: int) -> Fraction:
@@ -82,26 +74,21 @@ class CenterSearchResult:
     expected_census: int | None = None
 
 
-def phi_basis_rows(curve, basis, points, r: int) -> list[list[int]]:
-    """Order-r expansion coefficients for each basis function; expansion is
-    linear, so these rows span the full word set of L(D)."""
-    rows = []
-    for f in basis:
-        coeffs = [curve.local_expansion(f, p, r) for p in points]
-        rows.append([c[r] for c in coeffs])
-    return rows
+def phi_basis_rows(curve, basis, points, r_max: int) -> list[list[list[int]]]:
+    """Expansion coefficients of each basis function, one list of rows per
+    order r = 0..r_max: rows[r][i][j] is the t^r coefficient of basis[i] at
+    points[j]. Each function is expanded once, to order r_max. Expansion is
+    linear, so the order-r rows span the order-r word set of L(D)."""
+    expansions = [[curve.local_expansion(f, p, r_max) for p in points] for f in basis]
+    return [[[c[r] for c in row] for row in expansions] for r in range(r_max + 1)]
 
 
-def _word_spaces(curve, D: Divisor, points, r_max: int):
+def _order_rows(curve, D: Divisor, points, r_max: int):
+    """The basis of L(D) and its order-r basis rows for r = 0..r_max."""
     basis = curve.riemann_roch_basis(D)
     if not basis:
         raise PreconditionError(f"L({D.serialize()}) has no nonzero function")
-    F = curve.field
-    all_rows = []
-    for r in range(r_max + 1):
-        all_rows.append(phi_basis_rows(curve, basis, points, r))
-    spaces = [kernels.linear_span_words(F, rows) for rows in all_rows]
-    return basis, spaces
+    return basis, phi_basis_rows(curve, basis, points, r_max)
 
 
 def _eval_points(curve, D: Divisor, params: XingParams, points) -> tuple:
@@ -128,31 +115,39 @@ def search_centers(
     exhaustive strategy must return at least its ceiling.
     """
     points = _eval_points(curve, D, params, points)
-    basis, spaces = _word_spaces(curve, D, points, params.m - 1)
-    return _search(curve.field.q, len(basis), spaces, params, census)
+    _, rows = _order_rows(curve, D, points, params.m - 1)
+    return _search(curve.field, rows, params, census)
 
 
-def _search(q: int, dim: int, spaces, params: XingParams, census: bool) -> CenterSearchResult:
-    """Center search over the order-0..m-1 word spaces of an L(D) of the
-    given dimension."""
-    n = spaces[0].shape[1]
-    outcome = kernels.center_search(
-        spaces,
-        params.radii,
-        alphabet_size=q,
-        strategy=params.strategy,
-        seed=params.seed,
-        trials=params.trials,
-        census=census,
+def _search(field, rows, params: XingParams, census: bool) -> CenterSearchResult:
+    """Center search over the spans of the order-0..m-1 basis rows of L(D).
+
+    The census scans every center of the spans' words. Otherwise the search
+    runs over cosets (`kernels.coset_search`), which never forms the span;
+    random and greedy take it only when the ball product has no more
+    vectors than the span has words (and fits the ball cap), and scan the
+    span's words otherwise."""
+    q, k, n = field.q, len(rows[0]), len(rows[0][0])
+    n_balls = math.prod(ball_size(n, s, q) for s in params.radii)
+    by_words = census or (
+        params.strategy != "exhaustive" and n_balls > min(q ** k, kernels.EXHAUSTIVE_CENTER_CAP)
     )
-    prod = q ** dim
-    for s in params.radii:
-        prod *= ball_size(n, s, q)
-    average = Fraction(prod, q ** (params.m * n))
-    expected = prod if census else None
-    outcome.check_average(average)
-    if outcome.best_count < 1:
-        raise VerificationError("no survivors at the chosen centers")
+    if by_words:
+        outcome = kernels.center_search(
+            [kernels.linear_span_words(field, r) for r in rows],
+            params.radii,
+            alphabet_size=q,
+            strategy=params.strategy,
+            seed=params.seed,
+            trials=params.trials,
+            census=census,
+        )
+    else:
+        outcome = kernels.coset_search(
+            field, rows, params.radii, params.strategy, params.seed, params.trials
+        )
+    average = outcome.finish(q ** k, params.radii, q, "no survivors at the chosen centers")
+    expected = int(average * q ** (params.m * n)) if census else None
     return CenterSearchResult(
         centers=outcome.centers,
         survivor_indices=outcome.survivor_indices,
@@ -199,8 +194,8 @@ def build_xing(
         raise PreconditionError(
             f"divisor degree {D.degree} too large: distance floor {d0} <= 0"
         )
-    basis, spaces = _word_spaces(curve, D, points, params.m)
-    search = _search(q, len(basis), spaces[: params.m], params, census=False)
+    basis, rows = _order_rows(curve, D, points, params.m)
+    search = _search(curve.field, rows[: params.m], params, census=False)
     metadata = {
         "construction": "xing",
         "curve": curve.kind,
@@ -219,8 +214,8 @@ def build_xing(
         "points": ";".join(p.serialize() for p in points),
         "linear": False,
     }
-    code = finish_code(Alphabet("field", q), n, spaces[params.m][search.survivor_indices],
-                       curve.field, metadata, measure)
+    words = kernels.span_words_at(curve.field, rows[params.m], search.survivor_indices)
+    code = finish_code(Alphabet("field", q), n, words, curve.field, metadata, measure)
     return XingBuild(search=search, code=code, claimed_distance=d0, points=points)
 
 

@@ -134,10 +134,16 @@ _SMALL_EXHAUSTIVE_BUILDS = {
 
 @pytest.mark.parametrize("kind", sorted(_SMALL_EXHAUSTIVE_BUILDS))
 def test_builders_recount_the_survivors(tmp_path, capsys, monkeypatch, kind):
-    # a search whose count is one above what its center keeps
-    real = kernels._histogram_search
-    monkeypatch.setattr(kernels, "_histogram_search",
-                        lambda *args: (real(*args)[0] + 1, real(*args)[1]))
+    # a search whose count is one above what its center keeps: the xing
+    # build counts coset representatives, the combined build ball points
+    if kind == "xing":
+        real = kernels.CosetSpace.count
+        monkeypatch.setattr(kernels.CosetSpace, "count",
+                            lambda self: (real(self)[0], real(self)[1] + 1))
+    else:
+        real = kernels._histogram_search
+        monkeypatch.setattr(kernels, "_histogram_search",
+                            lambda *args: (real(*args)[0] + 1, real(*args)[1]))
     out = tmp_path / "b"
     assert main(_SMALL_EXHAUSTIVE_BUILDS[kind] + ["--out", str(out)]) == EXIT_VERIFICATION
     err = capsys.readouterr().err
@@ -152,16 +158,32 @@ def test_maximum_below_average_names_the_center(tmp_path, capsys, monkeypatch, k
     # average of both instances is below 1, so its ceiling is 1
     found = {}
 
-    def empty_center(word_arrays, radii, q):
+    def least_empty_center(word_arrays, radii, q):
         n = word_arrays[0].shape[1]
         total = len(word_arrays) * n
         for index in range(q ** total):
             digits = np.unravel_index(index, (q,) * total)
             if not kernels._survivor_mask(word_arrays, radii, digits, n).any():
                 found["center"] = ",".join(str(int(d)) for d in digits)
-                return 0, index
+                return index, digits
 
-    monkeypatch.setattr(kernels, "_histogram_search", empty_center)
+    def empty_center(word_arrays, radii, q):
+        return 0, least_empty_center(word_arrays, radii, q)[0]
+
+    def empty_coset(space):
+        # the span's words from the basis, and the empty center as the one
+        # counted representative, with no ball vector in its coset
+        k, total = space.basis.shape
+        digits = np.indices((space.q,) * k).reshape(k, -1).T
+        words = kernels._combine(space.add, space.mul, space.basis, digits)
+        arrays = [words[:, r : r + space.n] for r in range(0, total, space.n)]
+        center = least_empty_center(arrays, space.radii, space.q)[1]
+        return kernels.row_keys(np.array([center], dtype=np.uint8)), np.zeros(1, dtype=np.int64)
+
+    if kind == "xing":
+        monkeypatch.setattr(kernels.CosetSpace, "count", empty_coset)
+    else:
+        monkeypatch.setattr(kernels, "_histogram_search", empty_center)
     out = tmp_path / "b"
     assert main(_SMALL_EXHAUSTIVE_BUILDS[kind] + ["--out", str(out)]) == EXIT_VERIFICATION
     err = capsys.readouterr().err
@@ -305,6 +327,25 @@ def test_curve_info(capsys):
     assert info["reference_ratio"] == 1
 
 
+def test_xing_hermitian_gf9_frontier_pinned(tmp_path, capsys):
+    # 9^8 functions on 27 points: the span has 1.2e9 symbols, past the span
+    # cap, but the ball product has 217 vectors. The order-0 code has
+    # distance at least 27 - 10 = 17, so no two ball vectors share a coset,
+    # and the best center keeps one function: a one-word code, with no pair
+    # to measure against the floor of 40.
+    out = tmp_path / "h"
+    argv = ["xing", "build", "--q", "9", "--curve", "hermitian", "--divisor", "inf:10",
+            "--m", "1", "--radii", "1", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    for line in ("functions: 43046721", "survivors: 1", "claimed_distance: 40",
+                 "measured_distance: None"):
+        assert f"  {line}\n" in printed
+    assert hashlib.sha256((out / "xing_code.txt").read_bytes()).hexdigest() == (
+        "03774295668027c5a5961ca851d4dc21bf7547457c88a6203f3a8539e7d99128"
+    )
+
+
 def test_goppa_hermitian_constant_code_pinned(tmp_path, capsys):
     # L(0) is the constants, the only path that evaluates Hermitian
     # functions at P_inf: the repetition code of length 9 over GF(4)
@@ -440,6 +481,8 @@ _MALFORMED = {
     "count-negative": _GOOD_HEADER + "words: -1\n",
     # a repeated line would make a code of fewer words than the file lists
     "rows-repeated": _GOOD_HEADER + "words: 2\n1,1,1\n1,1,1\n",
+    # the writer sorts the words, so a file out of order was not written by it
+    "rows-descending": _GOOD_HEADER + "words: 2\n1,1,1\n0,2,2\n",
     "rows-beyond-count": _GOOD_HEADER + "words: 2\n0,0,0\n1,1,1\n2,2,2\n",
     "symbol-space": _GOOD_HEADER + "words: 2\n0,0,0\n1, 1,1\n",
     "symbol-plus": _GOOD_HEADER + "words: 2\n0,0,0\n1,+1,1\n",

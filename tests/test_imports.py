@@ -4,7 +4,10 @@ public re-exports, pinned by name below so that a dropped or added export
 shows up as a diff."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -59,3 +62,12 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(agcodes.__all__) == PUBLIC_NAMES
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    # bounds imports mpmath inside the functions that use it, so a command
+    # that never reaches them does not pay for loading it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, agcodes.cli; print('mpmath' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout.strip() == "False", run.stderr

@@ -3,6 +3,7 @@ by-symbol exhaustive center scan, the candidate-by-candidate random and
 greedy searches, and the O(M^2) pair loop."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from agcodes import kernels
 from agcodes.errors import PreconditionError
+from agcodes.field import make_field
 
 
 def scan_center_search(word_arrays, radii, alphabet_size):
@@ -240,3 +242,101 @@ def test_property_search_and_distance_match_scans(inputs, seed, trials):
     assert_heuristics_match_loops(arrays, radii, alphabet_size, seed, trials)
     if len(arrays[0]) >= 2:
         assert kernels.pairwise_min_distance(arrays[0]) == pair_loop(arrays[0])
+
+
+# ---------------------------------------------------------------------------
+# The coset search against the same scans and loops, on the spans it never
+# forms. A survivor index of the coset search is a row index of the span.
+
+_SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1)]
+
+
+def assert_coset_search_matches_scans(field, rows, radii, seed, trials):
+    q, n = field.q, len(rows[0][0])
+    spans = [kernels.linear_span_words(field, r) for r in rows]
+    count, centers, survivors, _ = scan_center_search(spans, radii, q)
+    got = kernels.coset_search(field, rows, radii)
+    assert (got.best_count, got.centers) == (count, centers)
+    assert np.array_equal(got.survivor_indices, survivors)
+    assert got.n_candidates == q ** (len(rows) * n) and got.census_total is None
+    for strategy, (count, digits, n_cand) in (
+        ("random", random_loop(spans, radii, q, seed, trials)),
+        ("greedy", greedy_loop(spans, radii, q, seed)),
+    ):
+        got = kernels.coset_search(field, rows, radii, strategy, seed, trials)
+        assert got.best_count == count and got.n_candidates == n_cand
+        assert got.centers == tuple(tuple(digits[r * n : (r + 1) * n]) for r in range(len(rows)))
+        assert np.array_equal(
+            got.survivor_indices, np.nonzero(kernels._survivor_mask(spans, radii, digits, n))[0]
+        )
+
+
+@st.composite
+def coset_inputs(draw):
+    field = make_field(*draw(st.sampled_from(_SMALL_FIELDS)))
+    q = field.q
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max(1, 4 // m)))
+    # up to two rows past m*N, so rank-deficient bases come up, within 729 span words
+    k = draw(st.integers(1, min(m * n + 2, math.floor(math.log(729.5, q)))))
+    cells = st.integers(0, q - 1)
+    rows = [draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=k, max_size=k))
+            for _ in range(m)]
+    zeroed = draw(st.integers(0, k))  # the last rows zero at every order: ties everywhere
+    rows = [r[: k - zeroed] + [[0] * n] * zeroed for r in rows]
+    radii = draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
+    return field, rows, radii
+
+
+@settings(max_examples=60, deadline=None)
+@given(coset_inputs(), st.integers(0, 1 << 31), st.integers(0, 40))
+def test_property_coset_search_matches_scans(inputs, seed, trials):
+    field, rows, radii = inputs
+    assert_coset_search_matches_scans(field, rows, radii, seed, trials)
+
+
+@pytest.mark.parametrize("p,alpha", _SMALL_FIELDS)
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 2), (3, 1)])
+def test_coset_search_grid(p, alpha, m, n):
+    # full-rank, rank-deficient (a repeated row) and, where the span stays
+    # within 729 words, wider-than-long bases, each at radius 0, at radius N
+    # and at mixed radii
+    field = make_field(p, alpha)
+    rng = np.random.default_rng(100 * field.q + 10 * m + n)
+    for k in sorted({1, m * n, min(m * n + 1, math.floor(math.log(729.5, field.q)))}):
+        rows = [rng.integers(0, field.q, (k, n)).tolist() for _ in range(m)]
+        if k > 1:
+            rows = [r[:-1] + [r[0]] for r in rows]
+        for radii in ([0] * m, [n] * m, [int(rng.integers(0, n + 1)) for _ in range(m)]):
+            seed = int(rng.integers(0, 1 << 31))
+            assert_coset_search_matches_scans(field, rows, radii, seed, trials=20)
+
+
+def test_coset_search_keys_past_64_bits():
+    # GF(9), N = 27: 9^27 centers, more than 2^63, so a center read as one
+    # integer would overflow. The oracle counts ball points as tuples.
+    field, n = make_field(3, 2), 27
+    assert 9 ** n > 1 << 63
+    rows = [[1, 1] + [0] * 25, [0, 2, 3, 0, 0, 5] + [0] * 21, [0] * 26 + [7]]
+    span = kernels.linear_span_words(field, rows)
+    hits = {}
+    for word in span.tolist():
+        for j in range(-1, n):  # the word itself, then every one-symbol change
+            for s in ([None] if j < 0 else range(9)):
+                if s is not None and s == word[j]:
+                    continue
+                center = tuple(word if j < 0 else word[:j] + [s] + word[j + 1 :])
+                hits[center] = hits.get(center, 0) + 1
+    best = max(hits.values())
+    least = min(c for c, h in hits.items() if h == best)
+    got = kernels.coset_search(field, [rows], [1])
+    assert best > 1 and (got.best_count, got.centers) == (best, (least,))
+    within = (span != np.array(least, dtype=np.uint8)).sum(axis=1) <= 1
+    assert np.array_equal(got.survivor_indices, np.nonzero(within)[0])
+
+
+def test_coset_search_needs_a_basis_per_radius():
+    with pytest.raises(PreconditionError):
+        kernels.coset_search(make_field(3, 1), [], ())
+    with pytest.raises(PreconditionError):
+        kernels.coset_search(make_field(3, 1), [[[1, 2]]], (0, 0))

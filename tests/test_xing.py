@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from agcodes import kernels
 from agcodes.codes import build_goppa
 from agcodes.curves import build_curve, default_eval_points
 from agcodes.errors import PreconditionError
@@ -14,6 +16,7 @@ from agcodes.xing import (
     distance_floor,
     function_from_index,
     optimal_sigma,
+    phi_basis_rows,
     search_centers,
     survivor_functions,
 )
@@ -170,16 +173,106 @@ def test_monotonicity_in_radius():
         assert small <= big
 
 
-def test_search_guard_on_center_space():
+def _gf5_quadratic_place():
+    """P1 over GF(5) with D = one degree-2 place: all six rational points
+    stay in play, so the center space of m orders is 5^(6m)."""
     from agcodes.field import enumerate_irreducibles
 
     curve = build_curve("p1", make_field(5, 1))
     quad = next(p for p in enumerate_irreducibles(curve.field, 2) if p.degree == 2)
-    D = curve.divisor({curve.place_of_poly(quad): 1})
-    # all six rational points stay in play, so the tuple space is 5^12
+    return curve, curve.divisor({curve.place_of_poly(quad): 1})
+
+
+def test_coset_search_past_the_center_space_cap():
+    # 5^12 centers, more than the exhaustive center cap, but only 25^2 = 625
+    # ball-product vectors: the coset search runs and agrees with the ball
+    # histogram over the spans' words
+    curve, D = _gf5_quadratic_place()
     params = XingParams(m=2, radii=(1, 1), strategy="exhaustive")
-    with pytest.raises(PreconditionError):
-        search_centers(curve, D, params)
+    assert 5 ** 12 > kernels.EXHAUSTIVE_CENTER_CAP
+    res = search_centers(curve, D, params)
+    points = default_eval_points(curve, D)
+    basis = curve.riemann_roch_basis(D)
+    spans = [kernels.linear_span_words(curve.field, rows)
+             for rows in phi_basis_rows(curve, basis, points, 1)]
+    count, index = kernels._histogram_search(spans, params.radii, 5)
+    assert res.survivor_count == count
+    digits = np.unravel_index(index, (5,) * 12)
+    assert res.centers == (tuple(int(d) for d in digits[:6]), tuple(int(d) for d in digits[6:]))
+    assert np.array_equal(
+        res.survivor_indices,
+        np.nonzero(kernels._survivor_mask(spans, params.radii, digits, 6))[0],
+    )
+
+
+def test_search_guard_on_ball_product():
+    # three orders of radius 3: 1545^3 ball-product vectors exceed the cap
+    curve, D = _gf5_quadratic_place()
+    assert ball_size(6, 3, 5) ** 3 > kernels.EXHAUSTIVE_CENTER_CAP
+    with pytest.raises(PreconditionError, match="ball product"):
+        search_centers(curve, D, XingParams(m=3, radii=(3, 3, 3), strategy="exhaustive"))
+
+
+def test_xing_builds_never_span(monkeypatch):
+    # every strategy of every build below searches cosets and forms the
+    # order-m words at the survivors only; random and greedy qualify because
+    # their ball products (25 and 277 vectors) are smaller than the 4^7 span
+    def refuse(*args):
+        raise AssertionError("a xing build enumerated a span")
+
+    curve = build_curve("hermitian", make_field(2, 2))
+    D = curve.one_point_divisor(7)
+    built = {}
+    for strategy, radii in (("exhaustive", (1,)), ("random", (1,)), ("greedy", (2,))):
+        params = XingParams(m=1, radii=radii, strategy=strategy, seed=11, trials=16)
+        built[strategy] = build_xing(curve, D, params)
+        monkeypatch.setattr(kernels, "linear_span_words", refuse)
+        spanless = build_xing(curve, D, params)
+        monkeypatch.undo()
+        assert np.array_equal(spanless.code.words, built[strategy].code.words)
+        assert spanless.search.centers == built[strategy].search.centers
+    p1 = build_curve("p1", make_field(2, 1))
+    params = XingParams(m=2, radii=(1, 0), strategy="exhaustive")
+    quad = p1.divisor({p1.place_of_poly(Polynomial(p1.field, (1, 1, 1))): 1})
+    monkeypatch.setattr(kernels, "linear_span_words", refuse)
+    assert build_xing(p1, quad, params).code.size >= 1
+
+
+def test_random_and_greedy_routes_agree():
+    # a ball product of 1 + 8*3 + 28*9 = 277 vectors against a span of 4^2
+    # words: random and greedy scan the words; the coset search on the same
+    # basis rows picks the same center, survivors and candidate count
+    curve = build_curve("hermitian", make_field(2, 2))
+    D = curve.one_point_divisor(2)
+    points = default_eval_points(curve, D)
+    rows = phi_basis_rows(curve, curve.riemann_roch_basis(D), points, 0)
+    for strategy in ("random", "greedy"):
+        params = XingParams(m=1, radii=(2,), strategy=strategy, seed=5, trials=32)
+        res = search_centers(curve, D, params)
+        other = kernels.coset_search(curve.field, rows, (2,), strategy, 5, 32)
+        assert (res.survivor_count, res.centers, res.n_candidates) == (
+            other.best_count, other.centers, other.n_candidates)
+        assert np.array_equal(res.survivor_indices, other.survivor_indices)
+
+
+def test_survivor_indices_past_64_bits():
+    # Hermitian GF(9), D = 30 P_inf: 9^28 functions, so a function index
+    # passes 2^63 and is kept as a Python integer. At radius 0 the survivors
+    # are the 81 functions of the kernel of the order-0 map, (x^9 - x) L(3 P_inf),
+    # and their order-1 words meet the floor of 24 exactly.
+    curve = build_curve("hermitian", make_field(3, 2))
+    D = curve.one_point_divisor(30)
+    build = build_xing(curve, D, XingParams(m=1, radii=(0,)))
+    indices = build.search.survivor_indices
+    assert len(indices) == 81 and max(indices) >= 1 << 63
+    assert list(indices) == sorted(set(indices))
+    assert build.claimed_distance == build.code.metadata["measured_distance"] == 24
+    points = build.points
+    functions = survivor_functions(curve, D, build.search)
+    for f in functions[:: 20]:
+        assert oracle_phi_word(curve, f, points, 0) == (0,) * 27
+    assert {tuple(int(s) for s in oracle_phi_word(curve, f, points, 1)) for f in functions} == {
+        tuple(w) for w in build.code.words.tolist()}
 
 
 # ---------------------------------------------------------------------------
