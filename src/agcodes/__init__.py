@@ -28,7 +28,8 @@ from .curves import (
     default_eval_points,
 )
 from .codes import Alphabet, Code, build_goppa, exact_min_distance, goppa_sum_check
-from .xing import XingParams, ball_size, build_xing, optimal_sigma, search_centers
+from .kernels import ball_size
+from .xing import XingParams, build_xing, optimal_sigma, search_centers
 from .sections import (
     RationalSection,
     SectionTable,

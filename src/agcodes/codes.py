@@ -328,32 +328,10 @@ def code_from_text(text: str) -> Code:
     for key in ("claimed_distance", "measured_distance"):
         value = fields.get(key)
         meta[key] = None if value in (None, "none", "None") else _int(value, key)
-    alphabet = Alphabet(kind, q)
-    arr = kernels.words_array(words, alphabet.size, length)
-    if not _ascending(arr):
-        distinct = len(_distinct_rows(arr))
-        if distinct != count:
-            raise PreconditionError(f"{count} word lines hold only {distinct} distinct words")
-        raise PreconditionError("word lines must ascend, as the writer sorts them")
-    arr.flags.writeable = False
-    return Code(alphabet, length, arr, fld, meta)
-
-
-def _ascending(arr: np.ndarray) -> bool:
-    """Whether every row is lexicographically above the row before it, so
-    the rows are distinct and in the order make_code would sort them. The
-    rows' big-endian bytes, zero-padded to whole 64-bit words, compare as
-    unsigned integers, one word column at a time from the last."""
-    if len(arr) < 2:
-        return True
-    raw = kernels.row_keys(arr).view(np.uint8).reshape(len(arr), -1)
-    padded = np.zeros((len(arr), -(-raw.shape[1] // 8) * 8), dtype=np.uint8)
-    padded[:, : raw.shape[1]] = raw
-    words = padded.view(">u8")
-    above = np.zeros(len(arr) - 1, dtype=bool)
-    for col in words.T[::-1]:
-        above = (col[1:] > col[:-1]) | ((col[1:] == col[:-1]) & above)
-    return bool(above.all())
+    code = make_code(Alphabet(kind, q), length, words, field=fld, metadata=meta)
+    if code.size != count:
+        raise PreconditionError(f"{count} word lines hold only {code.size} distinct words")
+    return code
 
 
 def _read_words(block: str, count: int, length: int) -> np.ndarray:

@@ -18,7 +18,8 @@ echelon form on the field's tables; every ball-product vector reduces to
 the representative that is zero at the pivot columns, which is also the
 lexicographically least vector of its coset, and the representatives are
 counted under exact byte keys. The survivors are then solved for at the
-one chosen center only.
+one chosen center only. The ball product is held whole, like a span, so it
+is capped at SPAN_CELL_CAP symbols; its reduction runs in blocks.
 
 For other word sets (`center_search`) the exhaustive search counts ball
 points rather than scanning centers: every (word, point of the ball product
@@ -75,6 +76,12 @@ def ball_size(n: int, radius: int, alphabet_size: int) -> int:
     if alphabet_size < 2:
         raise PreconditionError("alphabet must have at least 2 symbols")
     return sum(math.comb(n, i) * (alphabet_size - 1) ** i for i in range(radius + 1))
+
+
+def ball_product_cells(n: int, radii, alphabet_size: int) -> int:
+    """Symbols in the product of the radius-s_r balls of length n, one
+    ball per order: the vectors `CosetSpace` holds and reduces."""
+    return math.prod(ball_size(n, s, alphabet_size) for s in radii) * len(radii) * n
 
 
 def linear_span_words(field, basis_rows) -> np.ndarray:
@@ -548,10 +555,10 @@ class CosetSpace:
         self.basis = np.concatenate([np.asarray(r, dtype=np.uint8) for r in basis_rows], axis=1)
         k, total = self.basis.shape
         self.n = total // len(basis_rows)
-        n_balls = math.prod(ball_size(self.n, s, q) for s in self.radii)
-        if n_balls > EXHAUSTIVE_CENTER_CAP:
+        cells = ball_product_cells(self.n, self.radii, q)
+        if cells > SPAN_CELL_CAP:
             raise PreconditionError(
-                f"ball product of {n_balls} vectors exceeds cap {EXHAUSTIVE_CENTER_CAP}"
+                f"ball product of {cells} symbols exceeds cap {SPAN_CELL_CAP}"
             )
         aug = np.concatenate([self.basis, np.eye(k, dtype=np.uint8)], axis=1)
         pivots = []
@@ -582,10 +589,16 @@ class CosetSpace:
         self.keys, self.hits = self.count()
 
     def reduce(self, vectors: np.ndarray) -> np.ndarray:
-        """The coset representative of every row: zero at the pivot columns."""
-        for row, c in zip(self.echelon, self.pivots):
-            vectors = self.add[vectors, self.mul[self.neg[vectors[:, c, None]], row]]
-        return vectors
+        """The coset representative of every row: zero at the pivot columns.
+        Rows are reduced in blocks of at most _CHUNK_CELLS symbols."""
+        reps = np.empty_like(vectors)
+        step = max(1, _CHUNK_CELLS // max(1, vectors.shape[1]))
+        for i in range(0, len(vectors), step):
+            block = vectors[i : i + step]
+            for row, c in zip(self.echelon, self.pivots):
+                block = self.add[block, self.mul[self.neg[block[:, c, None]], row]]
+            reps[i : i + step] = block
+        return reps
 
     def count(self) -> tuple[np.ndarray, np.ndarray]:
         """The counting step: the distinct keys of the ball vectors'
@@ -644,8 +657,8 @@ def coset_search(
     representative among the most frequent ones; random scores each
     candidate by its representative; greedy moves a representative by a
     multiple of the unit vector's. The ball product must stay within
-    EXHAUSTIVE_CENTER_CAP vectors and the survivors within SPAN_CELL_CAP
-    symbols per order."""
+    SPAN_CELL_CAP symbols, and the survivors within SPAN_CELL_CAP symbols
+    per order."""
     if len(basis_rows) == 0 or len(radii) != len(basis_rows):
         raise PreconditionError("need one radius per word array")
     space = CosetSpace(field, basis_rows, radii)

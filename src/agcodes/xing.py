@@ -15,7 +15,6 @@ image code has minimum distance at least d0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +24,6 @@ from . import kernels
 from .codes import Alphabet, Code, finish_code
 from .curves import Divisor, default_eval_points, distinct_points
 from .errors import PreconditionError
-from .kernels import ball_size
 
 
 def optimal_sigma(q: int, i: int) -> Fraction:
@@ -123,16 +121,11 @@ def _search(field, rows, params: XingParams, census: bool) -> CenterSearchResult
     """Center search over the spans of the order-0..m-1 basis rows of L(D).
 
     The census scans every center of the spans' words. Otherwise the search
-    runs over cosets (`kernels.coset_search`), which never forms the span;
-    random and greedy take it only when the ball product has no more
-    vectors than the span has words (and fits the ball cap), and scan the
-    span's words otherwise."""
+    runs over cosets (`kernels.coset_search`), which never forms the span,
+    and scans the span's words only when the ball product is past the
+    coset search's cap."""
     q, k, n = field.q, len(rows[0]), len(rows[0][0])
-    n_balls = math.prod(ball_size(n, s, q) for s in params.radii)
-    by_words = census or (
-        params.strategy != "exhaustive" and n_balls > min(q ** k, kernels.EXHAUSTIVE_CENTER_CAP)
-    )
-    if by_words:
+    if census or kernels.ball_product_cells(n, params.radii, q) > kernels.SPAN_CELL_CAP:
         outcome = kernels.center_search(
             [kernels.linear_span_words(field, r) for r in rows],
             params.radii,

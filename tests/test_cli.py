@@ -327,12 +327,12 @@ def test_curve_info(capsys):
     assert info["reference_ratio"] == 1
 
 
-def test_xing_hermitian_gf9_frontier_pinned(tmp_path, capsys):
-    # 9^8 functions on 27 points: the span has 1.2e9 symbols, past the span
-    # cap, but the ball product has 217 vectors. The order-0 code has
-    # distance at least 27 - 10 = 17, so no two ball vectors share a coset,
-    # and the best center keeps one function: a one-word code, with no pair
-    # to measure against the floor of 40.
+def test_xing_hermitian_gf9_inf10_builds_past_the_span_cap(tmp_path, capsys):
+    # a cap-lift pin, not a distance check: 9^8 functions on 27 points, a
+    # span of 1.2e9 symbols past the span cap, but a ball product of 217
+    # vectors. The order-0 code has distance at least 27 - 10 = 17, so no two
+    # ball vectors share a coset, and the best center keeps one function: a
+    # one-word code, with no pair to measure against the floor of 40.
     out = tmp_path / "h"
     argv = ["xing", "build", "--q", "9", "--curve", "hermitian", "--divisor", "inf:10",
             "--m", "1", "--radii", "1", "--out", str(out)]
@@ -344,6 +344,22 @@ def test_xing_hermitian_gf9_frontier_pinned(tmp_path, capsys):
     assert hashlib.sha256((out / "xing_code.txt").read_bytes()).hexdigest() == (
         "03774295668027c5a5961ca851d4dc21bf7547457c88a6203f3a8539e7d99128"
     )
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "random", "greedy"])
+def test_xing_refuses_a_ball_product_past_its_cap(tmp_path, monkeypatch, strategy):
+    # m = 2 on 27 points at radii (1, 2): 217 * 22681 ball vectors of 54
+    # symbols are past the coset search's cap, and the 9^8-word span past the
+    # span cap, so the build is refused before either is formed
+    def refuse(*args):
+        raise AssertionError("a ball was built")
+
+    monkeypatch.setattr(kernels, "_ball_offsets", refuse)
+    out = tmp_path / "h"
+    argv = ["xing", "build", "--q", "9", "--curve", "hermitian", "--divisor", "inf:10",
+            "--m", "2", "--radii", "1,2", "--strategy", strategy, "--out", str(out)]
+    assert main(argv) == EXIT_PRECONDITION
+    assert not out.exists()
 
 
 def test_goppa_hermitian_constant_code_pinned(tmp_path, capsys):
@@ -481,8 +497,6 @@ _MALFORMED = {
     "count-negative": _GOOD_HEADER + "words: -1\n",
     # a repeated line would make a code of fewer words than the file lists
     "rows-repeated": _GOOD_HEADER + "words: 2\n1,1,1\n1,1,1\n",
-    # the writer sorts the words, so a file out of order was not written by it
-    "rows-descending": _GOOD_HEADER + "words: 2\n1,1,1\n0,2,2\n",
     "rows-beyond-count": _GOOD_HEADER + "words: 2\n0,0,0\n1,1,1\n2,2,2\n",
     "symbol-space": _GOOD_HEADER + "words: 2\n0,0,0\n1, 1,1\n",
     "symbol-plus": _GOOD_HEADER + "words: 2\n0,0,0\n1,+1,1\n",

@@ -328,21 +328,6 @@ def test_code_file_roundtrip_property(code):
     assert back.words.tolist() == [list(w) for w in words] and back.metadata == meta
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 6), st.integers(0, 17), st.sampled_from([2, 3, 256, 300]),
-       st.booleans(), st.integers(0, 1 << 31))
-def test_reader_order_check_is_the_sort(rows, length, alphabet, sort, seed):
-    # the reader accepts exactly the word arrays that make_code's sort leaves
-    # as they are: strictly ascending rows, checked in 64-bit words
-    rng = np.random.default_rng(seed)
-    arr = rng.integers(0, min(alphabet, 3 if seed % 2 else alphabet), (rows, length))
-    arr = arr.astype(np.min_scalar_type(alphabet - 1))
-    if sort:
-        arr = codes_mod._distinct_rows(arr)
-    unchanged = len(arr) < 2 or np.array_equal(codes_mod._distinct_rows(arr), arr)
-    assert codes_mod._ascending(arr) == unchanged
-
-
 def test_perfbench_entry_points_resolve():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)

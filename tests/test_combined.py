@@ -24,7 +24,7 @@ from agcodes.sections import (
     phi0_projective,
     solution_multiplicity,
 )
-from agcodes.xing import ball_size
+from agcodes.kernels import ball_size
 from conftest import census_total, naive_min_distance
 
 

@@ -335,6 +335,31 @@ def test_coset_search_keys_past_64_bits():
     assert np.array_equal(got.survivor_indices, np.nonzero(within)[0])
 
 
+@pytest.mark.parametrize("cells", [1, 7, 64])
+def test_coset_search_reduces_across_chunks(cells, monkeypatch):
+    # the ball product reduced a few rows at a time gives the same outcome
+    monkeypatch.setattr(kernels, "_CHUNK_CELLS", cells)
+    field = make_field(2, 2)
+    rng = np.random.default_rng(cells)
+    for m, n in ((1, 4), (2, 2)):
+        rows = [rng.integers(0, 4, (3, n)).tolist() for _ in range(m)]
+        for radii in ([1] * m, [n] * m):
+            assert_coset_search_matches_scans(field, rows, radii, seed=3, trials=20)
+
+
+def test_coset_search_refuses_past_the_cell_cap(monkeypatch):
+    # GF(9), N = 27, m = 2 at radii (1, 2): 217 * 22681 ball vectors of 54
+    # symbols, refused before any ball is built
+    def refuse(*args):
+        raise AssertionError("a ball was built")
+
+    monkeypatch.setattr(kernels, "_ball_offsets", refuse)
+    cells = kernels.ball_product_cells(27, (1, 2), 9)
+    assert cells == 217 * 22681 * 54 > kernels.SPAN_CELL_CAP
+    with pytest.raises(PreconditionError, match=f"ball product of {cells} symbols"):
+        kernels.coset_search(make_field(3, 2), [[[1] * 27], [[2] * 27]], (1, 2))
+
+
 def test_coset_search_needs_a_basis_per_radius():
     with pytest.raises(PreconditionError):
         kernels.coset_search(make_field(3, 1), [], ())

@@ -8,10 +8,10 @@ from agcodes import kernels
 from agcodes.codes import build_goppa
 from agcodes.curves import build_curve, default_eval_points
 from agcodes.errors import PreconditionError
-from agcodes.field import Polynomial, RationalFunction, make_field
+from agcodes.field import Polynomial, RationalFunction, make_field, prime_factors
+from agcodes.kernels import ball_size
 from agcodes.xing import (
     XingParams,
-    ball_size,
     build_xing,
     distance_floor,
     function_from_index,
@@ -205,18 +205,36 @@ def test_coset_search_past_the_center_space_cap():
     )
 
 
-def test_search_guard_on_ball_product():
-    # three orders of radius 3: 1545^3 ball-product vectors exceed the cap
+def test_exhaustive_search_past_the_coset_cap():
+    # three orders of radius 3: 1545^3 ball-product vectors of 18 symbols
+    # exceed the coset search's cap, so the search scans the spans' words,
+    # and their 5^18 centers exceed the exhaustive center cap
     curve, D = _gf5_quadratic_place()
-    assert ball_size(6, 3, 5) ** 3 > kernels.EXHAUSTIVE_CENTER_CAP
-    with pytest.raises(PreconditionError, match="ball product"):
+    assert kernels.ball_product_cells(6, (3, 3, 3), 5) > kernels.SPAN_CELL_CAP
+    with pytest.raises(PreconditionError, match="exhaustive center space"):
         search_centers(curve, D, XingParams(m=3, radii=(3, 3, 3), strategy="exhaustive"))
+
+
+def test_coset_cap_admits_every_exhaustive_center_space():
+    # every P1 or Hermitian instance with at most EXHAUSTIVE_CENTER_CAP
+    # centers and radii s_r < N(q-1)/q has a ball product within the coset
+    # search's cap, so the coset route refuses no exhaustive search that the
+    # center scan accepts
+    worst = 0
+    for q in (q for q in range(2, 257) if len(prime_factors(q)) == 1):
+        root = math.isqrt(q)
+        for n in range(1, max(q, root ** 3 if root * root == q else 0) + 2):
+            s = (n * (q - 1) - 1) // q  # the largest radius XingParams accepts
+            m = 1
+            while s >= 0 and q ** (m * n) <= kernels.EXHAUSTIVE_CENTER_CAP:
+                worst = max(worst, kernels.ball_product_cells(n, (s,) * m, q))
+                m += 1
+    assert 0 < worst <= kernels.SPAN_CELL_CAP
 
 
 def test_xing_builds_never_span(monkeypatch):
     # every strategy of every build below searches cosets and forms the
-    # order-m words at the survivors only; random and greedy qualify because
-    # their ball products (25 and 277 vectors) are smaller than the 4^7 span
+    # order-m words at the survivors only
     def refuse(*args):
         raise AssertionError("a xing build enumerated a span")
 
@@ -240,16 +258,17 @@ def test_xing_builds_never_span(monkeypatch):
 
 def test_random_and_greedy_routes_agree():
     # a ball product of 1 + 8*3 + 28*9 = 277 vectors against a span of 4^2
-    # words: random and greedy scan the words; the coset search on the same
-    # basis rows picks the same center, survivors and candidate count
+    # words: the coset search picks the center, survivors and candidate
+    # count that the word scan picks on the span
     curve = build_curve("hermitian", make_field(2, 2))
     D = curve.one_point_divisor(2)
     points = default_eval_points(curve, D)
-    rows = phi_basis_rows(curve, curve.riemann_roch_basis(D), points, 0)
+    span = kernels.linear_span_words(
+        curve.field, phi_basis_rows(curve, curve.riemann_roch_basis(D), points, 0)[0])
     for strategy in ("random", "greedy"):
         params = XingParams(m=1, radii=(2,), strategy=strategy, seed=5, trials=32)
         res = search_centers(curve, D, params)
-        other = kernels.coset_search(curve.field, rows, (2,), strategy, 5, 32)
+        other = kernels.center_search([span], (2,), 4, strategy=strategy, seed=5, trials=32)
         assert (res.survivor_count, res.centers, res.n_candidates) == (
             other.best_count, other.centers, other.n_candidates)
         assert np.array_equal(res.survivor_indices, other.survivor_indices)
