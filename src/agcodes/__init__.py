@@ -7,6 +7,8 @@ distance and counting guarantee and high-precision tables of the
 asymptotic bound landscape.
 """
 
+from types import ModuleType as _Module
+
 from .errors import PreconditionError, VerificationError
 from .field import (
     INF,
@@ -40,4 +42,7 @@ from .sections import (
 from .combined import CombinedParams, build_combined, optimal_sigma0, threshold_check
 from . import bounds
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above and `bounds`, but not the submodules that the
+# imports bind as a side effect
+__all__ = [name for name, value in globals().items() if not name.startswith("_")
+           and (name == "bounds" or not isinstance(value, _Module))]

@@ -147,8 +147,12 @@ def _curve_context(curve, points=None) -> dict:
     return ctx
 
 
-def _emit(args, command: str, params: dict, extra: dict, artifact_name: str, text: str,
+def _emit(args, command: str, extra: dict, artifact_name: str, text: str,
           elapsed: float, context: dict | None = None):
+    """Write the artifact and its manifest. The manifest's params are the
+    command's flags as parsed, which replay passes back; the output
+    directory is left out, so a manifest replays anywhere."""
+    params = {k: v for k, v in vars(args).items() if k not in ("group", "sub", "fn", "out")}
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     artifact_path = os.path.join(out_dir, artifact_name)
@@ -192,10 +196,6 @@ def cmd_curve_info(args) -> int:
     return EXIT_OK
 
 
-def _build_params(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys}
-
-
 def cmd_goppa_build(args) -> int:
     t0 = time.perf_counter()
     curve = _resolve_curve(args)
@@ -210,8 +210,7 @@ def cmd_goppa_build(args) -> int:
         "claimed_distance": code.metadata["claimed_distance"],
         "measured_distance": code.metadata["measured_distance"],
     }
-    params = _build_params(args, ("q", "curve", "divisor", "points"))
-    _emit(args, "goppa build", params, extra, "goppa_code.txt", text,
+    _emit(args, "goppa build", extra, "goppa_code.txt", text,
           time.perf_counter() - t0, context=_curve_context(curve, points))
     return EXIT_OK
 
@@ -233,16 +232,13 @@ def cmd_xing_build(args) -> int:
     extra = {
         "n": build.code.length,
         "functions": build.code.metadata["n_functions"],
-        "survivors": build.search.survivor_count,
+        "survivors": build.search.best_count,
         "code_words": build.code.size,
         "average": build.code.metadata["average"],
-        "claimed_distance": build.claimed_distance,
+        "claimed_distance": build.code.metadata["claimed_distance"],
         "measured_distance": build.code.metadata["measured_distance"],
     }
-    cli_params = _build_params(
-        args, ("q", "curve", "divisor", "m", "radii", "strategy", "seed", "trials", "points")
-    )
-    _emit(args, "xing build", cli_params, extra, "xing_code.txt", text,
+    _emit(args, "xing build", extra, "xing_code.txt", text,
           time.perf_counter() - t0, context=_curve_context(curve, points))
     return EXIT_OK
 
@@ -267,8 +263,7 @@ def cmd_sections_enumerate(args) -> int:
         "count": len(sections),
         **count_reference(field.q, curve.n_points, args.h, len(sections)),
     }
-    params = _build_params(args, ("q", "divisor", "h"))
-    _emit(args, "sections enumerate", params, extra, "sections.txt", text,
+    _emit(args, "sections enumerate", extra, "sections.txt", text,
           time.perf_counter() - t0, context=_curve_context(curve))
     return EXIT_OK
 
@@ -327,17 +322,14 @@ def cmd_combined_build(args) -> int:
     text = code_to_text(result.code)
     extra = {
         "n": result.code.length,
-        "sections": result.n_sections,
+        "sections": result.code.metadata["n_sections"],
         "survivors": len(result.survivors),
         "code_words": result.code.size,
         "average": result.code.metadata["average"],
-        "claimed_distance": result.claimed_distance,
+        "claimed_distance": result.code.metadata["claimed_distance"],
         "measured_distance": result.code.metadata["measured_distance"],
     }
-    cli_params = _build_params(
-        args, ("q", "divisor", "h", "s0", "d0", "strategy", "seed", "trials", "points")
-    )
-    _emit(args, "combined build", cli_params, extra, "combined_code.txt", text,
+    _emit(args, "combined build", extra, "combined_code.txt", text,
           time.perf_counter() - t0, context=_curve_context(curve, points))
     return EXIT_OK
 
@@ -347,8 +339,7 @@ def cmd_bounds_table(args) -> int:
     text = bounds.frontier_csv(args.q, args.grid, args.m)
     q0 = bounds.sqrt_if_square(args.q)
     extra = {"rows": args.grid, "reference_ratio": q0 - 1}
-    params = _build_params(args, ("q", "grid", "m"))
-    _emit(args, "bounds table", params, extra, f"frontier_q{args.q}.csv", text,
+    _emit(args, "bounds table", extra, f"frontier_q{args.q}.csv", text,
           time.perf_counter() - t0)
     return EXIT_OK
 

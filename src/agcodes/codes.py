@@ -75,22 +75,19 @@ def make_code(alphabet: Alphabet, length: int, words, field=None, metadata=None)
     return Code(alphabet, length, arr, field, dict(metadata or {}))
 
 
-def finish_code(alphabet: Alphabet, n: int, words, field, metadata: dict,
-                measure: bool) -> Code:
+def finish_code(alphabet: Alphabet, n: int, words, field, metadata: dict) -> Code:
     """The last step of every builder: make the code of the word array, one
-    row per preimage, which must be distinct; then, if asked, measure the
-    exact distance and hold it to metadata["claimed_distance"]."""
+    row per preimage, which must be distinct; then measure the exact
+    distance and hold it to metadata["claimed_distance"]."""
     code = make_code(alphabet, n, words, field=field, metadata=metadata)
     if code.size != len(words):
         raise VerificationError(
             f"the word map is not injective: {len(words)} preimages, {code.size} words"
         )
-    if measure:
-        d = exact_min_distance(code)
-        code.metadata["measured_distance"] = d
-        claimed = metadata["claimed_distance"]
-        if d is not None and d < claimed:
-            raise VerificationError(f"measured distance {d} below the floor {claimed}")
+    d = code.metadata["measured_distance"] = exact_min_distance(code)
+    claimed = metadata["claimed_distance"]
+    if d is not None and d < claimed:
+        raise VerificationError(f"measured distance {d} below the floor {claimed}")
     return code
 
 
@@ -134,7 +131,7 @@ def exact_min_distance(code: Code) -> int | None:
 # ---------------------------------------------------------------------------
 # Goppa codes: evaluate L(D) at rational points off supp(D).
 
-def build_goppa(curve, D: Divisor, points=None, measure: bool = True) -> Code:
+def build_goppa(curve, D: Divisor, points=None) -> Code:
     """The evaluation code of L(D) at the given rational points.
 
     Words are all evaluation vectors of L(D); the claimed minimum distance
@@ -177,8 +174,7 @@ def build_goppa(curve, D: Divisor, points=None, measure: bool = True) -> Code:
         "claimed_distance": n - D.degree,
         "points": ";".join(p.serialize() for p in points),
     }
-    return finish_code(Alphabet("field", F.q), n, kernels.linear_span_words(F, rows), F,
-                       metadata, measure)
+    return finish_code(Alphabet("field", F.q), n, kernels.linear_span_words(F, rows), F, metadata)
 
 
 def goppa_sum_check(codes) -> list[dict]:

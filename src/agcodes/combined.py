@@ -16,7 +16,10 @@ code to have minimum distance at least d0. The sections stay one
 SectionTable throughout: the order-0 words that pick the center and the
 order-1 words of the survivors come from one call each of the table kernel
 sections.phi_words, and only the survivors become RationalSection objects,
-for the result.
+for the result. The result holds the code and the finished
+`kernels.SearchOutcome` of the center search. The averaging census finishes
+its outcome the same way and compares the outcome's `expected_census`
+with the sum its scan counts.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .sections import (
     phi_words,
     threshold_check,
 )
-from .kernels import ball_size
 
 
 def optimal_sigma0(q: int) -> Fraction:
@@ -64,26 +66,24 @@ def phi_r_projective(curve: ProjectiveLine, f: RationalSection, points, r: int) 
     return tuple(phi_words(curve, SectionTable.of(f.divisor, (f,)), points, r)[0].tolist())
 
 
-def averaging_census(curve: ProjectiveLine, D: Divisor, h: int, s0: int, points=None):
+def averaging_census(curve: ProjectiveLine, D: Divisor, h: int, s0: int):
     """Complete-enumeration check of the averaging identity: the sum over
     every projective center of the survivor count equals the section count
-    times the projective ball size. Returns (census_total, expected).
+    times the projective ball size. Returns (census_total, expected), the
+    scan's sum and the finished outcome's `expected_census`.
 
     This is independent of the distance-budget preconditions; the identity
     is purely combinatorial.
     """
-    points = tuple(curve.points if points is None else points)
-    n = len(points)
     q = curve.field.q
-    if not 0 <= s0 <= n:
+    if not 0 <= s0 <= curve.n_points:
         raise PreconditionError("radius must lie in [0, N]")
     sections = enumerate_sections(curve, D, h)
-    arr0 = phi_words(curve, sections, points, 0)
+    arr0 = phi_words(curve, sections, curve.points, 0)
     outcome = kernels.center_search(
         [arr0], [s0], alphabet_size=q + 1, strategy="exhaustive", census=True
-    )
-    expected = len(sections) * ball_size(n, s0, q + 1)
-    return outcome.census_total, expected
+    ).finish(len(sections), [s0], q + 1)
+    return outcome.census_total, outcome.expected_census
 
 
 @dataclass(frozen=True)
@@ -109,22 +109,14 @@ class CombinedParams:
 
 @dataclass
 class CombinedResult:
-    center: tuple[int, ...]
-    survivors: tuple[RationalSection, ...]
     code: Code
-    exact_average: Fraction
-    claimed_distance: int
+    search: kernels.SearchOutcome
+    survivors: tuple[RationalSection, ...]
     points: tuple
-    n_sections: int
-    strategy: str
 
 
 def build_combined(
-    curve: ProjectiveLine,
-    D: Divisor,
-    params: CombinedParams,
-    points=None,
-    measure: bool = True,
+    curve: ProjectiveLine, D: Divisor, params: CombinedParams, points=None
 ) -> CombinedResult:
     """Enumerate the sections, pick the best projective ball center, and map
     the survivors through the first-order word."""
@@ -134,18 +126,16 @@ def build_combined(
     params.validate(n, q)
     sections = enumerate_sections(curve, D, params.h)
     arr0 = phi_words(curve, sections, points, 0)
-    outcome = kernels.center_search(
+    search = kernels.center_search(
         [arr0],
         [params.s0],
         alphabet_size=q + 1,
         strategy=params.strategy,
         seed=params.seed,
         trials=params.trials,
-    )
-    average = outcome.finish(
-        len(sections), [params.s0], q + 1, "no survivors at the chosen center"
-    )
-    survivors = sections[outcome.survivor_indices]
+    ).finish(len(sections), [params.s0], q + 1)
+    survivors = sections[search.survivor_indices]
+    average = search.exact_average
     metadata = {
         "construction": "combined",
         "curve": curve.kind,
@@ -155,9 +145,9 @@ def build_combined(
         "strategy": params.strategy,
         "seed": params.seed,
         "trials": params.trials,
-        "center": ",".join(str(s) for s in outcome.centers[0]),
+        "center": ",".join(str(s) for s in search.centers[0]),
         "n_sections": len(sections),
-        "n_survivors": outcome.best_count,
+        "n_survivors": search.best_count,
         "average": f"{average.numerator}/{average.denominator}",
         "claimed_distance": params.d0,
         "points": ";".join(p.serialize() for p in points),
@@ -165,14 +155,5 @@ def build_combined(
         "threshold_exceeded": int(threshold_check(q, params.h, n)),
     }
     words1 = phi_words(curve, survivors, points, 1)
-    code = finish_code(Alphabet("field", q), n, words1, curve.field, metadata, measure)
-    return CombinedResult(
-        center=outcome.centers[0],
-        survivors=tuple(survivors),
-        code=code,
-        exact_average=average,
-        claimed_distance=params.d0,
-        points=points,
-        n_sections=len(sections),
-        strategy=params.strategy,
-    )
+    code = finish_code(Alphabet("field", q), n, words1, curve.field, metadata)
+    return CombinedResult(code=code, search=search, survivors=tuple(survivors), points=points)

@@ -30,6 +30,9 @@ checked by enumeration rather than holding by construction. The random and
 greedy strategies score their candidates with `agreements` and with
 per-word distances kept across single-coordinate moves; both searches share
 the candidate draw and the greedy walk, so the routes pick the same centers.
+Every search ends in `SearchOutcome.finish`, which records the exact average
+and that expected sum and holds an exhaustive maximum to the average's
+ceiling.
 """
 
 from __future__ import annotations
@@ -207,7 +210,8 @@ def is_subspace(arr: np.ndarray, field) -> bool:
 
 @dataclass
 class SearchOutcome:
-    """Result of a ball-center search over center tuples."""
+    """Result of a ball-center search over center tuples; `finish` adds the
+    averaging record."""
 
     best_count: int
     centers: tuple[tuple[int, ...], ...]
@@ -215,17 +219,20 @@ class SearchOutcome:
     strategy: str
     n_candidates: int
     census_total: int | None = None
+    exact_average: Fraction | None = None
+    expected_census: int | None = None
 
-    def finish(self, n_words: int, radii, alphabet_size: int, empty: str) -> Fraction:
-        """The exact average survivor count over all centers,
-        n_words * prod_r ball(N, s_r) / alphabet_size^(mN), the last step of
-        every center search. Raises VerificationError, naming the center and
-        its count, when an exhaustive maximum falls below the average's
-        ceiling, and with the message `empty` when the center keeps no word."""
+    def finish(self, n_words: int, radii, alphabet_size: int) -> "SearchOutcome":
+        """The last step of every center search: record expected_census, the
+        sum of all centers' survivor counts n_words * prod_r ball(N, s_r),
+        and exact_average, that sum over alphabet_size^(mN) centers. Raises
+        VerificationError, naming the center and its count, when an
+        exhaustive maximum falls below the average's ceiling, and when the
+        center keeps no word."""
         n = len(self.centers[0])
-        average = Fraction(n_words * math.prod(ball_size(n, s, alphabet_size) for s in radii),
-                           alphabet_size ** (len(radii) * n))
-        floor = math.ceil(average)
+        self.expected_census = n_words * math.prod(ball_size(n, s, alphabet_size) for s in radii)
+        self.exact_average = Fraction(self.expected_census, alphabet_size ** (len(radii) * n))
+        floor = math.ceil(self.exact_average)
         if self.strategy == "exhaustive" and self.best_count < floor:
             raise VerificationError(
                 f"exhaustive maximum fell below the exact average: center "
@@ -233,8 +240,8 @@ class SearchOutcome:
                 f"ceil(average) = {floor}"
             )
         if self.best_count < 1:
-            raise VerificationError(empty)
-        return average
+            raise VerificationError("no survivors at the chosen centers")
+        return self
 
 
 def _center_text(centers) -> str:
@@ -638,11 +645,9 @@ class CosetSpace:
         weights = q ** np.arange(k, dtype=np.int64 if q ** k <= 1 << 63 else object)
         indices, first = np.unique(digits.astype(weights.dtype) @ weights, return_index=True)
         words = _combine(self.add, self.mul, self.basis, digits[first])
-        within = np.logical_and.reduce([
-            (words[:, r * n : (r + 1) * n] != center[r * n : (r + 1) * n]).sum(axis=1) <= s
-            for r, s in enumerate(self.radii)
-        ])
-        return _recounted(best_count, _per_order(center, len(self.radii), n), int(within.sum()),
+        m = len(self.radii)
+        within = _survivor_mask(np.hsplit(words, m), self.radii, center, n)
+        return _recounted(best_count, _per_order(center, m, n), int(within.sum()),
                           indices, strategy, n_cand)
 
 

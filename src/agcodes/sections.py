@@ -346,13 +346,11 @@ def count_reference(q: int, n: int, h: int, count: int) -> dict:
     return {"count_reference": f"{reference:.6g}", "count_ratio": f"{count / reference:.6g}"}
 
 
-def build_section_code(
-    curve: ProjectiveLine, D: Divisor, h: int, points=None, measure: bool = True
-) -> Code:
+def build_section_code(curve: ProjectiveLine, D: Divisor, h: int) -> Code:
     """Evaluation code of the height-h sections over the projective
-    alphabet; needs 2h < N, which makes evaluation injective and forces
-    minimum distance at least N - 2h."""
-    points = tuple(curve.points if points is None else points)
+    alphabet at every point of the line; needs 2h < N, which makes
+    evaluation injective and forces minimum distance at least N - 2h."""
+    points = curve.points
     n = len(points)
     if 2 * h >= n:
         raise PreconditionError("need 2h < N for the plain section code")
@@ -371,4 +369,4 @@ def build_section_code(
         "threshold_exceeded": int(threshold_check(q, h, n)),
     }
     words = phi_words(curve, sections, points, 0)
-    return finish_code(Alphabet("p1", q), n, words, curve.field, metadata, measure)
+    return finish_code(Alphabet("p1", q), n, words, curve.field, metadata)

@@ -11,14 +11,16 @@ every claim in this module is exact:
 
 guarantees the final-order map is injective on the survivor set and the
 image code has minimum distance at least d0.
+
+A search returns its finished `kernels.SearchOutcome`: the center, the
+survivors, the exact average and the census target. A build is that outcome
+and the measured `Code`, whose metadata records the floor d0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import kernels
 from .codes import Alphabet, Code, finish_code
@@ -60,18 +62,6 @@ class XingParams:
                 raise PreconditionError("radius must satisfy 0 <= s_r < N(q-1)/q")
 
 
-@dataclass
-class CenterSearchResult:
-    centers: tuple[tuple[int, ...], ...]
-    survivor_indices: np.ndarray
-    survivor_count: int
-    exact_average: Fraction
-    strategy: str
-    n_candidates: int
-    census_total: int | None = None
-    expected_census: int | None = None
-
-
 def phi_basis_rows(curve, basis, points, r_max: int) -> list[list[list[int]]]:
     """Expansion coefficients of each basis function, one list of rows per
     order r = 0..r_max: rows[r][i][j] is the t^r coefficient of basis[i] at
@@ -105,7 +95,7 @@ def _eval_points(curve, D: Divisor, params: XingParams, points) -> tuple:
 
 def search_centers(
     curve, D: Divisor, params: XingParams, points=None, census: bool = False
-) -> CenterSearchResult:
+) -> kernels.SearchOutcome:
     """Maximize the survivor set over center tuples.
 
     The exact average of the survivor count over ALL center tuples is
@@ -117,7 +107,7 @@ def search_centers(
     return _search(curve.field, rows, params, census)
 
 
-def _search(field, rows, params: XingParams, census: bool) -> CenterSearchResult:
+def _search(field, rows, params: XingParams, census: bool) -> kernels.SearchOutcome:
     """Center search over the spans of the order-0..m-1 basis rows of L(D).
 
     The census scans every center of the spans' words. Otherwise the search
@@ -139,18 +129,7 @@ def _search(field, rows, params: XingParams, census: bool) -> CenterSearchResult
         outcome = kernels.coset_search(
             field, rows, params.radii, params.strategy, params.seed, params.trials
         )
-    average = outcome.finish(q ** k, params.radii, q, "no survivors at the chosen centers")
-    expected = int(average * q ** (params.m * n)) if census else None
-    return CenterSearchResult(
-        centers=outcome.centers,
-        survivor_indices=outcome.survivor_indices,
-        survivor_count=outcome.best_count,
-        exact_average=average,
-        strategy=params.strategy,
-        n_candidates=outcome.n_candidates,
-        census_total=outcome.census_total,
-        expected_census=expected,
-    )
+    return outcome.finish(q ** k, params.radii, q)
 
 
 def function_from_index(field, basis, index: int):
@@ -168,15 +147,12 @@ def function_from_index(field, basis, index: int):
 
 @dataclass
 class XingBuild:
-    search: CenterSearchResult
     code: Code
-    claimed_distance: int
+    search: kernels.SearchOutcome
     points: tuple
 
 
-def build_xing(
-    curve, D: Divisor, params: XingParams, points=None, measure: bool = True
-) -> XingBuild:
+def build_xing(curve, D: Divisor, params: XingParams, points=None) -> XingBuild:
     """Build the order-m code: survivors of the ball constraints mapped
     through the order-m expansion word."""
     points = _eval_points(curve, D, params, points)
@@ -201,18 +177,18 @@ def build_xing(
         "trials": params.trials,
         "centers": "|".join(",".join(str(s) for s in c) for c in search.centers),
         "n_functions": q ** len(basis),
-        "n_survivors": search.survivor_count,
+        "n_survivors": search.best_count,
         "average": f"{search.exact_average.numerator}/{search.exact_average.denominator}",
         "claimed_distance": d0,
         "points": ";".join(p.serialize() for p in points),
         "linear": False,
     }
     words = kernels.span_words_at(curve.field, rows[params.m], search.survivor_indices)
-    code = finish_code(Alphabet("field", q), n, words, curve.field, metadata, measure)
-    return XingBuild(search=search, code=code, claimed_distance=d0, points=points)
+    code = finish_code(Alphabet("field", q), n, words, curve.field, metadata)
+    return XingBuild(code=code, search=search, points=points)
 
 
-def survivor_functions(curve, D: Divisor, search: CenterSearchResult):
+def survivor_functions(curve, D: Divisor, search: kernels.SearchOutcome):
     """The survivor functions themselves, for multiplicity audits."""
     basis = curve.riemann_roch_basis(D)
     field = curve.field

@@ -275,11 +275,11 @@ def test_criterion_6_degenerations():
 
     # radius-0 combined build meets the distance floor 2(N - h)
     res = build_combined(p14, p14.zero_divisor(), CombinedParams(h=3, s0=0, d0=4))
-    assert res.claimed_distance == 2 * (5 - 3)
+    assert res.code.metadata["claimed_distance"] == 2 * (5 - 3)
     assert res.code.metadata["measured_distance"] >= 4
     # and under the plain-code regime it collapses to a single section
     tight = build_combined(_p1(2), _p1(2).zero_divisor(),
-                           CombinedParams(h=1, s0=0, d0=4), measure=False)
+                           CombinedParams(h=1, s0=0, d0=4))
     assert len(tight.survivors) <= 1
     print("\nACCEPTANCE 6 PASS - zero-radius order-1 build reproduces the "
           "evaluation code (word sets equal after the coordinate scaling) and "

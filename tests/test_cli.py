@@ -362,6 +362,29 @@ def test_xing_refuses_a_ball_product_past_its_cap(tmp_path, monkeypatch, strateg
     assert not out.exists()
 
 
+@pytest.mark.parametrize("strategy", ["random", "greedy"])
+def test_xing_scans_the_span_past_the_coset_cap(tmp_path, monkeypatch, strategy):
+    # radius 4 on the 16 affine points of GF(16): about 1.5e9 ball-product
+    # symbols are past the coset search's cap, so the search scans the
+    # 256-word span of L(P_inf) instead, and builds no ball
+    assert kernels.ball_product_cells(16, (4,), 16) > kernels.SPAN_CELL_CAP
+    real, spans = kernels.linear_span_words, []
+
+    def span(*args):
+        spans.append(real(*args))
+        return spans[-1]
+
+    def refuse(*args):
+        raise AssertionError("a ball was built")
+
+    monkeypatch.setattr(kernels, "linear_span_words", span)
+    monkeypatch.setattr(kernels, "_ball_offsets", refuse)
+    argv = ["xing", "build", "--q", "16", "--divisor", "inf:1", "--m", "1", "--radii", "4",
+            "--strategy", strategy, "--out", str(tmp_path / "x")]
+    assert main(argv) == EXIT_OK
+    assert [s.shape for s in spans] == [(256, 16)]
+
+
 def test_goppa_hermitian_constant_code_pinned(tmp_path, capsys):
     # L(0) is the constants, the only path that evaluates Hermitian
     # functions at P_inf: the repetition code of length 9 over GF(4)
@@ -533,12 +556,13 @@ def test_code_file_reader_does_not_depend_on_its_block_size(monkeypatch):
     # read block-wise and one line at a time: the same words, or the same
     # error naming the same line
     curve = build_curve("hermitian", make_field(3, 2))
-    code = codes.build_goppa(curve, curve.one_point_divisor(5), measure=False)
+    code = codes.build_goppa(curve, curve.one_point_divisor(5))
     text = codes.code_to_text(code)
     head, _, block = text.partition("\nwords: 729\n")
     lines = block.splitlines()
     cases = {text: code.words.tolist(), text.rstrip("\n"): code.words.tolist(),
              _GOOD_HEADER + "words: 2\n00,0,0\n1,01,001\n": [[0, 0, 0], [1, 1, 1]],
+             _GOOD_HEADER + "words: 2\n1,1,1\n0,0,0\n": [[0, 0, 0], [1, 1, 1]],
              text + "\n": "word count 729 does not match the 730 word lines"}
     for row in (0, 400, 728):
         at = f"word line {row + 1}: "

@@ -93,13 +93,11 @@ def test_make_code_empty_and_length_zero():
 def test_finish_code_checks_injectivity_and_the_floor():
     alpha, words = Alphabet("field", 2), np.array([[1, 1, 1], [0, 0, 0]])
     with pytest.raises(VerificationError, match="not injective: 3 preimages, 2 words"):
-        finish_code(alpha, 3, np.vstack([words, words[:1]]), None, {"claimed_distance": 1}, True)
-    unmeasured = finish_code(alpha, 3, words, None, {"claimed_distance": 4}, False)
-    assert "measured_distance" not in unmeasured.metadata
-    assert finish_code(alpha, 3, words, None, {"claimed_distance": 3}, True).metadata[
+        finish_code(alpha, 3, np.vstack([words, words[:1]]), None, {"claimed_distance": 1})
+    assert finish_code(alpha, 3, words, None, {"claimed_distance": 3}).metadata[
         "measured_distance"] == 3
     with pytest.raises(VerificationError, match="measured distance 3 below the floor 4"):
-        finish_code(alpha, 3, words, None, {"claimed_distance": 4}, True)
+        finish_code(alpha, 3, words, None, {"claimed_distance": 4})
 
 
 def test_builder_refuses_a_repeated_word(monkeypatch):
@@ -159,7 +157,7 @@ def _route(code, monkeypatch):
 def test_subspace_proof_on_built_and_perturbed_codes(built_codes, monkeypatch):
     rng = random.Random(7)
     herm9 = build_curve("hermitian", make_field(3, 2))
-    big = build_goppa(herm9, herm9.one_point_divisor(4), measure=False)
+    big = build_goppa(herm9, herm9.one_point_divisor(4))
     linear = [built_codes["goppa"], built_codes["hermitian"], big]
     candidates = list(linear)
     for code in linear:

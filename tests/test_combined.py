@@ -107,9 +107,9 @@ def test_build_combined_gf4_reference_instance():
     curve = _p1(4)
     params = CombinedParams(h=2, s0=1, d0=2, strategy="exhaustive")
     res = build_combined(curve, curve.zero_divisor(), params)
-    assert res.n_sections == 1024
-    assert res.exact_average == Fraction(1024 * ball_size(5, 1, 5), 5 ** 5)
-    assert len(res.survivors) >= math.ceil(res.exact_average)
+    assert res.code.metadata["n_sections"] == 1024
+    assert res.search.exact_average == Fraction(1024 * ball_size(5, 1, 5), 5 ** 5)
+    assert len(res.survivors) >= math.ceil(res.search.exact_average)
     assert res.code.size == len(res.survivors)
     assert res.code.metadata["measured_distance"] >= 2
     census_total, expected = averaging_census(curve, curve.zero_divisor(), params.h, params.s0)
@@ -122,7 +122,7 @@ def test_build_combined_gf3_instance():
     params = CombinedParams(h=1, s0=1, d0=2, strategy="exhaustive")
     res = build_combined(curve, curve.zero_divisor(), params)
     assert res.code.metadata["measured_distance"] >= 2
-    assert res.code.size == len(res.survivors) >= math.ceil(res.exact_average)
+    assert res.code.size == len(res.survivors) >= math.ceil(res.search.exact_average)
 
 
 def test_build_combined_gf7_height2_pinned(tmp_path):
@@ -200,9 +200,9 @@ def test_zero_radius_reduces_to_shared_evaluation():
     D = curve.zero_divisor()
     params = CombinedParams(h=3, s0=0, d0=4, strategy="exhaustive")
     res = build_combined(curve, D, params)
-    assert res.claimed_distance == 2 * 5 - 2 * 3
+    assert res.code.metadata["claimed_distance"] == 2 * 5 - 2 * 3
     for s in res.survivors:
-        assert phi0_projective(curve, s, res.points) == res.center
+        assert phi0_projective(curve, s, res.points) == res.search.centers[0]
     assert res.code.metadata["measured_distance"] >= 4
     # pairwise: the total agreement multiplicity bound forces >= 2N - 2h
     assert len(res.survivors) >= 2
@@ -212,7 +212,7 @@ def test_zero_radius_small_height_single_survivor():
     # 2h < N with radius 0 leaves at most one survivor per center
     curve = _p1(2)
     params = CombinedParams(h=1, s0=0, d0=4, strategy="exhaustive")
-    res = build_combined(curve, curve.zero_divisor(), params, measure=False)
+    res = build_combined(curve, curve.zero_divisor(), params)
     assert len(res.survivors) <= 1
 
 

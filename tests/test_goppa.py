@@ -73,7 +73,7 @@ def test_p1_gf2_degree_two_divisor():
 def test_word_count_matches_riemann_roch():
     curve = build_curve("hermitian", make_field(2, 2))
     for m in range(1, 7):
-        code = build_goppa(curve, curve.one_point_divisor(m), measure=False)
+        code = build_goppa(curve, curve.one_point_divisor(m))
         if m > 2 * curve.genus - 2:
             assert code.size == curve.field.q ** (m - curve.genus + 1)
 
@@ -146,7 +146,7 @@ def test_linear_shortcut_agrees_with_pairwise():
 
 def test_distance_independent_of_chunk_size(monkeypatch):
     curve = build_curve("hermitian", make_field(3, 2))
-    code = build_goppa(curve, curve.one_point_divisor(5), measure=False)
+    code = build_goppa(curve, curve.one_point_divisor(5))
     arr = code.words
     base = kernels.pairwise_min_distance(arr)
     for cells in (1, 4096, 1 << 16):

@@ -549,7 +549,7 @@ def test_section_code_rejects_large_height():
 def test_section_code_needs_lookup_tables():
     # order-0 words are table-driven, so fields above 256 elements refuse
     with pytest.raises(PreconditionError):
-        build_section_code(_p1(257), _p1(257).zero_divisor(), 0, measure=False)
+        build_section_code(_p1(257), _p1(257).zero_divisor(), 0)
 
 
 def test_section_count_reference_reported():

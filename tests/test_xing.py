@@ -95,8 +95,8 @@ def test_search_centers_exhaustive_beats_average():
     params = XingParams(m=1, radii=(1,), strategy="exhaustive")
     res = search_centers(curve, D, params, census=True)
     assert res.exact_average == Fraction(2)  # 4 functions * ball(3,1,2)=4 over 2^3
-    assert res.survivor_count >= math.ceil(res.exact_average)
-    assert res.survivor_count == 3  # frozen exhaustive maximum
+    assert res.best_count >= math.ceil(res.exact_average)
+    assert res.best_count == 3  # frozen exhaustive maximum
     assert res.census_total == res.expected_census == 16
 
 
@@ -129,8 +129,8 @@ def test_random_strategy_is_reproducible():
     r1 = search_centers(curve, D, params)
     r2 = search_centers(curve, D, params)
     assert r1.centers == r2.centers
-    assert r1.survivor_count == r2.survivor_count
-    assert r1.survivor_count >= 1
+    assert r1.best_count == r2.best_count
+    assert r1.best_count >= 1
 
 
 def test_greedy_strategy_deterministic_and_nonempty():
@@ -139,8 +139,8 @@ def test_greedy_strategy_deterministic_and_nonempty():
     params = XingParams(m=1, radii=(1,), strategy="greedy", seed=9)
     r1 = search_centers(curve, D, params)
     r2 = search_centers(curve, D, params)
-    assert r1.centers == r2.centers and r1.survivor_count == r2.survivor_count
-    assert r1.survivor_count >= 1
+    assert r1.centers == r2.centers and r1.best_count == r2.best_count
+    assert r1.best_count >= 1
 
 
 def test_exhaustive_outperforms_random_and_greedy():
@@ -153,7 +153,7 @@ def test_exhaustive_outperforms_random_and_greedy():
     best = search_centers(curve, D, XingParams(m=1, radii=(1,), strategy="exhaustive"))
     for strategy in ("random", "greedy"):
         other = search_centers(curve, D, XingParams(m=1, radii=(1,), strategy=strategy, seed=3))
-        assert other.survivor_count <= best.survivor_count
+        assert other.best_count <= best.best_count
 
 
 def test_monotonicity_in_radius():
@@ -196,7 +196,7 @@ def test_coset_search_past_the_center_space_cap():
     spans = [kernels.linear_span_words(curve.field, rows)
              for rows in phi_basis_rows(curve, basis, points, 1)]
     count, index = kernels._histogram_search(spans, params.radii, 5)
-    assert res.survivor_count == count
+    assert res.best_count == count
     digits = np.unravel_index(index, (5,) * 12)
     assert res.centers == (tuple(int(d) for d in digits[:6]), tuple(int(d) for d in digits[6:]))
     assert np.array_equal(
@@ -269,7 +269,7 @@ def test_random_and_greedy_routes_agree():
         params = XingParams(m=1, radii=(2,), strategy=strategy, seed=5, trials=32)
         res = search_centers(curve, D, params)
         other = kernels.center_search([span], (2,), 4, strategy=strategy, seed=5, trials=32)
-        assert (res.survivor_count, res.centers, res.n_candidates) == (
+        assert (res.best_count, res.centers, res.n_candidates) == (
             other.best_count, other.centers, other.n_candidates)
         assert np.array_equal(res.survivor_indices, other.survivor_indices)
 
@@ -285,7 +285,8 @@ def test_survivor_indices_past_64_bits():
     indices = build.search.survivor_indices
     assert len(indices) == 81 and max(indices) >= 1 << 63
     assert list(indices) == sorted(set(indices))
-    assert build.claimed_distance == build.code.metadata["measured_distance"] == 24
+    meta = build.code.metadata
+    assert meta["claimed_distance"] == meta["measured_distance"] == 24
     points = build.points
     functions = survivor_functions(curve, D, build.search)
     for f in functions[:: 20]:
@@ -304,8 +305,8 @@ def test_build_xing_gf2_instance():
     params = XingParams(m=1, radii=(1,), strategy="exhaustive")
     assert distance_floor(3, 1, (1,), 1) == 1
     build = build_xing(curve, D, params)
-    assert build.claimed_distance == 1
-    assert build.code.size == build.search.survivor_count
+    assert build.code.metadata["claimed_distance"] == 1
+    assert build.code.size == build.search.best_count
     assert build.code.metadata["measured_distance"] >= 1
     assert naive_min_distance(build.code.words) == build.code.metadata["measured_distance"]
 
@@ -318,8 +319,8 @@ def test_build_xing_m2_instance():
     params = XingParams(m=2, radii=(1, 0), strategy="exhaustive")
     assert distance_floor(3, 2, (1, 0), 2) == 9 - 6 - 2
     build = build_xing(curve, D, params)
-    assert build.claimed_distance == 1
-    assert build.code.size == build.search.survivor_count
+    assert build.code.metadata["claimed_distance"] == 1
+    assert build.code.size == build.search.best_count
     measured = build.code.metadata["measured_distance"]
     if measured is None:
         assert build.code.size == 1  # tight radii leave a single survivor
@@ -332,8 +333,8 @@ def test_build_xing_all_zero_radii():
     D = curve.divisor({curve.place_inf(): 7})
     params = XingParams(m=1, radii=(0,), strategy="exhaustive")
     build = build_xing(curve, D, params)
-    assert build.claimed_distance == 2 * 4 - 7
-    assert build.code.metadata["measured_distance"] >= build.claimed_distance
+    assert build.code.metadata["claimed_distance"] == 2 * 4 - 7
+    assert build.code.metadata["measured_distance"] >= 2 * 4 - 7
 
 
 def test_build_xing_rejects_nonpositive_floor():
@@ -423,7 +424,7 @@ def test_multiplicity_chain_bounds():
     build = build_xing(curve, D, params)
     survivors = survivor_functions(curve, D, build.search)
     n = len(points)
-    d0 = build.claimed_distance
+    d0 = build.code.metadata["claimed_distance"]
     deg_d = D.degree
     for i in range(len(survivors)):
         for j in range(i + 1, len(survivors)):
@@ -448,7 +449,7 @@ def test_multiplicity_chain_on_hermitian_survivors():
     survivors = survivor_functions(curve, D, build.search)
     points = build.points
     n = len(points)
-    d0 = build.claimed_distance
+    d0 = build.code.metadata["claimed_distance"]
     deg_d = D.degree
     assert len(survivors) >= 2
     for i in range(len(survivors)):
