@@ -372,12 +372,8 @@ def cmd_verify_averaging(args) -> int:
     curve = build_curve("p1", field)
     D = curve.parse_divisor(args.divisor)
     if args.kind == "xing":
-        params = XingParams(
-            m=args.m,
-            radii=tuple(_ints(args.radii)),
-            strategy="exhaustive",
-        )
-        res = search_centers(curve, D, params, census=True)
+        params = XingParams(m=args.m, radii=tuple(_ints(args.radii)), strategy="census")
+        res = search_centers(curve, D, params)
         total, expected = res.census_total, res.expected_census
     else:
         from .combined import averaging_census

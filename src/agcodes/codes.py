@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .curves import Divisor, default_eval_points, distinct_points
+from .curves import Divisor, eval_points
 from .errors import PreconditionError, VerificationError
 from .field import FieldSpec, make_field
 
@@ -139,14 +139,8 @@ def build_goppa(curve, D: Divisor, points=None) -> Code:
     """
     if D.curve is not curve:
         raise PreconditionError("divisor lives on a different curve")
-    if points is None:
-        points = default_eval_points(curve, D)
-    points = distinct_points(points)
+    points = eval_points(curve, D, points)
     n = len(points)
-    supp = set(D.support)
-    for p in points:
-        if curve.place_of_point(p) in supp:
-            raise PreconditionError("supp(D) meets the evaluation points")
     if not 0 <= D.degree < n:
         raise PreconditionError("need 0 <= deg(D) < N")
     basis = curve.riemann_roch_basis(D)

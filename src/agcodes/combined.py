@@ -17,9 +17,9 @@ SectionTable throughout: the order-0 words that pick the center and the
 order-1 words of the survivors come from one call each of the table kernel
 sections.phi_words, and only the survivors become RationalSection objects,
 for the result. The result holds the code and the finished
-`kernels.SearchOutcome` of the center search. The averaging census finishes
-its outcome the same way and compares the outcome's `expected_census`
-with the sum its scan counts.
+`kernels.SearchOutcome` of `kernels.center_search`. The averaging census is
+the same search with the census strategy, which scans every center; it
+compares the sum its scan counts with the outcome's `expected_census`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import kernels
 from .codes import Alphabet, Code, finish_code
 from .curves import Divisor, ProjectiveLine, distinct_points
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .sections import (
     RationalSection,
     SectionTable,
@@ -70,7 +70,7 @@ def averaging_census(curve: ProjectiveLine, D: Divisor, h: int, s0: int):
     """Complete-enumeration check of the averaging identity: the sum over
     every projective center of the survivor count equals the section count
     times the projective ball size. Returns (census_total, expected), the
-    scan's sum and the finished outcome's `expected_census`.
+    scan's sum and the outcome's `expected_census`.
 
     This is independent of the distance-budget preconditions; the identity
     is purely combinatorial.
@@ -80,9 +80,7 @@ def averaging_census(curve: ProjectiveLine, D: Divisor, h: int, s0: int):
         raise PreconditionError("radius must lie in [0, N]")
     sections = enumerate_sections(curve, D, h)
     arr0 = phi_words(curve, sections, curve.points, 0)
-    outcome = kernels.center_search(
-        [arr0], [s0], alphabet_size=q + 1, strategy="exhaustive", census=True
-    ).finish(len(sections), [s0], q + 1)
+    outcome = kernels.center_search([arr0], [s0], q + 1, "census")
     return outcome.census_total, outcome.expected_census
 
 
@@ -105,6 +103,8 @@ class CombinedParams:
             raise PreconditionError("radius must satisfy 0 <= s0 < N q/(q+1)")
         if not distance_budget_ok(n, self.h, self.s0, self.d0):
             raise PreconditionError("need 2h <= 2N - 4 s0 - d0")
+        if self.trials < 0:
+            raise PreconditionError("trials must be nonnegative")
 
 
 @dataclass
@@ -127,13 +127,10 @@ def build_combined(
     sections = enumerate_sections(curve, D, params.h)
     arr0 = phi_words(curve, sections, points, 0)
     search = kernels.center_search(
-        [arr0],
-        [params.s0],
-        alphabet_size=q + 1,
-        strategy=params.strategy,
-        seed=params.seed,
-        trials=params.trials,
-    ).finish(len(sections), [params.s0], q + 1)
+        [arr0], [params.s0], q + 1, params.strategy, params.seed, params.trials
+    )
+    if search.best_count < 1:
+        raise VerificationError("no survivors at the chosen centers")
     survivors = sections[search.survivor_indices]
     average = search.exact_average
     metadata = {
@@ -145,7 +142,7 @@ def build_combined(
         "strategy": params.strategy,
         "seed": params.seed,
         "trials": params.trials,
-        "center": ",".join(str(s) for s in search.centers[0]),
+        "center": kernels.center_text(search.centers),
         "n_sections": len(sections),
         "n_survivors": search.best_count,
         "average": f"{average.numerator}/{average.denominator}",

@@ -575,6 +575,16 @@ def default_eval_points(curve, D: Divisor) -> tuple[Point, ...]:
     return tuple(p for p in curve.points if curve.place_of_point(p) not in supp)
 
 
+def eval_points(curve, D: Divisor, points=None) -> tuple[Point, ...]:
+    """The given evaluation points, by default those off supp(D), checked
+    to be distinct and to avoid supp(D)."""
+    points = distinct_points(default_eval_points(curve, D) if points is None else points)
+    supp = set(D.support)
+    if any(curve.place_of_point(p) in supp for p in points):
+        raise PreconditionError("supp(D) meets the evaluation points")
+    return points
+
+
 def distinct_points(points) -> tuple[Point, ...]:
     """The evaluation points as a tuple. A repeated point would repeat a
     coordinate of every word and void each distance claim, so it is

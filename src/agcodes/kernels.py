@@ -9,30 +9,35 @@ below 2^24, so every product is an exact integer. Work is split into blocks
 of at most _CHUNK_CELLS elements, and every reduction keeps the first
 extremum in ascending index order, so no result depends on the block size.
 
-When the words are the span of basis rows (Xing's codes), `coset_search`
-never forms them. A center keeps the words within the radii of it, and the
-words form a linear code C, so a center's survivor count depends only on
-its coset modulo C: it is the number of ball-product vectors in that coset
-times the size of the kernel of the basis. The basis is brought to reduced
-echelon form on the field's tables; every ball-product vector reduces to
-the representative that is zero at the pivot columns, which is also the
-lexicographically least vector of its coset, and the representatives are
-counted under exact byte keys. The survivors are then solved for at the
-one chosen center only. The ball product is held whole, like a span, so it
-is capped at SPAN_CELL_CAP symbols; its reduction runs in blocks.
+When the words are the span of basis rows (Xing's codes), `span_search`
+chooses the route. The coset route never forms the span. A center keeps
+the words within the radii of it, and the words form a linear code C, so a
+center's survivor count depends only on its coset modulo C: it is the
+number of ball-product vectors in that coset times the size of the kernel
+of the basis. The basis is brought to reduced echelon form on the field's
+tables; every ball-product vector reduces to the representative that is
+zero at the pivot columns, which is also the lexicographically least vector
+of its coset, and the representatives are counted under exact byte keys.
+The survivors are then solved for at the one chosen center only. The ball
+product is held whole, like a span, so the coset route takes ball products
+of at most SPAN_CELL_CAP symbols; its reduction runs in blocks. The census,
+and a search past that cap, form the span and scan its words with
+`center_search`, once an exhaustive or census search has checked its center
+count against EXHAUSTIVE_CENTER_CAP.
 
-For other word sets (`center_search`) the exhaustive search counts ball
-points rather than scanning centers: every (word, point of the ball product
-around it) pair lands on exactly one center, so the survivor counts are one
-histogram over words x ball points. Only the averaging census still scans
+For word arrays (`center_search`) the exhaustive search counts ball points
+rather than scanning centers: every (word, point of the ball product around
+it) pair lands on exactly one center, so the survivor counts are one
+histogram over words x ball points. Only the census strategy still scans
 every center, so that the identity sum of counts = words x ball size is
 checked by enumeration rather than holding by construction. The random and
 greedy strategies score their candidates with `agreements` and with
-per-word distances kept across single-coordinate moves; both searches share
-the candidate draw and the greedy walk, so the routes pick the same centers.
-Every search ends in `SearchOutcome.finish`, which records the exact average
-and that expected sum and holds an exhaustive maximum to the average's
-ceiling.
+per-word distances kept across single-coordinate moves; both routes share
+the candidate draw and the greedy walk, so they pick the same centers.
+Every search ends in `_finish`: it recounts the survivors at the chosen
+center, records the exact average and the expected census sum, holds an
+exhaustive or census maximum to the average's ceiling, and returns the
+finished `SearchOutcome`.
 """
 
 from __future__ import annotations
@@ -210,41 +215,39 @@ def is_subspace(arr: np.ndarray, field) -> bool:
 
 @dataclass
 class SearchOutcome:
-    """Result of a ball-center search over center tuples; `finish` adds the
-    averaging record."""
+    """The finished record of a ball-center search over center tuples: the
+    center, its survivors, the candidates scored, and the averaging record.
+    expected_census is the sum of all centers' survivor counts,
+    M * prod_r ball(N, s_r) for M words, and exact_average is that sum over
+    the Q^(mN) centers; census_total is the sum the census scan counted."""
 
     best_count: int
     centers: tuple[tuple[int, ...], ...]
     survivor_indices: np.ndarray
     strategy: str
     n_candidates: int
+    exact_average: Fraction
+    expected_census: int
     census_total: int | None = None
-    exact_average: Fraction | None = None
-    expected_census: int | None = None
-
-    def finish(self, n_words: int, radii, alphabet_size: int) -> "SearchOutcome":
-        """The last step of every center search: record expected_census, the
-        sum of all centers' survivor counts n_words * prod_r ball(N, s_r),
-        and exact_average, that sum over alphabet_size^(mN) centers. Raises
-        VerificationError, naming the center and its count, when an
-        exhaustive maximum falls below the average's ceiling, and when the
-        center keeps no word."""
-        n = len(self.centers[0])
-        self.expected_census = n_words * math.prod(ball_size(n, s, alphabet_size) for s in radii)
-        self.exact_average = Fraction(self.expected_census, alphabet_size ** (len(radii) * n))
-        floor = math.ceil(self.exact_average)
-        if self.strategy == "exhaustive" and self.best_count < floor:
-            raise VerificationError(
-                f"exhaustive maximum fell below the exact average: center "
-                f"{_center_text(self.centers)} keeps {self.best_count} words, "
-                f"ceil(average) = {floor}"
-            )
-        if self.best_count < 1:
-            raise VerificationError("no survivors at the chosen centers")
-        return self
 
 
-def _center_text(centers) -> str:
+# the strategies that score every center, whose maximum is held to the
+# average's ceiling
+_EVERY_CENTER = ("exhaustive", "census")
+
+
+def _center_space(alphabet_size: int, positions: int, strategy: str) -> int:
+    """The alphabet_size^positions centers; PreconditionError past
+    EXHAUSTIVE_CENTER_CAP for a strategy that scores every center."""
+    space = alphabet_size ** positions
+    if strategy in _EVERY_CENTER and space > EXHAUSTIVE_CENTER_CAP:
+        raise PreconditionError(
+            f"exhaustive center space {space} exceeds cap {EXHAUSTIVE_CENTER_CAP}"
+        )
+    return space
+
+
+def center_text(centers) -> str:
     """Center digits as in build manifests: comma-separated, orders split by '|'."""
     return "|".join(",".join(str(s) for s in c) for c in centers)
 
@@ -454,43 +457,38 @@ def center_search(
     strategy: str = "exhaustive",
     seed: int = 0,
     trials: int = 64,
-    census: bool = False,
 ) -> SearchOutcome:
     """Find a center tuple maximizing the number of rows within the given
-    Hamming radii of it, simultaneously for every word array.
+    Hamming radii of it, simultaneously for every word array, and return the
+    finished outcome.
 
     exhaustive returns the lexicographically least maximizer over all
-    alphabet_size^(m*N) tuples. It counts the ball points around every word
-    (`_histogram_search`); with `census` it instead scans every center and
-    also returns the sum of all survivor counts, which checks the averaging
-    identity by enumeration. random scores the all-zeros tuple plus `trials`
-    seeded tuples and keeps the first maximizer. greedy starts from one
-    seeded tuple and accepts strict single-coordinate improvements until a
-    full pass stalls, then falls back to the all-zeros tuple if that is
-    better. The all-zeros candidate guarantees at least one survivor
-    whenever the zero word is present. Every strategy recounts the
-    survivors at its center directly and raises VerificationError if they
-    differ from its best count.
+    alphabet_size^(m*N) tuples by counting the ball points around every
+    word (`_histogram_search`). census returns the same maximizer from a
+    scan over every center, and also the sum of all survivor counts, which
+    checks the averaging identity by enumeration. random scores the
+    all-zeros tuple plus `trials` seeded tuples and keeps the first
+    maximizer. greedy starts from one seeded tuple and accepts strict
+    single-coordinate improvements until a full pass stalls, then falls back
+    to the all-zeros tuple if that is better. The all-zeros candidate
+    guarantees at least one survivor whenever the zero word is present.
+    Every strategy recounts the survivors at its center directly (`_finish`).
     """
     m = len(word_arrays)
     if m == 0 or len(radii) != m:
         raise PreconditionError("need one radius per word array")
     n = word_arrays[0].shape[1]
     total_positions = m * n
+    space = _center_space(alphabet_size, total_positions, strategy)
 
     def outcome(best_count, digits, n_cand, census_total=None):
         survivors = np.nonzero(_survivor_mask(word_arrays, radii, digits, n))[0]
-        return _recounted(best_count, _per_order(digits, m, n), len(survivors), survivors,
-                          strategy, n_cand, census_total)
+        return _finish(best_count, _per_order(digits, m, n), len(survivors), survivors, strategy,
+                       n_cand, len(word_arrays[0]), radii, alphabet_size, census_total)
 
-    if strategy == "exhaustive":
-        space = alphabet_size ** total_positions
-        if space > EXHAUSTIVE_CENTER_CAP:
-            raise PreconditionError(
-                f"exhaustive center space {space} exceeds cap {EXHAUSTIVE_CENTER_CAP}"
-            )
+    if strategy in _EVERY_CENTER:
         census_total = None
-        if census:
+        if strategy == "census":
             count, index, census_total = _exhaustive_search(word_arrays, radii, alphabet_size)
         else:
             count, index = _histogram_search(word_arrays, radii, alphabet_size)
@@ -521,16 +519,30 @@ def _per_order(digits, m: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in digits[r * n : (r + 1) * n]) for r in range(m))
 
 
-def _recounted(best_count, per_r, recount, survivors, strategy, n_cand, census_total=None):
-    """The outcome at center `per_r` once its recount of `recount` words
-    within the radii equals the search's best count; VerificationError,
-    naming the center, otherwise."""
+def _finish(best_count, per_r, recount, survivors, strategy, n_cand, n_words, radii, q,
+            census_total=None) -> SearchOutcome:
+    """The last step of every center search: the outcome at center `per_r`
+    over n_words words and alphabet q. Raises VerificationError, naming the
+    center, when its recount of `recount` words within the radii differs
+    from the search's best count, and when an exhaustive or census maximum
+    falls below the exact average's ceiling."""
     if recount != best_count:
         raise VerificationError(
             f"{recount} words lie within the radii of center "
-            f"{_center_text(per_r)}, but the {strategy} search counted {best_count}"
+            f"{center_text(per_r)}, but the {strategy} search counted {best_count}"
         )
-    return SearchOutcome(int(best_count), per_r, survivors, strategy, n_cand, census_total)
+    n = len(per_r[0])
+    expected = n_words * math.prod(ball_size(n, s, q) for s in radii)
+    average = Fraction(expected, q ** (len(radii) * n))
+    floor = math.ceil(average)
+    if strategy in _EVERY_CENTER and best_count < floor:
+        raise VerificationError(
+            f"exhaustive maximum fell below the exact average: center "
+            f"{center_text(per_r)} keeps {best_count} words, "
+            f"ceil(average) = {floor}"
+        )
+    return SearchOutcome(int(best_count), per_r, survivors, strategy, n_cand, average, expected,
+                         census_total)
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +574,6 @@ class CosetSpace:
         self.basis = np.concatenate([np.asarray(r, dtype=np.uint8) for r in basis_rows], axis=1)
         k, total = self.basis.shape
         self.n = total // len(basis_rows)
-        cells = ball_product_cells(self.n, self.radii, q)
-        if cells > SPAN_CELL_CAP:
-            raise PreconditionError(
-                f"ball product of {cells} symbols exceeds cap {SPAN_CELL_CAP}"
-            )
         aug = np.concatenate([self.basis, np.eye(k, dtype=np.uint8)], axis=1)
         pivots = []
         for i in range(k):
@@ -647,27 +654,35 @@ class CosetSpace:
         words = _combine(self.add, self.mul, self.basis, digits[first])
         m = len(self.radii)
         within = _survivor_mask(np.hsplit(words, m), self.radii, center, n)
-        return _recounted(best_count, _per_order(center, m, n), int(within.sum()),
-                          indices, strategy, n_cand)
+        return _finish(best_count, _per_order(center, m, n), int(within.sum()), indices,
+                       strategy, n_cand, q ** k, self.radii, q)
 
 
-def coset_search(
+def span_search(
     field, basis_rows, radii, strategy: str = "exhaustive", seed: int = 0, trials: int = 64
 ) -> SearchOutcome:
     """`center_search` over the span of basis_rows[r] (k rows of length N
-    per order r), without forming the span: survivor indices are the
-    little-endian coefficient indices of the span words, and every strategy
-    returns the center, count, survivors and candidate count that
-    center_search returns on the spans. Exhaustive takes the least
-    representative among the most frequent ones; random scores each
-    candidate by its representative; greedy moves a representative by a
-    multiple of the unit vector's. The ball product must stay within
-    SPAN_CELL_CAP symbols, and the survivors within SPAN_CELL_CAP symbols
-    per order."""
+    per order r), whose survivor indices are the little-endian coefficient
+    indices of the span words (`linear_span_words`).
+
+    The census, and a search whose ball product is past SPAN_CELL_CAP
+    symbols, form the span and scan its words, once an exhaustive or census
+    search has checked its center count. Every other search runs over
+    cosets without forming the span, and returns the center, count,
+    survivors and candidate count that center_search returns on the spans:
+    exhaustive takes the least representative among the most frequent
+    ones; random scores each candidate by its representative; greedy moves
+    a representative by a multiple of the unit vector's. The survivors must
+    stay within SPAN_CELL_CAP symbols per order."""
     if len(basis_rows) == 0 or len(radii) != len(basis_rows):
         raise PreconditionError("need one radius per word array")
+    q, n = field.q, len(basis_rows[0][0])
+    if strategy == "census" or ball_product_cells(n, radii, q) > SPAN_CELL_CAP:
+        _center_space(q, len(basis_rows) * n, strategy)
+        spans = [linear_span_words(field, rows) for rows in basis_rows]
+        return center_search(spans, radii, q, strategy, seed, trials)
     space = CosetSpace(field, basis_rows, radii)
-    q, total = space.q, space.basis.shape[1]
+    total = space.basis.shape[1]
     if strategy == "exhaustive":
         best = int(space.hits.argmax())
         center = np.frombuffer(space.keys[best].tobytes(), dtype=np.uint8)

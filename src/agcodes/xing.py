@@ -12,9 +12,11 @@ every claim in this module is exact:
 guarantees the final-order map is injective on the survivor set and the
 image code has minimum distance at least d0.
 
-A search returns its finished `kernels.SearchOutcome`: the center, the
-survivors, the exact average and the census target. A build is that outcome
-and the measured `Code`, whose metadata records the floor d0.
+A search is one call of `kernels.span_search` on the basis rows of L(D),
+which chooses between the coset search and the scan of the span's words and
+returns its finished `kernels.SearchOutcome`: the center, the survivors,
+the exact average and the census target. A build is that outcome and the
+measured `Code`, whose metadata records the floor d0.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from . import kernels
 from .codes import Alphabet, Code, finish_code
-from .curves import Divisor, default_eval_points, distinct_points
+from .curves import Divisor, eval_points
 from .errors import PreconditionError
 
 
@@ -60,6 +62,8 @@ class XingParams:
         for s in self.radii:
             if s < 0 or s * q >= n * (q - 1):
                 raise PreconditionError("radius must satisfy 0 <= s_r < N(q-1)/q")
+        if self.trials < 0:
+            raise PreconditionError("trials must be nonnegative")
 
 
 def phi_basis_rows(curve, basis, points, r_max: int) -> list[list[list[int]]]:
@@ -79,57 +83,18 @@ def _order_rows(curve, D: Divisor, points, r_max: int):
     return basis, phi_basis_rows(curve, basis, points, r_max)
 
 
-def _eval_points(curve, D: Divisor, params: XingParams, points) -> tuple:
-    """The given or default evaluation points, checked against the params
-    and supp(D)."""
-    if points is None:
-        points = default_eval_points(curve, D)
-    points = distinct_points(points)
-    params.validate(len(points), curve.field.q)
-    supp = set(D.support)
-    for p in points:
-        if curve.place_of_point(p) in supp:
-            raise PreconditionError("supp(D) meets the evaluation points")
-    return points
-
-
-def search_centers(
-    curve, D: Divisor, params: XingParams, points=None, census: bool = False
-) -> kernels.SearchOutcome:
+def search_centers(curve, D: Divisor, params: XingParams, points=None) -> kernels.SearchOutcome:
     """Maximize the survivor set over center tuples.
 
     The exact average of the survivor count over ALL center tuples is
     #L(D) * prod_r ball(N, s_r, q) / q^(mN), recorded as a rational; the
-    exhaustive strategy must return at least its ceiling.
+    exhaustive and census strategies must return at least its ceiling.
     """
-    points = _eval_points(curve, D, params, points)
+    points = eval_points(curve, D, points)
+    params.validate(len(points), curve.field.q)
     _, rows = _order_rows(curve, D, points, params.m - 1)
-    return _search(curve.field, rows, params, census)
-
-
-def _search(field, rows, params: XingParams, census: bool) -> kernels.SearchOutcome:
-    """Center search over the spans of the order-0..m-1 basis rows of L(D).
-
-    The census scans every center of the spans' words. Otherwise the search
-    runs over cosets (`kernels.coset_search`), which never forms the span,
-    and scans the span's words only when the ball product is past the
-    coset search's cap."""
-    q, k, n = field.q, len(rows[0]), len(rows[0][0])
-    if census or kernels.ball_product_cells(n, params.radii, q) > kernels.SPAN_CELL_CAP:
-        outcome = kernels.center_search(
-            [kernels.linear_span_words(field, r) for r in rows],
-            params.radii,
-            alphabet_size=q,
-            strategy=params.strategy,
-            seed=params.seed,
-            trials=params.trials,
-            census=census,
-        )
-    else:
-        outcome = kernels.coset_search(
-            field, rows, params.radii, params.strategy, params.seed, params.trials
-        )
-    return outcome.finish(q ** k, params.radii, q)
+    return kernels.span_search(curve.field, rows, params.radii, params.strategy, params.seed,
+                               params.trials)
 
 
 def function_from_index(field, basis, index: int):
@@ -155,16 +120,18 @@ class XingBuild:
 def build_xing(curve, D: Divisor, params: XingParams, points=None) -> XingBuild:
     """Build the order-m code: survivors of the ball constraints mapped
     through the order-m expansion word."""
-    points = _eval_points(curve, D, params, points)
+    points = eval_points(curve, D, points)
     n = len(points)
     q = curve.field.q
+    params.validate(n, q)
     d0 = distance_floor(n, params.m, params.radii, D.degree)
     if d0 <= 0:
         raise PreconditionError(
             f"divisor degree {D.degree} too large: distance floor {d0} <= 0"
         )
     basis, rows = _order_rows(curve, D, points, params.m)
-    search = _search(curve.field, rows[: params.m], params, census=False)
+    search = kernels.span_search(curve.field, rows[: params.m], params.radii, params.strategy,
+                                 params.seed, params.trials)
     metadata = {
         "construction": "xing",
         "curve": curve.kind,
@@ -175,7 +142,7 @@ def build_xing(curve, D: Divisor, params: XingParams, points=None) -> XingBuild:
         "strategy": params.strategy,
         "seed": params.seed,
         "trials": params.trials,
-        "centers": "|".join(",".join(str(s) for s in c) for c in search.centers),
+        "centers": kernels.center_text(search.centers),
         "n_functions": q ** len(basis),
         "n_survivors": search.best_count,
         "average": f"{search.exact_average.numerator}/{search.exact_average.denominator}",

@@ -52,7 +52,7 @@ def test_criterion_1_averaging_identities():
     curve = _p1(2)
     D = _deg1_divisor_gf2(curve)
     for m, radii in ((1, (1,)), (2, (1, 1)), (2, (1, 0))):
-        res = search_centers(curve, D, XingParams(m=m, radii=radii), census=True)
+        res = search_centers(curve, D, XingParams(m=m, radii=radii, strategy="census"))
         assert res.census_total == res.expected_census
     for h in (0, 1):
         for s0 in (0, 1, 2, 3):

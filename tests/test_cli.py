@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -30,6 +31,20 @@ def _exit_code(argv) -> int:
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # every command of the README's "Command line" block, in order, from an
+    # empty working directory: later lines read what earlier ones wrote
+    block = README.read_text().split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("agcodes ")]
+    assert len(lines) == 12
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert main(argv[1:]) == EXIT_OK, " ".join(argv)
 
 
 def test_goppa_build_and_verify(tmp_path):
@@ -359,6 +374,24 @@ def test_xing_refuses_a_ball_product_past_its_cap(tmp_path, monkeypatch, strateg
     argv = ["xing", "build", "--q", "9", "--curve", "hermitian", "--divisor", "inf:10",
             "--m", "2", "--radii", "1,2", "--strategy", strategy, "--out", str(out)]
     assert main(argv) == EXIT_PRECONDITION
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("divisor", ["inf:4", "inf:5"])
+def test_xing_refuses_an_exhaustive_center_space_past_the_coset_cap(
+        tmp_path, capsys, monkeypatch, divisor):
+    # radius 4 on the 16 affine points of GF(16) is past the coset search's
+    # cap, and the word scan's 16^16 centers past the exhaustive center cap:
+    # the build is refused before the span of 16^4 or 16^5 words is formed
+    def refuse(*args):
+        raise AssertionError("a span was formed")
+
+    monkeypatch.setattr(kernels, "linear_span_words", refuse)
+    out = tmp_path / "x"
+    argv = ["xing", "build", "--q", "16", "--divisor", divisor, "--m", "1", "--radii", "4",
+            "--out", str(out)]
+    assert main(argv) == EXIT_PRECONDITION
+    assert f"exhaustive center space {16 ** 16} exceeds" in capsys.readouterr().err
     assert not out.exists()
 
 

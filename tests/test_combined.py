@@ -258,6 +258,9 @@ def test_param_validation():
         build_combined(curve, curve.zero_divisor(), CombinedParams(h=0, s0=4, d0=1))
     with pytest.raises(PreconditionError):
         build_combined(curve, curve.zero_divisor(), CombinedParams(h=1, s0=0, d0=0))
+    with pytest.raises(PreconditionError, match="trials must be nonnegative"):
+        build_combined(curve, curve.zero_divisor(),
+                       CombinedParams(h=1, s0=0, d0=2, strategy="random", trials=-1))
     assert distance_budget_ok(5, 2, 1, 2)
     assert not distance_budget_ok(5, 3, 1, 2)
 

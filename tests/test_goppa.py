@@ -165,9 +165,9 @@ def test_repeated_points_rejected():
 def test_build_goppa_checks_measured_against_claimed(monkeypatch):
     # with the point check bypassed, a repeated point drops the distance to
     # 2 below the claimed N - deg(D) = 3, and the build must refuse it
-    from agcodes import codes as codes_mod
+    from agcodes import curves as curves_mod
 
-    monkeypatch.setattr(codes_mod, "distinct_points", tuple)
+    monkeypatch.setattr(curves_mod, "distinct_points", tuple)
     curve = build_curve("p1", make_field(5, 1))
     D = curve.divisor({curve.place_inf(): 2})
     p = curve.points

@@ -101,16 +101,17 @@ def pair_loop(arr):
 
 
 def assert_search_matches_scan(word_arrays, radii, alphabet_size):
-    """Both exhaustive paths, the ball-point histogram (census=False) and the
-    center scan (census=True), against the plain scan."""
+    """Both strategies that score every center, the ball-point histogram
+    (exhaustive) and the center scan (census), against the plain scan."""
     count, centers, survivors, census = scan_center_search(word_arrays, radii, alphabet_size)
     space = alphabet_size ** (len(word_arrays) * word_arrays[0].shape[1])
-    for with_census in (False, True):
-        got = kernels.center_search(word_arrays, radii, alphabet_size, census=with_census)
+    for strategy in ("exhaustive", "census"):
+        got = kernels.center_search(word_arrays, radii, alphabet_size, strategy)
         assert got.best_count == count
         assert got.centers == centers
         assert np.array_equal(got.survivor_indices, survivors)
-        assert got.census_total == (census if with_census else None)
+        assert got.census_total == (census if strategy == "census" else None)
+        assert got.expected_census == census  # the averaging identity, finished in the search
         assert got.n_candidates == space
 
 
@@ -245,8 +246,8 @@ def test_property_search_and_distance_match_scans(inputs, seed, trials):
 
 
 # ---------------------------------------------------------------------------
-# The coset search against the same scans and loops, on the spans it never
-# forms. A survivor index of the coset search is a row index of the span.
+# span_search against the same scans and loops. Its coset route never forms
+# the spans; a survivor index is a row index of the span.
 
 _SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1)]
 
@@ -254,16 +255,19 @@ _SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1)]
 def assert_coset_search_matches_scans(field, rows, radii, seed, trials):
     q, n = field.q, len(rows[0][0])
     spans = [kernels.linear_span_words(field, r) for r in rows]
-    count, centers, survivors, _ = scan_center_search(spans, radii, q)
-    got = kernels.coset_search(field, rows, radii)
-    assert (got.best_count, got.centers) == (count, centers)
-    assert np.array_equal(got.survivor_indices, survivors)
-    assert got.n_candidates == q ** (len(rows) * n) and got.census_total is None
+    count, centers, survivors, census = scan_center_search(spans, radii, q)
+    for strategy in ("exhaustive", "census"):
+        got = kernels.span_search(field, rows, radii, strategy)
+        assert (got.best_count, got.centers) == (count, centers)
+        assert np.array_equal(got.survivor_indices, survivors)
+        assert got.n_candidates == q ** (len(rows) * n)
+        assert got.census_total == (census if strategy == "census" else None)
+        assert got.expected_census == census
     for strategy, (count, digits, n_cand) in (
         ("random", random_loop(spans, radii, q, seed, trials)),
         ("greedy", greedy_loop(spans, radii, q, seed)),
     ):
-        got = kernels.coset_search(field, rows, radii, strategy, seed, trials)
+        got = kernels.span_search(field, rows, radii, strategy, seed, trials)
         assert got.best_count == count and got.n_candidates == n_cand
         assert got.centers == tuple(tuple(digits[r * n : (r + 1) * n]) for r in range(len(rows)))
         assert np.array_equal(
@@ -329,7 +333,7 @@ def test_coset_search_keys_past_64_bits():
                 hits[center] = hits.get(center, 0) + 1
     best = max(hits.values())
     least = min(c for c, h in hits.items() if h == best)
-    got = kernels.coset_search(field, [rows], [1])
+    got = kernels.span_search(field, [rows], [1])
     assert best > 1 and (got.best_count, got.centers) == (best, (least,))
     within = (span != np.array(least, dtype=np.uint8)).sum(axis=1) <= 1
     assert np.array_equal(got.survivor_indices, np.nonzero(within)[0])
@@ -349,19 +353,21 @@ def test_coset_search_reduces_across_chunks(cells, monkeypatch):
 
 def test_coset_search_refuses_past_the_cell_cap(monkeypatch):
     # GF(9), N = 27, m = 2 at radii (1, 2): 217 * 22681 ball vectors of 54
-    # symbols, refused before any ball is built
+    # symbols are past the coset route's cap, so the search takes the word
+    # scan, whose 9^54 centers are refused before any ball or span is built
     def refuse(*args):
-        raise AssertionError("a ball was built")
+        raise AssertionError("a ball or a span was built")
 
     monkeypatch.setattr(kernels, "_ball_offsets", refuse)
+    monkeypatch.setattr(kernels, "linear_span_words", refuse)
     cells = kernels.ball_product_cells(27, (1, 2), 9)
     assert cells == 217 * 22681 * 54 > kernels.SPAN_CELL_CAP
-    with pytest.raises(PreconditionError, match=f"ball product of {cells} symbols"):
-        kernels.coset_search(make_field(3, 2), [[[1] * 27], [[2] * 27]], (1, 2))
+    with pytest.raises(PreconditionError, match=f"exhaustive center space {9 ** 54} exceeds"):
+        kernels.span_search(make_field(3, 2), [[[1] * 27], [[2] * 27]], (1, 2))
 
 
 def test_coset_search_needs_a_basis_per_radius():
     with pytest.raises(PreconditionError):
-        kernels.coset_search(make_field(3, 1), [], ())
+        kernels.span_search(make_field(3, 1), [], ())
     with pytest.raises(PreconditionError):
-        kernels.coset_search(make_field(3, 1), [[[1, 2]]], (0, 0))
+        kernels.span_search(make_field(3, 1), [[[1, 2]]], (0, 0))

@@ -92,8 +92,8 @@ def test_ball_size_bounds():
 def test_search_centers_exhaustive_beats_average():
     curve = build_curve("p1", make_field(2, 1))
     D = _deg1_divisor_gf2(curve)
-    params = XingParams(m=1, radii=(1,), strategy="exhaustive")
-    res = search_centers(curve, D, params, census=True)
+    params = XingParams(m=1, radii=(1,), strategy="census")
+    res = search_centers(curve, D, params)
     assert res.exact_average == Fraction(2)  # 4 functions * ball(3,1,2)=4 over 2^3
     assert res.best_count >= math.ceil(res.exact_average)
     assert res.best_count == 3  # frozen exhaustive maximum
@@ -103,8 +103,8 @@ def test_search_centers_exhaustive_beats_average():
 def test_search_centers_averaging_identity_m2():
     curve = build_curve("p1", make_field(2, 1))
     D = _deg1_divisor_gf2(curve)
-    params = XingParams(m=2, radii=(1, 1), strategy="exhaustive")
-    res = search_centers(curve, D, params, census=True)
+    params = XingParams(m=2, radii=(1, 1), strategy="census")
+    res = search_centers(curve, D, params)
     assert res.expected_census == 4 * 4 * 4
     assert res.census_total == res.expected_census
 
@@ -205,14 +205,26 @@ def test_coset_search_past_the_center_space_cap():
     )
 
 
-def test_exhaustive_search_past_the_coset_cap():
+def test_exhaustive_search_past_the_coset_cap(monkeypatch):
     # three orders of radius 3: 1545^3 ball-product vectors of 18 symbols
-    # exceed the coset search's cap, so the search scans the spans' words,
-    # and their 5^18 centers exceed the exhaustive center cap
+    # exceed the coset search's cap, so the search takes the word scan, and
+    # its 5^18 centers exceed the exhaustive center cap. Radius 4 on the 16
+    # points of GF(16) is past the coset cap too, and 16^16 centers are
+    # refused before the span of L(4 P_inf) or L(5 P_inf) is formed.
+    def refuse(*args):
+        raise AssertionError("a span was formed")
+
+    monkeypatch.setattr(kernels, "linear_span_words", refuse)
     curve, D = _gf5_quadratic_place()
     assert kernels.ball_product_cells(6, (3, 3, 3), 5) > kernels.SPAN_CELL_CAP
     with pytest.raises(PreconditionError, match="exhaustive center space"):
         search_centers(curve, D, XingParams(m=3, radii=(3, 3, 3), strategy="exhaustive"))
+    gf16 = build_curve("p1", make_field(2, 4))
+    assert kernels.ball_product_cells(16, (4,), 16) > kernels.SPAN_CELL_CAP
+    for degree in (4, 5):
+        D = gf16.divisor({gf16.place_inf(): degree})
+        with pytest.raises(PreconditionError, match=f"exhaustive center space {16 ** 16} "):
+            build_xing(gf16, D, XingParams(m=1, radii=(4,), strategy="exhaustive"))
 
 
 def test_coset_cap_admits_every_exhaustive_center_space():
@@ -354,6 +366,8 @@ def test_radius_bound_validation():
     D = _deg1_divisor_gf2(curve)
     with pytest.raises(PreconditionError):
         build_xing(curve, D, XingParams(m=1, radii=(2,)))  # 2*2 >= 3*1
+    with pytest.raises(PreconditionError, match="trials must be nonnegative"):
+        build_xing(curve, D, XingParams(m=1, radii=(1,), strategy="random", trials=-1))
 
 
 def test_build_xing_rejects_repeated_points():
