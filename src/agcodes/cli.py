@@ -20,7 +20,7 @@ import sys
 import tempfile
 import time
 
-from . import bounds
+from . import bounds, kernels
 from .codes import build_goppa, closest_pair, code_from_text, code_to_text
 from .combined import CombinedParams, build_combined
 from .curves import build_curve, default_eval_points, distinct_points
@@ -268,15 +268,6 @@ def cmd_sections_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _print_census_witness(a, b, rows):
-    """The failing pair of sections with their heights, and its census."""
-    for name, s in (("a", a), ("b", b)):
-        print(f"witness section {name}: {s.f.serialize()} height {s.height}")
-    for r in rows:
-        print(f"census {r['place'].serialize()}: m={r['m']} mu={r['mu']} "
-              f"mu2={r['mu2']} v_diff={r['v_diff']}")
-
-
 def cmd_sections_proposition(args) -> int:
     import random
 
@@ -284,26 +275,33 @@ def cmd_sections_proposition(args) -> int:
     curve = build_curve("p1", field)
     D = curve.parse_divisor(args.divisor)
     h_each = args.h_max // 2
-    sections = enumerate_sections(curve, D, h_each)
+    sections = enumerate_sections(curve, D, h_each, census=True)
     rng = random.Random(args.seed)
+    # blocks of about _CHUNK_CELLS bytes: five polynomials' coefficients by as many places, int64
+    block = max(1, kernels._CHUNK_CELLS // (40 * (2 * sections.numer.shape[1] - 1) ** 2))
     checked = 0
     while checked < args.pairs:
-        i, j = rng.randrange(len(sections)), rng.randrange(len(sections))
-        if i == j:  # rows are distinct sections
-            continue
-        a, b = sections[i], sections[j]
-        rows = multiplicity_census(curve, a, b)
-        total = sum(r["m"] * r["place"].degree for r in rows)
-        mu_total = sum((r["mu"] + r["mu2"]) * r["place"].degree for r in rows)
-        if total != a.height + b.height:
-            print(f"multiplicity total {total} != {a.height} + {b.height}")
-            _print_census_witness(a, b, rows)
+        pairs = []
+        while len(pairs) < min(block, args.pairs - checked):
+            i, j = rng.randrange(len(sections)), rng.randrange(len(sections))
+            if i != j:  # rows are distinct sections
+                pairs.append((i, j))
+        census = multiplicity_census(sections, pairs)
+        target = sections.heights[pairs].sum(axis=1)
+        total, mu_total = census.totals()
+        failed = (total != target) | (mu_total != target)
+        if failed.any():
+            k = int(failed.argmax())  # the first failing pair in draw order
+            a, b = sections[pairs[k][0]], sections[pairs[k][1]]
+            print(f"multiplicity total {total[k]} != {a.height} + {b.height}"
+                  if total[k] != target[k] else "pole-count identity failed")
+            for name, s in (("a", a), ("b", b)):
+                print(f"witness section {name}: {s.f.serialize()} height {s.height}")
+            for r in census.rows(k):
+                print(f"census {r['place'].serialize()}: m={r['m']} mu={r['mu']} "
+                      f"mu2={r['mu2']} v_diff={r['v_diff']}")
             return EXIT_VERIFICATION
-        if mu_total != a.height + b.height:
-            print("pole-count identity failed")
-            _print_census_witness(a, b, rows)
-            return EXIT_VERIFICATION
-        checked += 1
+        checked += len(pairs)
     print(f"proposition verified on {checked} pairs (q={args.q}, h<= {h_each} each)")
     return EXIT_OK
 

@@ -33,11 +33,10 @@ tables: Horner division gives each distinct polynomial's multiplicity and
 leading Taylor coefficients at a point, the valuation of the twisted section
 decides 0, infinity or the inverse branch, and the quotient of the unit
 series gives the coefficient.
-The multiplicity audit (solution_multiplicity, multiplicity_census) is
-integer bookkeeping too: it factors the two sections and the numerator of
-their difference once per pair, and reads every multiplicity, at places of
-any degree, from those factor multiplicities and the coefficients of D; it
-needs no twist.
+The multiplicity audit, multiplicity_census, takes a block of table row
+pairs at once: a table convolution gives every w = u*v2 - u2*v, the factor
+sieve's least-factor chains factor u, v, u2, v2 and w, and every
+multiplicity, at places of any degree, follows from those and D(P) alone.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from . import kernels
 from .codes import Alphabet, Code, finish_code
 from .curves import Divisor, Place, ProjectiveLine
 from .errors import PreconditionError
-from .field import Polynomial, RationalFunction, _factor_sieve, _monic_index, factorize
+from .field import Polynomial, RationalFunction, _factor_sieve, _monic_index
 
 SECTION_ENUM_GUARD = 10 ** 6
 
@@ -103,9 +102,11 @@ class SectionTable:
         return RationalSection(f, self.divisor, int(self.heights[i]))
 
 
-def enumerate_sections(curve: ProjectiveLine, D: Divisor, h: int) -> SectionTable:
+def enumerate_sections(curve: ProjectiveLine, D: Divisor, h: int, census=False) -> SectionTable:
     """The table of the zero function (row 0) and every section of height
-    at most h, in canonical (denominator key, numerator key) order.
+    at most h, in canonical (denominator key, numerator key) order; with
+    census, from a sieve up to the largest degree of w = u*v2 - u2*v, as
+    deg u <= h + deg D_- and deg v <= h + deg D_+ off infinity.
 
     Enumerates reduced pairs u/v up to degree h + deg(D_+) and filters by
     exact height, so the result is complete and duplicate-free. Everything
@@ -129,7 +130,9 @@ def enumerate_sections(curve: ProjectiveLine, D: Divisor, h: int) -> SectionTabl
     if q ** (2 * max_deg + 1) > 8 * SECTION_ENUM_GUARD:
         raise PreconditionError("twisted enumeration too large for this divisor")
     start = [(q ** d - 1) // (q - 1) for d in range(max_deg + 2)]
-    least, cofactor, rows = (a[: start[-1]] for a in _factor_sieve(F, max_deg))
+    finite = sum(abs(c) * pl.degree for pl, c in D.items() if pl.kind != "inf")
+    sieve = _factor_sieve(F, 2 * h + finite if census else max_deg)
+    least, cofactor, rows = (a[: start[-1]] for a in sieve)
     rows = rows[:, : max_deg + 1]
     deg = np.repeat(np.arange(max_deg + 1, dtype=np.int32), np.diff(start))
 
@@ -184,33 +187,89 @@ def enumerate_sections(curve: ProjectiveLine, D: Divisor, h: int) -> SectionTabl
 # base-field valuation at a place is the multiplicity at every geometric
 # point over it.
 
-def _factored_pair(f: RationalSection, f2: RationalSection):
-    """(polynomial, factorization) for u, v, u2, v2 and w, each factored
-    once; the zero polynomial carries None."""
-    if f.f == f2.f:
+@dataclass(frozen=True, eq=False)
+class Census:
+    """A batch's census, one entry per (pair, place) by pair and then by
+    Place.sort_key: the pair's position, the place's sieve index (one past
+    the sieve for infinity) and degree, and m, mu, mu2 and v_diff."""
+
+    curve: ProjectiveLine
+    sieve_rows: np.ndarray
+    pair: np.ndarray
+    place: np.ndarray
+    degree: np.ndarray
+    m: np.ndarray
+    mu: np.ndarray
+    mu2: np.ndarray
+    v_diff: np.ndarray
+
+    def totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per pair, the degree-weighted sums of m and of mu + mu2."""
+        starts = np.flatnonzero(np.diff(self.pair, prepend=-1))
+        return tuple(np.add.reduceat(x * self.degree, starts) for x in (self.m, self.mu + self.mu2))
+
+    def rows(self, k: int) -> list[dict]:
+        """The census of the batch's k-th pair as rows of a Place and ints."""
+        return [{"place": Place("inf") if p == len(self.sieve_rows) else self.curve.place_of_poly(
+                     Polynomial(self.curve.field, self.sieve_rows[p].tolist())),
+                 **{name: int(getattr(self, name)[e]) for name in ("m", "mu", "mu2", "v_diff")}}
+                for e, p in zip(np.flatnonzero(self.pair == k), self.place[self.pair == k])]
+
+
+def multiplicity_census(sections: SectionTable, pairs) -> Census:
+    """The census of every pair (i, j) of distinct table rows, for the
+    identities sum deg * (m - mu - mu2) = 0 and sum deg * (mu + mu2) = h + h2,
+    over infinity, supp(D) and the factors of v, v2 and w, the places where
+    any of m, mu, mu2 and v(phi f - phi f2) can be nonzero. w = u*v2 - u2*v
+    is a convolution on the field's tables, and all five polynomials are
+    factored along the sieve's least-factor chains from their monic indices."""
+    D, F = sections.divisor, sections.divisor.curve.field
+    i, j = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    n, width = len(i), sections.numer.shape[1]
+    cols = 2 * width - 1  # of w
+    polys = np.zeros((5, n, cols), dtype=sections.numer.dtype)  # u, v, u2, v2, w
+    polys[:4, :, :width] = sections.numer[i], sections.denom[i], sections.numer[j], sections.denom[j]
+    polys[4] = polys[0] != polys[2]  # w = u - u2 for constants over v = 1, up to a unit
+    if width > 1:
+        add, mul = F.tables
+        neg, inv = kernels.neg_inv(add, mul)
+        prod = np.zeros((2, n, cols), dtype=add.dtype)  # u*v2 and u2*v
+        for k in range(width):
+            prod[..., k:] = add[prod[..., k:], mul[polys[[0, 2], :, k, None],
+                                                   polys[[3, 1], :, : cols - k]]]
+        polys[4] = add[prod[0], neg[prod[1]]]
+    polys = polys.reshape(5 * n, cols)
+    nonzero = polys.any(axis=1)
+    if not nonzero[4 * n :].all():
         raise PreconditionError("sections must be distinct")
-    (u, v), (u2, v2) = (f.f.numer, f.f.denom), (f2.f.numer, f2.f.denom)
-    polys = (u, v, u2, v2, u * v2 - u2 * v)
-    return tuple((p, None if p.is_zero else factorize(p)) for p in polys)
-
-
-def _census_row(D: Divisor, pair, place: Place) -> tuple[int, int, int, int]:
-    """(m, mu, mu2, v_diff) at one place: the agreement multiplicity, the
-    pole orders of the two twisted sections and v(phi*f - phi*f2)."""
-    c = D.coeff(place)
-    vu, vv, vu2, vv2, vw = (
-        None if fac is None else -p.degree if place.kind == "inf" else fac.get(place.poly, 0)
-        for p, fac in pair
-    )
-    g = None if vu is None else c + vu - vv
-    g2 = None if vu2 is None else c + vu2 - vv2
-    v_diff = c + vw - vv - vv2
-    inf1, inf2 = g is not None and g < 0, g2 is not None and g2 < 0
-    if inf1 != inf2:
-        m = 0
-    else:
-        m = max(v_diff - g - g2 if inf1 else v_diff, 0)
-    return m, -g if inf1 else 0, -g2 if inf2 else 0, v_diff
+    deg = np.where(nonzero, cols - 1 - np.argmax(polys[:, ::-1] != 0, axis=1), 0)
+    least, cofactor, sieve_rows = _factor_sieve(F, max(int(deg.max(initial=0)), D.pos_part().degree))
+    inf = len(least)  # infinity's index, after every irreducible's
+    monic = mul[inv[polys[np.arange(5 * n), deg]][:, None], polys] if width > 1 else polys
+    start = (F.q ** np.arange(sieve_rows.shape[1] + 1) - 1) // (F.q - 1)
+    power = deg[:, None] - 1 - np.arange(cols)
+    chain = [start[deg] + (monic * np.where(power < 0, 0, F.q ** np.maximum(power, 0))).sum(axis=1)]
+    for _ in range(cols - 1):  # a least factor a step, down to 1 at index 0
+        chain.append(cofactor[chain[-1]])
+    chain = np.array(chain)
+    owner, factor = np.nonzero(chain)[1], least[chain[chain != 0]]
+    coeff = {inf if pl.kind == "inf" else _monic_index(pl.poly): c for pl, c in D.items()}
+    of_place = (owner >= n) & (owner // n != 2)  # the factors of v, v2 and w
+    # a key per (pair, place), pair * (inf + 1) + place: sorted by pair, then by Place.sort_key
+    keys = np.sort(np.concatenate(((np.arange(n)[:, None] * (inf + 1) + [inf, *coeff]).ravel(),
+                                   owner[of_place] % n * (inf + 1) + factor[of_place])))
+    keys = keys[np.diff(keys, prepend=-1) > 0]  # distinct; np.unique would import numpy.ma
+    pair, place = np.divmod(keys, inf + 1)
+    found, query = np.sort(owner * (inf + 1) + factor), np.arange(5)[:, None] * n * (inf + 1) + keys
+    mult = np.searchsorted(found, query, "right") - np.searchsorted(found, query)
+    vu, vv, vu2, vv2, vw = np.where(place == inf, -deg.reshape(5, n)[:, pair], mult)
+    c = sum(np.where(place == p, cp, 0) for p, cp in coeff.items())
+    g, g2, v_diff = c + vu - vv, c + vu2 - vv2, c + vw - vv - vv2
+    inf1, inf2 = nonzero[:n][pair] & (g < 0), nonzero[2 * n : 3 * n][pair] & (g2 < 0)
+    m = np.where(inf1 == inf2, np.maximum(np.where(inf1, v_diff - g - g2, v_diff), 0), 0)
+    return Census(D.curve, sieve_rows, pair, place,
+                  np.where(place == inf, 1, np.searchsorted(start, place, "right") - 1),
+                  m, np.where(inf1, -g, 0), np.where(inf2, -g2, 0), v_diff)
 
 
 def solution_multiplicity(
@@ -218,25 +277,8 @@ def solution_multiplicity(
 ) -> int:
     """Multiplicity of the place as a solution of f = f2 (per geometric
     point; every point over the place carries the same value)."""
-    return _census_row(f.divisor, _factored_pair(f, f2), place)[0]
-
-
-def multiplicity_census(curve: ProjectiveLine, f: RationalSection, f2: RationalSection):
-    """Per-place rows (place, m, mu, mu2, v(phi f - phi f2)) over infinity,
-    supp(D) and the factors of v, v2 and w, the places where any of the
-    quantities can be nonzero, for the conservation identities:
-
-        sum deg * (m - mu - mu2) = 0   and   sum deg * (mu + mu2) = h + h2.
-    """
-    pair = _factored_pair(f, f2)
-    places = {Place("inf"), *f.divisor.support}
-    for _, fac in (pair[1], pair[3], pair[4]):  # v, v2 and w
-        places.update(curve.place_of_poly(pi) for pi in fac)
-    rows = []
-    for pl in sorted(places, key=Place.sort_key):
-        m, mu, mu2, v_diff = _census_row(f.divisor, pair, pl)
-        rows.append({"place": pl, "m": m, "mu": mu, "mu2": mu2, "v_diff": v_diff})
-    return rows
+    rows = multiplicity_census(SectionTable.of(f.divisor, (f, f2)), [(0, 1)]).rows(0)
+    return next((r["m"] for r in rows if r["place"] == place), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from mpmath import mp, mpf
 from agcodes.curves import Divisor, Place
 from agcodes.errors import PreconditionError
 from agcodes.field import INF, Polynomial, RationalFunction, enumerate_irreducibles
-from agcodes.sections import RationalSection, multiplicity_census
+from agcodes.sections import RationalSection, SectionTable, multiplicity_census
 
 
 def naive_min_distance(words):
@@ -219,12 +219,19 @@ def oracle_divisor_of(curve, f):
     return Divisor(curve, coeffs)
 
 
+def census_rows(f, f2):
+    """The library's census rows (place, m, mu, mu2, v_diff) of two sections,
+    from the batched kernel on the one-pair table of f and f2. Not
+    independent of the library: compare them with oracle_multiplicity_census."""
+    return multiplicity_census(SectionTable.of(f.divisor, (f, f2)), [(0, 1)]).rows(0)
+
+
 def census_total(curve, f, f2):
     """The degree-weighted total of the library's multiplicity census of two
     distinct sections, which the multiplicity law equates with the sum of
     their heights. Not independent of the library: compare it with
     oracle_total_multiplicity."""
-    return sum(r["m"] * r["place"].degree for r in multiplicity_census(curve, f, f2))
+    return sum(r["m"] * r["place"].degree for r in census_rows(f, f2))
 
 
 def oracle_twist(curve, D, place, twists=None):

@@ -25,12 +25,9 @@ from agcodes.combined import (
 )
 from agcodes.curves import build_curve, default_eval_points
 from agcodes.field import Polynomial, enumerate_irreducibles, make_field, make_field_q
-from agcodes.sections import (
-    enumerate_sections,
-    multiplicity_census,
-)
+from agcodes.sections import enumerate_sections
 from agcodes.xing import XingParams, build_xing, optimal_sigma, search_centers, survivor_functions
-from conftest import golden_section_max, naive_min_distance
+from conftest import census_rows, golden_section_max, naive_min_distance
 
 
 def _p1(q):
@@ -82,7 +79,7 @@ def test_criterion_2_multiplicity_proposition():
             b = secs[rng.randrange(len(secs))]
             if a.f == b.f:
                 continue
-            rows = multiplicity_census(curve, a, b)
+            rows = census_rows(a, b)
             total = sum(r["m"] * r["place"].degree for r in rows)
             assert total == a.height + b.height
             assert sum((r["m"] - r["mu"] - r["mu2"]) * r["place"].degree for r in rows) == 0

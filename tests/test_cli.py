@@ -318,11 +318,11 @@ def test_sections_proposition_names_witness(monkeypatch, capsys, key, message):
     real = cli.multiplicity_census
     seen = []
 
-    def wrong_census(curve, a, b):
-        rows = real(curve, a, b)
-        seen.append((a, b, len(rows)))
-        rows[0] = dict(rows[0], **{key: rows[0][key] + 1})
-        return rows
+    def wrong_census(sections, pairs):
+        census = real(sections, pairs)
+        getattr(census, key)[0] += 1  # the first place of the block's first pair
+        seen.append((sections[pairs[0][0]], sections[pairs[0][1]], np.sum(census.pair == 0)))
+        return census
 
     monkeypatch.setattr(cli, "multiplicity_census", wrong_census)
     argv = ["sections", "proposition", "--q", "3", "--pairs", "5", "--seed", "1"]
@@ -333,6 +333,82 @@ def test_sections_proposition_names_witness(monkeypatch, capsys, key, message):
     assert f"witness section a: {a.f.serialize()} height {a.height}\n" in out
     assert f"witness section b: {b.f.serialize()} height {b.height}\n" in out
     assert sum(line.startswith("census ") for line in out.splitlines()) == n_rows
+
+
+def test_sections_proposition_names_the_first_failing_pair_in_draw_order(monkeypatch, capsys):
+    # two pairs of one block fail: the later one the first identity, the
+    # earlier one only the second, and the earlier one is named
+    import random
+
+    import agcodes.cli as cli
+
+    real = cli.multiplicity_census
+    blocks = []
+
+    def wrong_census(sections, pairs):
+        census = real(sections, pairs)
+        census.m[np.flatnonzero(census.pair == 3)[0]] += 1
+        census.mu[np.flatnonzero(census.pair == 1)[-1]] += 1
+        blocks.append((sections, pairs))
+        return census
+
+    monkeypatch.setattr(cli, "multiplicity_census", wrong_census)
+    argv = ["sections", "proposition", "--q", "3", "--pairs", "5", "--seed", "1"]
+    assert main(argv) == EXIT_VERIFICATION
+    (sections, pairs), = blocks
+    rng, drawn = random.Random(1), []
+    while len(drawn) < 5:
+        i, j = rng.randrange(len(sections)), rng.randrange(len(sections))
+        if i != j:
+            drawn.append((i, j))
+    assert pairs == drawn
+    a, b = sections[pairs[1][0]], sections[pairs[1][1]]
+    rows = real(sections, pairs[1:2]).rows(0)
+    assert capsys.readouterr().out.splitlines() == [
+        "pole-count identity failed",
+        f"witness section a: {a.f.serialize()} height {a.height}",
+        f"witness section b: {b.f.serialize()} height {b.height}",
+        *(f"census {r['place'].serialize()}: m={r['m']} mu={r['mu'] + (r is rows[-1])} "
+          f"mu2={r['mu2']} v_diff={r['v_diff']}" for r in rows),
+    ]
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["--q", "3", "--pairs", "0"], "proposition verified on 0 pairs (q=3, h<= 3 each)"),
+    (["--q", "257", "--h-max", "0"], "proposition verified on 50 pairs (q=257, h<= 0 each)"),
+    # GF(1031) has no lookup tables; its height-0 sections are constants
+    (["--q", "1031", "--h-max", "0"], "proposition verified on 50 pairs (q=1031, h<= 0 each)"),
+])
+def test_sections_proposition_edge_cases(capsys, argv, out):
+    assert main(["sections", "proposition", *argv]) == EXIT_OK
+    assert capsys.readouterr().out == out + "\n"
+
+
+@pytest.mark.parametrize("cells", [1, 10000, 1 << 22])
+def test_sections_proposition_is_independent_of_the_block_size(monkeypatch, capsys, cells):
+    # a pair costs 40 * 9^2 = 3240 cells here, so 1 cell gives blocks of one
+    # pair and 10000 of three; the lines match those of the default block,
+    # passing and failing (first at pair 5, then 8, 9 and 10) alike
+    import agcodes.cli as cli
+
+    argv = ["sections", "proposition", "--q", "3", "--h-max", "4", "--pairs", "12",
+            "--divisor", "1,0,1:1;inf:-2", "--seed", "3"]
+    real = cli.multiplicity_census
+
+    def wrong_census(sections, pairs):
+        census = real(sections, pairs)
+        census.m[np.isin(census.pair, [k for k, p in enumerate(pairs) if sum(p) % 3 == 0])] += 1
+        return census
+
+    outputs = []
+    for size in (kernels._CHUNK_CELLS, cells):
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", size)
+        assert main(argv) == EXIT_OK
+        monkeypatch.setattr(cli, "multiplicity_census", wrong_census)
+        assert main(argv) == EXIT_VERIFICATION
+        monkeypatch.setattr(cli, "multiplicity_census", real)
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_curve_info(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from agcodes.cli import main
 from agcodes.curves import build_curve
 from agcodes.errors import PreconditionError
 from agcodes.field import (
@@ -25,6 +26,7 @@ from agcodes.sections import (
     solution_multiplicity,
 )
 from conftest import (
+    census_rows,
     census_total,
     naive_min_distance,
     oracle_divisor_of,
@@ -345,7 +347,7 @@ def test_multiplicity_rejects_equal_sections():
     D = curve.zero_divisor()
     s = _section_by_serial(curve, D, 1, "0,1/1")
     with pytest.raises(PreconditionError):
-        multiplicity_census(curve, s, s)
+        census_rows(s, s)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -396,7 +398,7 @@ def test_proof_identity_rows():
         b = secs[rng.randrange(len(secs))]
         if a.f == b.f:
             continue
-        rows = multiplicity_census(curve, a, b)
+        rows = census_rows(a, b)
         assert sum((r["m"] - r["mu"] - r["mu2"]) * r["place"].degree for r in rows) == 0
         assert sum((r["mu"] + r["mu2"]) * r["place"].degree for r in rows) == a.height + b.height
         checked += 1
@@ -477,7 +479,7 @@ def _assert_census_matches_oracles(curve, a, b, places=()):
     """Census rows equal the symbolic census under the canonical and the
     global twist family, and solution_multiplicity gives each row's m and 0
     at the other given places."""
-    rows = multiplicity_census(curve, a, b)
+    rows = census_rows(a, b)
     g = oracle_global_twist(curve, a.divisor)
     for tw in (None, {pl: g for pl in a.divisor.support}):
         assert oracle_multiplicity_census(curve, a, b, tw) == rows
@@ -506,6 +508,103 @@ def test_census_matches_oracle_on_random_divisors(case, data):
     i, j = data.draw(st.lists(st.integers(0, len(secs) - 1), min_size=2, max_size=2, unique=True))
     _assert_census_matches_oracles(curve, secs[0], secs[max(i, j)])  # the zero section
     _assert_census_matches_oracles(curve, secs[i], secs[j])
+
+
+@st.composite
+def _census_batches(draw, q):
+    """A table of random sections over GF(q) and a batch of row pairs: a
+    degree-zero divisor with coefficients +-1 at up to two places of degree
+    1, 2 or 3, balanced at infinity; the zero section at row 0; each drawn f
+    often followed by f + r * pi^2 for a linear pi, a pair whose
+    w = -r * pi^2 * v^2 has repeated factors. The batch pairs neighbouring
+    rows both ways, every row with the zero section, and a few drawn rows."""
+    curve = _p1(q)
+    F = curve.field
+    irreducibles = enumerate_irreducibles(F, 3)
+    coeffs = {}
+    for d in draw(st.sampled_from([(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (3, 3)])):
+        pi = draw(st.sampled_from([p for p in irreducibles if p.degree == d]))
+        coeffs[curve.place_of_poly(pi)] = draw(st.sampled_from([-1, 1]))
+    coeffs[curve.place_inf()] = -sum(c * pl.degree for pl, c in coeffs.items())
+    D = curve.divisor({pl: c for pl, c in coeffs.items() if c})
+    top = 2 if q <= 5 else 1  # keeps 2 * deg w within the factor sieve's size cap
+
+    def poly(lead_min):
+        tail = draw(st.lists(st.integers(0, q - 1), max_size=top))
+        return Polynomial(F, tail + [draw(st.integers(lead_min, q - 1))])
+
+    funcs = [RationalFunction.zero(F)]
+    for _ in range(draw(st.integers(1, 4))):
+        f = RationalFunction(poly(0), poly(1))
+        funcs.append(f)
+        if draw(st.booleans()):
+            pi = linear_poly(F, draw(st.integers(0, q - 1)))
+            r = Polynomial.constant(F, draw(st.integers(1, q - 1)))
+            funcs.append(f + RationalFunction.from_poly(r * pi * pi))
+    funcs = list(dict.fromkeys(funcs))
+    assume(len(funcs) > 1)
+    table = SectionTable.of(D, [RationalSection(f, D, oracle_section_height(curve, D, f))
+                                for f in funcs])
+    rows = st.integers(0, len(funcs) - 1)
+    pairs = [p for k in range(1, len(funcs)) for p in ((k - 1, k), (k, k - 1), (k, 0))]
+    pairs += draw(st.lists(st.tuples(rows, rows).filter(lambda p: p[0] != p[1]), max_size=4))
+    return curve, table, pairs
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), block=st.integers(1, 6))
+def test_batched_census_matches_oracle(q, data, block):
+    # every pair's rows equal the symbolic census, its totals the height sum,
+    # and the batch equals its pairs one at a time and its blocks of any size
+    curve, table, pairs = data.draw(_census_batches(q))
+    census = multiplicity_census(table, pairs)
+    totals = np.transpose(census.totals())
+    for k, (i, j) in enumerate(pairs):
+        a, b = table[i], table[j]
+        rows = census.rows(k)
+        assert rows == oracle_multiplicity_census(curve, a, b)
+        assert multiplicity_census(table, [(i, j)]).rows(0) == rows
+        assert totals[k].tolist() == [a.height + b.height] * 2
+    blocks = [(s, multiplicity_census(table, pairs[s : s + block]))
+              for s in range(0, len(pairs), block)]
+    for name in ("place", "degree", "m", "mu", "mu2", "v_diff"):
+        joined = np.concatenate([getattr(part, name) for _, part in blocks])
+        assert np.array_equal(joined, getattr(census, name))
+    assert np.array_equal(np.concatenate([s + part.pair for s, part in blocks]), census.pair)
+
+
+def test_census_of_an_empty_batch():
+    curve = _p1(3)
+    census = multiplicity_census(enumerate_sections(curve, curve.zero_divisor(), 1), [])
+    assert census.pair.size == 0 and all(t.size == 0 for t in census.totals())
+
+
+@pytest.mark.parametrize("q,divisor,h_max,degree", [
+    (9, "0", 4, 4),
+    # deg u <= 3 and deg v <= 4, so w reaches 7, short of 2 (h + deg D_+) = 8
+    (3, "0,1:1;inf:-1", 6, 7),
+])
+def test_proposition_builds_one_sieve(monkeypatch, q, divisor, h_max, degree):
+    # from a fresh sieve, the enumeration and the census of a proposition
+    # share one sieve, built at the largest degree of w = u*v2 - u2*v
+    import agcodes.sections as sections_mod
+
+    F = make_field_q(q)
+    monkeypatch.setattr(F, "_sieve", None)
+    real, builds = sections_mod._factor_sieve, []
+
+    def counting(field, degree):
+        before = field._sieve
+        out = real(field, degree)
+        if field._sieve is not before:
+            builds.append((field.q, field._sieve[0]))
+        return out
+
+    monkeypatch.setattr(sections_mod, "_factor_sieve", counting)
+    argv = ["--q", str(q), "--divisor", divisor, "--h-max", str(h_max), "--pairs", "50"]
+    assert main(["sections", "proposition", *argv]) == 0
+    assert builds == [(q, degree)]
 
 
 # ---------------------------------------------------------------------------
