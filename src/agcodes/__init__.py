@@ -16,7 +16,6 @@ from .field import (
     Polynomial,
     RationalFunction,
     enumerate_irreducibles,
-    local_expand,
     make_field,
     make_field_q,
 )

@@ -143,19 +143,12 @@ def build_goppa(curve, D: Divisor, points=None) -> Code:
     n = len(points)
     if not 0 <= D.degree < n:
         raise PreconditionError("need 0 <= deg(D) < N")
-    basis = curve.riemann_roch_basis(D)
-    dim = len(basis)
+    from .xing import phi_basis_rows  # xing imports this module
+
+    rows = phi_basis_rows(curve, D, points, 0)[0]
+    dim = len(rows)
     if dim < D.degree - curve.genus + 1:
         raise VerificationError("Riemann-Roch dimension below degree - genus + 1")
-    rows = []
-    for f in basis:
-        row = []
-        for p in points:
-            v = curve.evaluate(f, p)
-            if not isinstance(v, int):
-                raise VerificationError("basis function has a pole at an evaluation point")
-            row.append(v)
-        rows.append(row)
     F = curve.field
     metadata = {
         "construction": "goppa",

@@ -3,9 +3,13 @@ Hermitian curve y^q0 + y = x^(q0+1) over GF(q0^2).
 
 Both curves expose the same small surface: an ordered list of rational
 points (affine points ascending by coordinate encodings, the point at
-infinity last), places and divisors, Riemann-Roch bases, and evaluation
-plus local expansion of functions at rational points (in t = x - a at an
-affine point, and in 1/x at infinity on the projective line).
+infinity last), places and divisors, Riemann-Roch bases, and `expansions`,
+the coefficients of a batch of functions at a batch of rational points to a
+given order (in t = x - a at an affine point, and in 1/x at infinity on the
+projective line), computed on the field tables by the Taylor kernel of
+kernels.py; order 0 is the value. `local_expansion` is its one-function
+view. The symbolic evaluation and expansion that the kernel replaced are
+test oracles (tests/conftest.py).
 The point order fixes codeword coordinate order once and for all; code
 files record it explicitly.
 
@@ -20,16 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
+from . import kernels
 from .errors import PreconditionError, VerificationError
-from .field import (
-    INF,
-    FieldSpec,
-    Polynomial,
-    RationalFunction,
-    factorize,
-    linear_poly,
-    local_expand,
-)
+from .field import FieldSpec, Polynomial, RationalFunction, factorize, linear_poly
 
 
 @dataclass(frozen=True)
@@ -232,16 +231,35 @@ class ProjectiveLine:
 
     # -- function operations ----------------------------------------------------
 
-    def evaluate(self, f: RationalFunction, point: Point):
-        """Value of f at a rational point: an encoded element or INF."""
-        if point.is_infinity:
-            return f.evaluate_at_infinity()
-        return f.evaluate(point.coords[0])
+    def expansions(self, functions, points, r_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """The expansion coefficients of every function at every rational
+        point to order r_max, as an (r_max + 1, points, functions) array of
+        encodings, and the (points, functions) mask of the poles, where the
+        coefficients read 0. Numerators and denominators are padded to one
+        width, so the offset of their reversed arrays at infinity cancels."""
+        F = self.field
+        polys = [poly.coeffs for f in functions for poly in (f.numer, f.denom)]
+        uv = np.zeros((max(map(len, polys)), len(polys)), dtype=np.uint8)
+        for col, coeffs in enumerate(polys):
+            uv[: len(coeffs), col] = coeffs
+        at = [None if p.is_infinity else p.coords[0] for p in points]
+        mult, units = kernels.leading(kernels.taylor(F, uv, at, r_max), r_max)
+        val = mult[:, 0::2] - mult[:, 1::2]
+        series = kernels.series_quotient(F, units[:, :, 0::2], units[:, :, 1::2])
+        order = np.arange(r_max + 1)[:, None, None] - val  # the unit order of each coefficient
+        rows = np.take_along_axis(series, np.clip(order, 0, r_max), axis=0)
+        return np.where((order >= 0) & (val >= 0), rows, 0).astype(np.uint8), val < 0
 
     def local_expansion(self, f: RationalFunction, point: Point, r_max: int) -> tuple:
-        """Expansion coefficients of f at a rational point, as encoded ints."""
-        at = INF if point.is_infinity else linear_poly(self.field, point.coords[0])
-        return local_expand(f, at, r_max)
+        """Expansion coefficients of f at a rational point, as encoded ints:
+        the one-function view of `expansions`."""
+        if r_max < 0:
+            raise PreconditionError("r_max must be nonnegative")
+        rows, pole = self.expansions([f], [point], r_max)
+        if pole[0, 0]:
+            where = "infinity" if point.is_infinity else "the place"
+            raise PreconditionError(f"pole at {where}; expand the inverse")
+        return tuple(rows[:, 0, 0].tolist())
 
     # -- Riemann-Roch ----------------------------------------------------------
 
@@ -340,13 +358,6 @@ class HermitianFunction:
             self.curve, {ij: F.mul(c, code) for ij, c in self.terms}
         )
 
-    def evaluate_affine(self, a: int, b: int) -> int:
-        F = self.curve.field
-        acc = 0
-        for (i, j), c in self.terms:
-            acc = F.add(acc, F.mul(c, F.mul(F.pow(a, i), F.pow(b, j))))
-        return acc
-
     def __eq__(self, other):
         return (
             isinstance(other, HermitianFunction)
@@ -401,7 +412,6 @@ class HermitianCurve:
         self.points = tuple(pts)
         if len(self.points) != q0 ** 3 + 1:
             raise VerificationError("Hermitian point count off the closed form")
-        self._series_cache: dict = {}
 
     @property
     def n_points(self) -> int:
@@ -440,79 +450,59 @@ class HermitianCurve:
     def monomial(self, i: int, j: int, code: int = 1) -> HermitianFunction:
         return HermitianFunction(self, {(i, j): code})
 
-    def evaluate(self, f: HermitianFunction, point: Point):
-        """Value at a rational point; INF for a non-constant function at
-        P_inf (every non-constant reduced function has a pole there)."""
-        if point.is_infinity:
-            if f.is_zero or f.is_constant:
-                return f.constant_code
-            return INF
-        return f.evaluate_affine(*point.coords)
+    def expansions(self, functions, points, r_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """The expansion coefficients of every function at every rational
+        point to order r_max, as an (r_max + 1, points, functions) array of
+        encodings, and the (points, functions) mask of the poles, where the
+        coefficients read 0.
 
-    def _y_series(self, point: Point, depth: int) -> tuple:
-        """Coefficients of y along the branch at an affine point, in the
-        uniformizer t = x - a, up to t^depth."""
-        key = ("y", point, depth)
-        cached = self._series_cache.get(key)
-        if cached is not None:
-            return cached
-        F = self.field
-        q0 = self.q0
-        a, b = point.coords
-        # y = b + u(t) with u^q0 + u = a^q0 t + a t^q0 + t^(q0+1)
-        rhs = {1: F.pow(a, q0), q0: F.add(0, a), q0 + 1: 1}
-        if q0 == 1:
-            raise AssertionError("q0 >= 2 always")
-        u = [0] * (depth + 1)
-        for r in range(1, depth + 1):
-            val = rhs.get(r, 0)
-            if r % q0 == 0:
-                val = F.sub(val, F.pow(u[r // q0], q0))
-            u[r] = val
-        out = tuple([b] + u[1:])
-        self._series_cache[key] = out
-        return out
-
-    def _monomial_series(self, point: Point, i: int, j: int, depth: int) -> tuple:
-        key = (point, i, j, depth)
-        cached = self._series_cache.get(key)
-        if cached is not None:
-            return cached
-        F = self.field
-        a = point.coords[0]
-
-        def series_mul(s1, s2):
-            out = [0] * (depth + 1)
-            for n1, c1 in enumerate(s1):
-                if c1:
-                    for n2, c2 in enumerate(s2):
-                        if c2 and n1 + n2 <= depth:
-                            out[n1 + n2] = F.add(out[n1 + n2], F.mul(c1, c2))
-            return tuple(out)
-
-        one = tuple([1] + [0] * depth)
-        x_series = tuple([a, 1] + [0] * max(0, depth - 1))[: depth + 1]
-        y_series = self._y_series(point, depth)
-        out = one
-        for _ in range(i):
-            out = series_mul(out, x_series)
-        for _ in range(j):
-            out = series_mul(out, y_series)
-        self._series_cache[key] = out
-        return out
+        At an affine point (a, b) the uniformizer is t = x - a: a monomial
+        x^i y^j expands as the Taylor shift of x^i times the j-th power of
+        y = b + u(t), one series per point from the curve's recurrence
+        u^q0 + u = a^q0 t + a t^q0 + t^(q0+1). At P_inf only order 0 is
+        supported: a constant reads its value, any other function a pole."""
+        if r_max and any(p.is_infinity for p in points):
+            raise PreconditionError("expansion at P_inf is not supported")
+        F, q0 = self.field, self.q0
+        add, mul = kernels.field_tables(F)
+        neg, _ = kernels.neg_inv(add, mul)
+        a = [0 if p.is_infinity else p.coords[0] for p in points]
+        # every term (i, j, code) of every function, and its function and its rank there
+        terms = [(*ij, code, c, s) for c, f in enumerate(functions)
+                 for s, (ij, code) in enumerate(f.terms)]
+        i, j, code, column, rank = np.array(terms, dtype=np.int64).reshape(-1, 5).T
+        shifts = kernels.taylor(F, np.eye(i.max(initial=0) + 1, dtype=np.uint8), a, r_max)
+        frobenius = np.array([F.pow(c, q0) for c in range(F.q)], dtype=np.uint8)
+        powers = np.zeros((q0, r_max + 1, len(points)), dtype=np.uint8)  # y^0 .. y^(q0-1)
+        powers[0, 0] = 1
+        y = powers[1]
+        y[0] = [0 if p.is_infinity else p.coords[1] for p in points]
+        rhs = {1: frobenius[a], q0: a, q0 + 1: 1}
+        for k in range(1, r_max + 1):
+            y[k] = rhs.get(k, 0)
+            if k % q0 == 0:
+                y[k] = add[y[k], neg[frobenius[y[k // q0]]]]
+        for e in range(2, q0):
+            powers[e] = kernels.series_product(F, powers[e - 1], y)
+        series = kernels.series_product(F, shifts[: r_max + 1, :, i], powers[j].transpose(1, 2, 0))
+        series = mul[code, series]
+        rows = np.zeros((r_max + 1, len(points), len(functions)), dtype=np.uint8)
+        for s in range(rank.max(initial=-1) + 1):  # each function's s-th terms at once
+            at = rank == s
+            rows[..., column[at]] = add[rows[..., column[at]], series[..., at]]
+        pole = np.zeros((len(points), len(functions)), dtype=bool)
+        for k, p in enumerate(points):
+            if p.is_infinity:
+                pole[k] = [not f.is_constant for f in functions]
+                rows[0, k] = [f.constant_code for f in functions]
+        return rows, pole
 
     def local_expansion(self, f: HermitianFunction, point: Point, r_max: int) -> tuple:
-        """Expansion of f at an affine point in t = x - a, as encoded ints."""
+        """Expansion of f at an affine point in t = x - a, as encoded ints:
+        the one-function view of `expansions`."""
         if point.is_infinity:
             raise PreconditionError("expansion at P_inf is not supported")
-        F = self.field
-        out = [0] * (r_max + 1)
-        for (i, j), c in f.terms:
-            s = self._monomial_series(point, i, j, r_max)
-            for n in range(r_max + 1):
-                if s[n]:
-                    out[n] = F.add(out[n], F.mul(c, s[n]))
-        return tuple(out)
+        return tuple(self.expansions([f], [point], r_max)[0][:, 0, 0].tolist())
 
     # -- Riemann-Roch -----------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Exact arithmetic in small finite fields GF(p^alpha), univariate
-polynomials, reduced rational functions, and local power-series expansions
-at the rational places of the projective line. Valuations live in the test
-oracles (tests/conftest.py); no library caller needs them.
+polynomials and reduced rational functions. Valuations, evaluation and local
+power-series expansions of rational functions live in the test oracles
+(tests/conftest.py); the library expands on the field tables (kernels.taylor).
 
 Canonical conventions used by every downstream module and serialized file:
 
@@ -505,27 +505,6 @@ class Polynomial:
             acc = F.add(F.mul(acc, a), c)
         return acc
 
-    def shifted_coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficients of self(a + t) as a polynomial in t."""
-        F = self.field
-        cur = list(self.coeffs)
-        out = []
-        while cur:
-            # synthetic division of cur by (x - a): remainder is cur(a)
-            q = [0] * (len(cur) - 1)
-            acc = 0
-            for k in range(len(cur) - 1, 0, -1):
-                acc = F.add(cur[k], F.mul(a, acc))
-                q[k - 1] = acc
-            rem = F.add(cur[0], F.mul(a, q[0])) if q else cur[0]
-            out.append(rem)
-            cur = q
-        return tuple(out)
-
-    def reversed_coeffs(self) -> tuple[int, ...]:
-        """Coefficients of x^deg * self(1/x) (the reciprocal polynomial)."""
-        return tuple(reversed(self.coeffs))
-
     # -- misc --------------------------------------------------------------------
 
     def __eq__(self, other):
@@ -678,23 +657,6 @@ class RationalFunction:
             return self.inverse() ** (-e)
         return RationalFunction(self.numer ** e, self.denom ** e)
 
-    def evaluate(self, a: int):
-        """Value at the finite point a: an encoded element, or INF at a pole."""
-        vd = self.denom(a)
-        if vd == 0:
-            return INF
-        return self.field.div(self.numer(a), vd)
-
-    def evaluate_at_infinity(self):
-        if self.is_zero:
-            return 0
-        du, dv = self.numer.degree, self.denom.degree
-        if du > dv:
-            return INF
-        if du < dv:
-            return 0
-        return self.field.div(self.numer.lead, self.denom.lead)
-
     def __eq__(self, other):
         return (
             isinstance(other, RationalFunction)
@@ -714,57 +676,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"Rat({self.numer!r}/{self.denom!r})"
-
-
-# ---------------------------------------------------------------------------
-# Local expansions at the rational places of the projective line: a monic
-# linear polynomial x - a, with uniformizer x - a, or INF, with uniformizer
-# 1/x.
-
-def _series_div_field(F: FieldSpec, num, den, k):
-    """First k coefficients of the power series num/den; den[0] invertible."""
-    if k <= 0:
-        return []
-    inv0 = F.inv(den[0])
-    out = []
-    for n in range(k):
-        acc = num[n] if n < len(num) else 0
-        for i in range(1, min(n, len(den) - 1) + 1):
-            acc = F.sub(acc, F.mul(den[i], out[n - i]))
-        out.append(F.mul(acc, inv0))
-    return out
-
-
-def local_expand(f: RationalFunction, at, r_max: int) -> tuple[int, ...]:
-    """Coefficients of the expansion of f to order r_max in the canonical
-    uniformizer of a rational place (a monic linear polynomial, or INF)
-    where f is regular.
-
-    Raises PreconditionError when f has a pole there; expand the inverse
-    instead for the projective-value conventions.
-    """
-    if r_max < 0:
-        raise PreconditionError("r_max must be nonnegative")
-    if at is not INF and at.degree != 1:
-        raise PreconditionError("expansions are taken at rational places only")
-    F = f.field
-    if f.is_zero:
-        return (0,) * (r_max + 1)
-    if at is INF:
-        du, dv = f.numer.degree, f.denom.degree
-        if du > dv:
-            raise PreconditionError("pole at infinity; expand the inverse")
-        shift = dv - du
-        num = list(f.numer.reversed_coeffs())
-        den = list(f.denom.reversed_coeffs())
-        body = _series_div_field(F, num, den, r_max + 1 - shift)
-        return tuple([0] * shift + body)[: r_max + 1]
-    a = F.neg(at.coeffs[0])  # at = x - a
-    if f.denom(a) == 0:
-        raise PreconditionError("pole at the place; expand the inverse")
-    num = list(f.numer.shifted_coeffs(a))
-    den = list(f.denom.shifted_coeffs(a))
-    return tuple(_series_div_field(F, num, den, r_max + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,15 @@
 """numpy kernels for the exhaustive-search hot paths: spanning a linear
-space of words, the exact proof that a word set is a subspace, the
-ball-center searches, and one exact agreement kernel behind the pairwise
-minimum distance and the center scans.
+space of words, the exact proof that a word set is a subspace, the one
+Taylor kernel behind every expansion word, the ball-center searches, and
+one exact agreement kernel behind the pairwise minimum distance and the
+center scans.
+
+`taylor` returns the Taylor coefficients of every column of a coefficient
+array at every point in one call, in the binomial form on the field's
+tables; `leading`, `series_quotient` and `series_product` read
+multiplicities and divide and multiply truncated series. The basis rows of
+Goppa and Xing codes (the curves' `expansions`) and the section words
+(`sections.phi_words`) are built from these four.
 
 `agreements` counts the equal positions of every pair of rows as a float32
 product of one-hot encodings. A count never exceeds the word length, far
@@ -42,6 +50,7 @@ finished `SearchOutcome`.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -211,6 +220,81 @@ def is_subspace(arr: np.ndarray, field) -> bool:
         rows = rows[rows[:, c] == 0]
     index = arr[:, pivots].astype(np.int64) @ q ** np.arange(k, dtype=np.int64)
     return bool((linear_span_words(field, basis)[index] == arr).all())
+
+
+# ---------------------------------------------------------------------------
+# Taylor expansions on the field's tables. A series is an array whose axis 0
+# is the order; the other axes are batch axes.
+
+@functools.lru_cache(maxsize=64)
+def _binomials(p: int, width: int) -> np.ndarray:
+    """C(j, k) mod p at [k, j] for j, k < width, read-only."""
+    binom = np.zeros((width, width), dtype=np.int64)
+    binom[0] = 1
+    for j in range(1, width):
+        binom[1 : j + 1, j] = (binom[:j, j - 1] + binom[1 : j + 1, j - 1]) % p
+    binom.flags.writeable = False
+    return binom
+
+
+def taylor(field, coeffs, points, r: int) -> np.ndarray:
+    """The Taylor coefficients of every column of a coefficient array (row
+    j holds the x^j coefficients) at every point: a field encoding a, in
+    t = x - a, or None for infinity, in t = 1/x, where the column is read
+    reversed. Returns a (width + r, points, columns) series whose last r
+    orders are zero, so that `leading` can read r orders past any
+    multiplicity.
+
+    The binomial form: coefficient k at a is sum_j C(j, k) c_j a^(j-k),
+    with C(j, k) reduced mod p to a prime-field element, one table pass per
+    coefficient row j for every order, point and column at once."""
+    add, mul = field_tables(field)
+    coeffs = np.asarray(coeffs, dtype=np.uint8)
+    width, n = coeffs.shape
+    a = np.array([0 if p is None else p for p in points], dtype=np.uint8)
+    powers = np.ones((width, len(a)), dtype=np.uint8)  # powers[e] = a^e
+    for e in range(1, width):
+        powers[e] = mul[powers[e - 1], a]
+    scaled = mul[_binomials(field.p, width)[:, :, None], coeffs]  # [k, j] = C(j, k) c_j
+    out = np.zeros((width + r, len(a), n), dtype=np.uint8)
+    for j in range(width):
+        out[: j + 1] = add[out[: j + 1], mul[scaled[: j + 1, j, None], powers[j::-1, :, None]]]
+    for i, p in enumerate(points):
+        if p is None:
+            out[:width, i] = coeffs[::-1]
+    return out
+
+
+def leading(series: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplicity m of every batch entry of a series, its first
+    nonzero order (0 for a zero entry), and its coefficients of orders
+    m .. m + r, which the series must hold."""
+    mult = np.argmax(series != 0, axis=0)
+    orders = np.arange(r + 1).reshape((-1,) + (1,) * mult.ndim)
+    return mult, np.take_along_axis(series, mult + orders, axis=0)
+
+
+def series_quotient(field, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den to the order of num, for every batch entry whose den[0]
+    is nonzero (zeros elsewhere)."""
+    add, mul = field_tables(field)
+    neg, inv = neg_inv(add, mul)
+    inv0 = inv[den[0]]
+    out = mul[num, inv0]
+    ratio = neg[mul[den, inv0]]  # -den / den[0]
+    for n in range(1, len(num)):
+        for i in range(1, n + 1):
+            out[n] = add[out[n], mul[ratio[i], out[n - i]]]
+    return out
+
+
+def series_product(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b truncated to the order of a, which b must reach."""
+    add, mul = field_tables(field)
+    out = mul[a, b[0]]
+    for i in range(1, len(a)):  # the terms a[n - i] * b[i] of every order n >= i
+        out[i:] = add[out[i:], mul[a[:-i], b[i]]]
+    return out
 
 
 @dataclass

@@ -29,10 +29,10 @@ returns a SectionTable of padded (u, v) coefficient arrays and heights, read
 from the field's factor sieve with no gcd and no object per candidate pair;
 a row becomes a RationalSection only when asked for. One kernel, phi_words,
 computes the words of every order for a whole table with the field's lookup
-tables: Horner division gives each distinct polynomial's multiplicity and
-leading Taylor coefficients at a point, the valuation of the twisted section
-decides 0, infinity or the inverse branch, and the quotient of the unit
-series gives the coefficient.
+tables: one call of the Taylor kernel (kernels.taylor) gives each distinct
+polynomial's multiplicity and leading Taylor coefficients at every point,
+the valuation of the twisted section decides 0, infinity or the inverse
+branch, and the series quotient of the units gives the coefficient.
 The multiplicity audit, multiplicity_census, takes a block of table row
 pairs at once: a table convolution gives every w = u*v2 - u2*v, the factor
 sieve's least-factor chains factor u, v, u2, v2 and w, and every
@@ -284,37 +284,6 @@ def solution_multiplicity(
 # ---------------------------------------------------------------------------
 # The code over the projective alphabet.
 
-def _taylor(coeffs: np.ndarray, a: int, r: int, add, mul):
-    """For every column of a coefficient array (row j holds the x^j
-    coefficients), the multiplicity m of the root a and the Taylor
-    coefficients of (x - a)^m .. (x - a)^(m + r), one row per order: rounds
-    of table-driven Horner division by x - a, the remainder of round k
-    being the k-th Taylor coefficient, stopped r rounds after the last
-    column's leading coefficient. An all-zero column gives (0, zeros)."""
-    width, n = coeffs.shape
-    taylor = np.zeros((width + r, n), dtype=coeffs.dtype)
-    if a == 0:
-        taylor[:width] = coeffs  # dividing by x only shifts
-    else:
-        times_a = mul[:, a]
-        open_ = coeffs.any(axis=0)
-        cur, last = coeffs.copy(), -1
-        for k in range(width):
-            if k > last + r and not open_.any():
-                break
-            acc = np.zeros(n, dtype=coeffs.dtype)
-            for j in range(width - 1 - k, -1, -1):
-                acc = add[times_a[acc], cur[j]]
-                cur[j] = acc
-            taylor[k] = acc  # the remainder; the quotient is cur[1:]
-            if (open_ & (acc != 0)).any():
-                open_ &= acc == 0
-                last = k
-            cur = cur[1:]
-    mult = np.argmax(taylor != 0, axis=0)
-    return mult, taylor[mult + np.arange(r + 1)[:, None], np.arange(n)]
-
-
 def phi_words(curve: ProjectiveLine, sections: SectionTable, points, r: int) -> np.ndarray:
     """Order-r words of the sections of a table, one row each. At r = 0 the
     twisted evaluation word: field encodings for finite values, symbol q
@@ -324,48 +293,44 @@ def phi_words(curve: ProjectiveLine, sections: SectionTable, points, r: int) -> 
 
     At each point P the twisted section t^D(P) * u / v of a table row has
     valuation D(P) + mult(u) - mult(v) and unit series (u unit) / (v unit);
-    the inverse swaps numerator and denominator. At infinity the
-    multiplicities and units come from the reversed arrays, whose common
-    offset cancels. The order-r coefficient of a function of valuation
-    val >= 0 is its unit coefficient r - val, and 0 when val > r. Needs
-    q <= 256, the limit of kernels.field_tables, which hands out the
-    field's own lookup tables.
+    the inverse swaps numerator and denominator. The Taylor kernel expands
+    the distinct numerators and denominators at every point at once; at
+    infinity it reads the reversed arrays, whose common offset cancels. The
+    order-r coefficient of a function of valuation val >= 0 is its unit
+    coefficient r - val, and 0 when val > r. Needs q <= 256, the limit of
+    kernels.field_tables, which hands out the field's own lookup tables.
     """
     if r < 0:
         raise PreconditionError("order must be nonnegative")
     F = curve.field
-    q = F.q
-    add, mul = kernels.field_tables(F)
-    neg, inv = kernels.neg_inv(add, mul)
+    at = [None if p.is_infinity else p.coords[0] for p in points]
 
-    def distinct(A):  # the distinct rows as columns, and each row's column
+    def expand(A):  # multiplicities and units of the distinct rows, and each row's column
         _, first, which = np.unique(kernels.row_keys(A), return_index=True, return_inverse=True)
-        return np.ascontiguousarray(A[first].T, dtype=add.dtype), which
+        mult, units = kernels.leading(kernels.taylor(F, A[first].T, at, r), r)
+        return mult.astype(np.int16), units, which
 
-    def taylor(A, which, p):  # _taylor on the distinct columns, one per row
-        mult, s = _taylor(A[::-1], 0, r, add, mul) if p.is_infinity else _taylor(
-            A, p.coords[0], r, add, mul)
-        return mult[which], s[:, which]
-
-    (U, which_u), (V, which_v) = (distinct(A) for A in (sections.numer, sections.denom))
+    (mult_u, units_u, which_u), (mult_v, units_v, which_v) = map(
+        expand, (sections.numer, sections.denom))
+    twist = np.array([sections.divisor.coeff(curve.place_of_point(p)) for p in points],
+                     dtype=np.int16)
     nonzero = sections.numer.any(axis=1)
-    cols = np.arange(len(sections))
-    out = np.empty((len(sections), len(points)), dtype=np.uint8 if q + 1 <= 256 else np.uint16)
-    for k, p in enumerate(points):
-        (mult_u, num), (mult_v, sv) = taylor(U, which_u, p), taylor(V, which_v, p)
-        val = sections.divisor.coeff(curve.place_of_point(p)) + mult_u - mult_v
+    out = np.empty((len(sections), len(points)), dtype=np.uint8 if F.q + 1 <= 256 else np.uint16)
+    step = max(1, kernels._CHUNK_CELLS // max(1, len(points) * (r + 1)))
+    for lo in range(0, len(sections), step):  # blocks of rows bound the (order, point, row) arrays
+        iu, iv, live = which_u[lo : lo + step], which_v[lo : lo + step], nonzero[lo : lo + step]
+        val = twist[:, None] + mult_u[:, iu] - mult_v[:, iv]
+        num, den = units_u[:, :, iu], units_v[:, :, iv]
         if r:
             pole = val < 0
-            num, sv = np.where(pole, sv, num), np.where(pole, num, sv)
-        inv0 = inv[sv[0]]
-        series = mul[num, inv0]  # num / sv
-        for n in range(1, r + 1):
-            for i in range(1, n + 1):
-                series[n] = add[series[n], neg[mul[mul[sv[i], inv0], series[n - i]]]]
-        at = r - np.abs(val)
-        out[:, k] = np.where(nonzero & (at >= 0), series[np.maximum(at, 0), cols], 0)
+            num, den = np.where(pole, den, num), np.where(pole, num, den)
+        series, order = kernels.series_quotient(F, num, den), r - np.abs(val)
+        words = np.zeros(val.shape, dtype=out.dtype)
+        for k in range(r + 1):
+            np.copyto(words, series[k], where=live & (order == k))
         if not r:
-            out[nonzero & (val < 0), k] = q
+            words[live & (val < 0)] = F.q
+        out[lo : lo + step] = words.T
     return out
 
 

@@ -12,6 +12,9 @@ every claim in this module is exact:
 guarantees the final-order map is injective on the survivor set and the
 image code has minimum distance at least d0.
 
+The basis rows of L(D), every order at every point, come from one call of
+the curve's `expansions` on the Taylor kernel; their order-0 rows are also
+the words of the evaluation code (codes.build_goppa).
 A search is one call of `kernels.span_search` on the basis rows of L(D),
 which chooses between the coset search and the scan of the span's words and
 returns its finished `kernels.SearchOutcome`: the center, the survivors,
@@ -24,10 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import kernels
 from .codes import Alphabet, Code, finish_code
 from .curves import Divisor, eval_points
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 
 
 def optimal_sigma(q: int, i: int) -> Fraction:
@@ -66,21 +71,19 @@ class XingParams:
             raise PreconditionError("trials must be nonnegative")
 
 
-def phi_basis_rows(curve, basis, points, r_max: int) -> list[list[list[int]]]:
-    """Expansion coefficients of each basis function, one list of rows per
-    order r = 0..r_max: rows[r][i][j] is the t^r coefficient of basis[i] at
-    points[j]. Each function is expanded once, to order r_max. Expansion is
-    linear, so the order-r rows span the order-r word set of L(D)."""
-    expansions = [[curve.local_expansion(f, p, r_max) for p in points] for f in basis]
-    return [[[c[r] for c in row] for row in expansions] for r in range(r_max + 1)]
-
-
-def _order_rows(curve, D: Divisor, points, r_max: int):
-    """The basis of L(D) and its order-r basis rows for r = 0..r_max."""
+def phi_basis_rows(curve, D: Divisor, points, r_max: int) -> np.ndarray:
+    """The expansion coefficients of the basis of L(D) at the points, as an
+    (r_max + 1, k, N) array: rows[r, i, j] is the t^r coefficient of basis
+    function i at points[j], from one `expansions` call of the curve.
+    Expansion is linear, so the order-r rows span the order-r word set of
+    L(D). The points avoid supp(D), so a pole fails verification."""
     basis = curve.riemann_roch_basis(D)
     if not basis:
         raise PreconditionError(f"L({D.serialize()}) has no nonzero function")
-    return basis, phi_basis_rows(curve, basis, points, r_max)
+    rows, pole = curve.expansions(basis, points, r_max)
+    if pole.any():
+        raise VerificationError("basis function has a pole at an evaluation point")
+    return rows.transpose(0, 2, 1)
 
 
 def search_centers(curve, D: Divisor, params: XingParams, points=None) -> kernels.SearchOutcome:
@@ -92,22 +95,9 @@ def search_centers(curve, D: Divisor, params: XingParams, points=None) -> kernel
     """
     points = eval_points(curve, D, points)
     params.validate(len(points), curve.field.q)
-    _, rows = _order_rows(curve, D, points, params.m - 1)
+    rows = phi_basis_rows(curve, D, points, params.m - 1)
     return kernels.span_search(curve.field, rows, params.radii, params.strategy, params.seed,
                                params.trials)
-
-
-def function_from_index(field, basis, index: int):
-    """Rebuild the function at a span row index (little-endian digits)."""
-    f = None
-    for b in basis:
-        index, c = divmod(index, field.q)
-        if c:
-            contrib = b.scale(c)
-            f = contrib if f is None else f + contrib
-    if f is None:
-        return basis[0].scale(0)
-    return f
 
 
 @dataclass
@@ -129,7 +119,7 @@ def build_xing(curve, D: Divisor, params: XingParams, points=None) -> XingBuild:
         raise PreconditionError(
             f"divisor degree {D.degree} too large: distance floor {d0} <= 0"
         )
-    basis, rows = _order_rows(curve, D, points, params.m)
+    rows = phi_basis_rows(curve, D, points, params.m)
     search = kernels.span_search(curve.field, rows[: params.m], params.radii, params.strategy,
                                  params.seed, params.trials)
     metadata = {
@@ -143,7 +133,7 @@ def build_xing(curve, D: Divisor, params: XingParams, points=None) -> XingBuild:
         "seed": params.seed,
         "trials": params.trials,
         "centers": kernels.center_text(search.centers),
-        "n_functions": q ** len(basis),
+        "n_functions": q ** rows.shape[1],
         "n_survivors": search.best_count,
         "average": f"{search.exact_average.numerator}/{search.exact_average.denominator}",
         "claimed_distance": d0,
@@ -153,13 +143,3 @@ def build_xing(curve, D: Divisor, params: XingParams, points=None) -> XingBuild:
     words = kernels.span_words_at(curve.field, rows[params.m], search.survivor_indices)
     code = finish_code(Alphabet("field", q), n, words, curve.field, metadata)
     return XingBuild(code=code, search=search, points=points)
-
-
-def survivor_functions(curve, D: Divisor, search: kernels.SearchOutcome):
-    """The survivor functions themselves, for multiplicity audits."""
-    basis = curve.riemann_roch_basis(D)
-    field = curve.field
-    out = []
-    for idx in search.survivor_indices:
-        out.append(function_from_index(field, basis, int(idx)))
-    return out

@@ -10,7 +10,10 @@ expansions), multiplicity totals by enumerating
 every place up to a degree bound, multiplicities at places of degree > 1 by
 root multiplicity over the residue field, sections by one gcd per candidate
 pair, and evaluation words and census rows by symbolic twist-times-section
-arithmetic, expansion words one function and point at a time, and subspaces
+arithmetic, values and local expansions one function and point at a time
+(series division of the shifted numerator and denominator on the projective
+line, series products of x and the branch of y on the Hermitian curve; the
+library runs one Taylor kernel on the field tables), and subspaces
 by set closure or, past its reach, by k pivot eliminations over every row.
 Code words and code files have tuple-and-set versions, the form the library
 used before it kept words as one integer array.
@@ -183,6 +186,143 @@ def oracle_rational_valuation(f, at):
     return oracle_factor_multiplicity(f.numer, at) - oracle_factor_multiplicity(f.denom, at)
 
 
+def oracle_evaluate(curve, f, point):
+    """Value of a function at a rational point, an encoding or INF: on the
+    projective line u(a) / v(a), or at infinity from the degrees and the
+    leading coefficients; on the Hermitian curve the sum of its terms
+    c a^i b^j, and at P_inf the constant, or INF for a non-constant
+    function (every one has a pole there)."""
+    F = curve.field
+    if curve.kind == "hermitian":
+        if point.is_infinity:
+            return f.constant_code if f.is_constant else INF
+        a, b = point.coords
+        acc = 0
+        for (i, j), c in f.terms:
+            acc = F.add(acc, F.mul(c, F.mul(F.pow(a, i), F.pow(b, j))))
+        return acc
+    if point.is_infinity:
+        if f.is_zero:
+            return 0
+        du, dv = f.numer.degree, f.denom.degree
+        if du != dv:
+            return INF if du > dv else 0
+        return F.div(f.numer.lead, f.denom.lead)
+    a = point.coords[0]
+    vd = f.denom(a)
+    return INF if vd == 0 else F.div(f.numer(a), vd)
+
+
+def _oracle_shifted(poly, a):
+    """Coefficients of poly(a + t) as a polynomial in t, by repeated
+    synthetic division by x - a: remainder k is coefficient k."""
+    F = poly.field
+    cur = list(poly.coeffs)
+    out = []
+    while cur:
+        acc, quot = 0, []
+        for c in reversed(cur):
+            acc = F.add(F.mul(acc, a), c)
+            quot.append(acc)
+        out.append(quot.pop())
+        cur = quot[::-1]
+    return out
+
+
+def _oracle_series_div(F, num, den, k):
+    """First k coefficients of the power series num/den; den[0] invertible."""
+    inv0 = F.inv(den[0])
+    out = []
+    for n in range(k):
+        acc = num[n] if n < len(num) else 0
+        for i in range(1, min(n, len(den) - 1) + 1):
+            acc = F.sub(acc, F.mul(den[i], out[n - i]))
+        out.append(F.mul(acc, inv0))
+    return out
+
+
+def _oracle_series_mul(F, s1, s2, depth):
+    out = [0] * (depth + 1)
+    for n1, c1 in enumerate(s1):
+        for n2, c2 in enumerate(s2):
+            if c1 and c2 and n1 + n2 <= depth:
+                out[n1 + n2] = F.add(out[n1 + n2], F.mul(c1, c2))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_monomial_series(curve, point, i, j, depth):
+    """x^i y^j at an affine point of the Hermitian curve in t = x - a, to
+    order depth, as a product of series: x = a + t, and y = b + u(t) with
+    u^q0 + u = a^q0 t + a t^q0 + t^(q0+1) solved order by order."""
+    F, q0 = curve.field, curve.q0
+    a, b = point.coords
+    rhs = {1: F.pow(a, q0), q0: a, q0 + 1: 1}
+    u = [0] * (depth + 1)
+    for r in range(1, depth + 1):
+        u[r] = rhs.get(r, 0)
+        if r % q0 == 0:
+            u[r] = F.sub(u[r], F.pow(u[r // q0], q0))
+    y = tuple([b] + u[1:])
+    x = (a, 1)
+    out = (1,) + (0,) * depth
+    for factor, power in ((x, i), (y, j)):
+        for _ in range(power):
+            out = _oracle_series_mul(F, out, factor, depth)
+    return out
+
+
+def oracle_local_expansion(curve, f, point, r_max):
+    """Expansion coefficients of a function regular at a rational point, to
+    order r_max, one function and point at a time: on the projective line
+    the series quotient of the shifted (at infinity the reversed) numerator
+    and denominator, in t = x - a or t = 1/x; on the Hermitian curve, at an
+    affine point in t = x - a, the sum of the terms' series products."""
+    if r_max < 0:
+        raise PreconditionError("r_max must be nonnegative")
+    F = curve.field
+    if curve.kind == "hermitian":
+        if point.is_infinity:
+            raise PreconditionError("expansion at P_inf is not supported")
+        out = [0] * (r_max + 1)
+        for (i, j), c in f.terms:
+            s = _oracle_monomial_series(curve, point, i, j, r_max)
+            out = [F.add(o, F.mul(c, sn)) for o, sn in zip(out, s)]
+        return tuple(out)
+    if f.is_zero:
+        return (0,) * (r_max + 1)
+    if point.is_infinity:
+        du, dv = f.numer.degree, f.denom.degree
+        if du > dv:
+            raise PreconditionError("pole at infinity; expand the inverse")
+        body = _oracle_series_div(F, f.numer.coeffs[::-1], f.denom.coeffs[::-1],
+                                  r_max + 1 - (dv - du))
+        return tuple([0] * (dv - du) + body)[: r_max + 1]
+    a = point.coords[0]
+    if f.denom(a) == 0:
+        raise PreconditionError("pole at the place; expand the inverse")
+    return tuple(_oracle_series_div(F, _oracle_shifted(f.numer, a), _oracle_shifted(f.denom, a),
+                                    r_max + 1))
+
+
+def function_from_index(field, basis, index):
+    """The function at a span row index (little-endian digits) as a
+    combination of the basis functions."""
+    f = basis[0].scale(0)
+    for b in basis:
+        index, c = divmod(index, field.q)
+        if c:
+            f = f + b.scale(c)
+    return f
+
+
+def survivor_functions(curve, D, search):
+    """The survivor functions of a search over L(D) themselves, for
+    multiplicity audits."""
+    basis = curve.riemann_roch_basis(D)
+    return [function_from_index(curve.field, basis, int(i)) for i in search.survivor_indices]
+
+
 def oracle_valuation(curve, f, place):
     """Valuation of a nonzero function at a place of either curve. On the
     projective line the rational valuation. On the Hermitian curve, at P_inf
@@ -198,7 +338,7 @@ def oracle_valuation(curve, f, place):
     pole_order = max(i * q0 + j * (q0 + 1) for (i, j), _ in f.terms)
     if place.kind == "inf":
         return -pole_order
-    for n, c in enumerate(curve.local_expansion(f, place.point, pole_order)):
+    for n, c in enumerate(oracle_local_expansion(curve, f, place.point, pole_order)):
         if c:
             return n
     raise AssertionError("nonzero function with too many zeros at a point")
@@ -409,7 +549,7 @@ def oracle_phi0(curve, section, points):
     word = []
     for p in points:
         phi = oracle_twist(curve, section.divisor, curve.place_of_point(p))
-        v = curve.evaluate(phi * section.f, p)
+        v = oracle_evaluate(curve, phi * section.f, p)
         word.append(q if v is INF else int(v))
     return tuple(word)
 
@@ -421,15 +561,15 @@ def oracle_phi_r(curve, section, points, r):
     word = []
     for p in points:
         g = oracle_twist(curve, section.divisor, curve.place_of_point(p)) * section.f
-        target = g.inverse() if curve.evaluate(g, p) is INF else g
-        word.append(curve.local_expansion(target, p, r)[r])
+        target = g.inverse() if oracle_evaluate(curve, g, p) is INF else g
+        word.append(oracle_local_expansion(curve, target, p, r)[r])
     return tuple(word)
 
 
 def oracle_phi_word(curve, f, points, r):
     """The order-r expansion word of a single function regular at every
     point: coordinate j is the t_j^r coefficient at point j."""
-    return tuple(curve.local_expansion(f, p, r)[r] for p in points)
+    return tuple(oracle_local_expansion(curve, f, p, r)[r] for p in points)
 
 
 def oracle_code_words(alphabet_size, length, words):

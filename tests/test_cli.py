@@ -676,6 +676,7 @@ def test_code_file_reader_does_not_depend_on_its_block_size(monkeypatch):
     for row in (0, 400, 728):
         at = f"word line {row + 1}: "
         for bad, error in (("x" + lines[row][1:], at + "word symbols must be decimal digits"),
+                           (":" + lines[row][1:], at + "word symbols must be decimal digits"),
                            (" " + lines[row], at + "word symbols must be decimal digits"),
                            (lines[row] + "\r", at + "word symbols must be decimal digits"),
                            (lines[row] + ",1", at + "word length mismatch"),

@@ -314,6 +314,7 @@ def _codes_strategy():
                    field=make_field(65521, 1)))
 @example(make_code(Alphabet("field", 4), 0, [()], field=make_field(2, 2)))
 @example(make_code(Alphabet("p1", 3), 4, [], field=make_field(3, 1)))
+@example(make_code(Alphabet("field", 11), 3, [(10, 0, 7), (1, 9, 10)], field=make_field(11, 1)))
 def test_code_file_roundtrip_property(code):
     text = code_to_text(code)
     assert text == oracle_code_to_text(code)
@@ -338,4 +339,4 @@ def test_perfbench_entry_points_resolve():
     curves = importlib.import_module("agcodes.curves")
     for cls in tracer.CURVE_CLASSES:
         for method in tracer.CURVE_METHODS:
-            assert callable(getattr(getattr(curves, cls), method, None)), f"{cls}.{method}"
+            assert callable(vars(getattr(curves, cls)).get(method)), f"{cls}.{method}"

@@ -14,7 +14,13 @@ from agcodes.field import (
     make_field,
     make_field_q,
 )
-from conftest import oracle_divisor_of, oracle_rational_valuation, oracle_valuation
+from conftest import (
+    oracle_divisor_of,
+    oracle_evaluate,
+    oracle_local_expansion,
+    oracle_rational_valuation,
+    oracle_valuation,
+)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
@@ -188,30 +194,37 @@ def test_rr_hermitian_rejects_general_divisors():
 
 
 def test_evaluate_examples():
+    # the oracle's values, and the order-0 coefficients of the expansion
+    # kernel where the function is regular
     F2 = make_field(2, 1)
     p1 = build_curve("p1", F2)
     inv_x = RationalFunction(Polynomial.one(F2), Polynomial.x(F2))
-    assert p1.evaluate(inv_x, p1.points[0]) is INF
+    assert oracle_evaluate(p1, inv_x, p1.points[0]) is INF
+    assert p1.local_expansion(inv_x, p1.points[1], 0) == (1,)
 
     F5 = make_field(5, 1)
     p15 = build_curve("p1", F5)
     xsq = RationalFunction(Polynomial(F5, (0, 0, 1)), Polynomial.one(F5))
-    assert p15.evaluate(xsq, p15.points[3]) == 4
+    assert oracle_evaluate(p15, xsq, p15.points[3]) == 4
+    assert p15.local_expansion(xsq, p15.points[3], 0) == (4,)
 
     herm = build_curve("hermitian", make_field(2, 2))
-    assert herm.evaluate(herm.monomial(0, 1), herm.points[-1]) is INF
-    assert herm.evaluate(herm.monomial(0, 1), Point((0, 0))) == 0
+    assert oracle_evaluate(herm, herm.monomial(0, 1), herm.points[-1]) is INF
+    assert oracle_evaluate(herm, herm.monomial(0, 1), Point((0, 0))) == 0
+    assert herm.local_expansion(herm.monomial(0, 1), Point((0, 0)), 0) == (0,)
 
 
 @pytest.mark.parametrize("q0", [2, 3])
 def test_hermitian_branch_series_satisfies_curve_equation(q0):
-    # y(t)^q0 + y(t) == (a + t)^(q0+1) through the truncation order
+    # y(t)^q0 + y(t) == (a + t)^(q0+1) through the truncation order, for the
+    # kernel's series of y and for the oracle's
     field = make_field_q(q0 * q0)
     curve = build_curve("hermitian", field)
     depth = 9
     for pt in curve.points[:-1]:
         a, _ = pt.coords
-        ys = curve._y_series(pt, depth)
+        ys = curve.local_expansion(curve.monomial(0, 1), pt, depth)
+        assert ys == oracle_local_expansion(curve, curve.monomial(0, 1), pt, depth)
         # left side: Frobenius acts coefficientwise with index dilation
         lhs = [0] * (depth + 1)
         for r, c in enumerate(ys):
@@ -240,7 +253,7 @@ def test_hermitian_expansion_order_zero_matches_evaluation():
             f = f + b.scale(rng.randrange(4))
         for pt in curve.points[:-1]:
             series = curve.local_expansion(f, pt, 2)
-            assert series[0] == curve.evaluate(f, pt)
+            assert series[0] == oracle_evaluate(curve, f, pt)
 
 
 def test_default_eval_points_avoid_support():

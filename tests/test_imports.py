@@ -54,7 +54,7 @@ PUBLIC_NAMES = [
     "RationalSection", "SectionTable", "VerificationError", "XingParams", "ball_size", "bounds",
     "build_combined", "build_curve", "build_goppa", "build_section_code", "build_xing",
     "default_eval_points", "enumerate_irreducibles", "enumerate_sections", "exact_min_distance",
-    "goppa_sum_check", "local_expand", "make_field", "make_field_q", "optimal_sigma",
+    "goppa_sum_check", "make_field", "make_field_q", "optimal_sigma",
     "optimal_sigma0", "search_centers", "solution_multiplicity", "threshold_check",
 ]
 

@@ -28,6 +28,7 @@ from agcodes.sections import (
 from conftest import (
     census_rows,
     census_total,
+    function_from_index,
     naive_min_distance,
     oracle_divisor_of,
     oracle_enumerate_sections,
@@ -99,8 +100,6 @@ def test_sections_match_union_of_function_spaces():
     curve = _p1(2)
     D = curve.zero_divisor()
     h = 1
-    from agcodes.xing import function_from_index
-
     direct = {s.f for s in enumerate_sections(curve, D, h)}
     places = [curve.place_inf()] + [
         curve.place_of_poly(pi)
@@ -121,6 +120,12 @@ def test_sections_guard():
     curve = _p1(5)
     with pytest.raises(PreconditionError):
         enumerate_sections(curve, curve.zero_divisor(), 5)
+    # the twisted guard at its boundary over GF(2), h = 1: D_+ of degree 9
+    # bounds the pairs by 2^(2*10+1) <= 8 * 10^6, of degree 10 by 2^23
+    curve = _p1(2)
+    assert len(enumerate_sections(curve, curve.parse_divisor("0,1:9;inf:-9"), 1)) == 8
+    with pytest.raises(PreconditionError, match="twisted enumeration too large"):
+        enumerate_sections(curve, curve.parse_divisor("0,1:10;inf:-10"), 1)
 
 
 def test_sections_require_degree_zero():

@@ -37,8 +37,10 @@ def test_entry_point_resolves(layer, name):
 @pytest.mark.parametrize("cls", tracer.CURVE_CLASSES)
 @pytest.mark.parametrize("method", tracer.CURVE_METHODS)
 def test_curve_method_resolves(cls, method):
+    # the tracer wraps cls.__dict__[method], so an inherited method would
+    # pass getattr yet fail every traced run
     curves = importlib.import_module("agcodes.curves")
-    assert callable(getattr(getattr(curves, cls), method, None)), f"{cls}.{method}"
+    assert callable(vars(getattr(curves, cls)).get(method)), f"{cls}.{method}"
 
 
 @pytest.mark.parametrize("q,divisor,h", [(3, "0", 2), (3, "1,0,1:1;inf:-2", 1)])

@@ -3,24 +3,39 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from agcodes import kernels
 from agcodes.codes import build_goppa
 from agcodes.curves import build_curve, default_eval_points
 from agcodes.errors import PreconditionError
-from agcodes.field import Polynomial, RationalFunction, make_field, prime_factors
+from agcodes.field import (
+    Polynomial,
+    RationalFunction,
+    enumerate_irreducibles,
+    make_field,
+    make_field_q,
+    prime_factors,
+)
 from agcodes.kernels import ball_size
 from agcodes.xing import (
     XingParams,
     build_xing,
     distance_floor,
-    function_from_index,
     optimal_sigma,
     phi_basis_rows,
     search_centers,
+)
+from conftest import (
+    brute_ball_count,
+    function_from_index,
+    naive_min_distance,
+    oracle_evaluate,
+    oracle_local_expansion,
+    oracle_phi_word,
     survivor_functions,
 )
-from conftest import brute_ball_count, naive_min_distance, oracle_phi_word
 
 
 def _deg1_divisor_gf2(curve):
@@ -41,10 +56,53 @@ def test_phi0_is_plain_evaluation():
     D = curve.divisor({curve.place_inf(): 3})
     points = default_eval_points(curve, D)
     basis = curve.riemann_roch_basis(D)
-    for f in basis:
-        assert oracle_phi_word(curve, f, points, 0) == tuple(
-            curve.evaluate(f, p) for p in points
+    for f, row in zip(basis, phi_basis_rows(curve, D, points, 0)[0]):
+        assert tuple(row.tolist()) == oracle_phi_word(curve, f, points, 0) == tuple(
+            oracle_evaluate(curve, f, p) for p in points
         )
+
+
+@st.composite
+def _basis_instances(draw):
+    """(curve, D, points, r_max): a P1 divisor with finite places of degree
+    1 and 2 and any coefficient at infinity, on points off supp(D), so with
+    infinity among them when it is off supp(D); or a Hermitian one-point
+    divisor over GF(4) or GF(9) on affine points."""
+    r_max = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        curve = build_curve("hermitian", make_field_q(draw(st.sampled_from([4, 9]))))
+        D = curve.one_point_divisor(draw(st.integers(0, 14)))
+        points = curve.points[:-1]
+    else:
+        curve = build_curve("p1", make_field_q(draw(st.sampled_from([2, 3, 4, 5, 7]))))
+        places = [curve.place_of_poly(pi) for pi in enumerate_irreducibles(curve.field, 2)]
+        chosen = draw(st.lists(st.sampled_from(places), max_size=3, unique=True))
+        coeffs = {pl: draw(st.integers(-2, 3).filter(bool)) for pl in chosen}
+        coeffs[curve.place_inf()] = draw(st.one_of(st.just(0), st.integers(-2, 4)))
+        D = curve.divisor({pl: c for pl, c in coeffs.items() if c})
+        assume(D.degree >= 0)
+        points = default_eval_points(curve, D)
+        assume(points)
+    points = draw(st.permutations(points))[: draw(st.integers(1, len(points)))]
+    return curve, D, points, r_max
+
+
+def _p1_instance(q, divisor, r_max):
+    curve = build_curve("p1", make_field_q(q))
+    D = curve.parse_divisor(divisor)
+    return curve, D, default_eval_points(curve, D), r_max
+
+
+@settings(max_examples=80, deadline=None)
+@given(_basis_instances())
+@example(_p1_instance(5, "2,0,1:1;1,1:-1", 3))  # infinity among the points
+@example(_p1_instance(3, "1,0,1:2;inf:-1", 3))
+def test_phi_basis_rows_match_the_symbolic_oracles(instance):
+    curve, D, points, r_max = instance
+    expected = [[oracle_local_expansion(curve, f, p, r_max) for p in points]
+                for f in curve.riemann_roch_basis(D)]
+    assert phi_basis_rows(curve, D, points, r_max).tolist() == [
+        [[c[r] for c in row] for row in expected] for r in range(r_max + 1)]
 
 
 def test_phi_r_monomial_coefficients():
@@ -144,8 +202,6 @@ def test_greedy_strategy_deterministic_and_nonempty():
 
 
 def test_exhaustive_outperforms_random_and_greedy():
-    from agcodes.field import enumerate_irreducibles
-
     curve = build_curve("p1", make_field(3, 1))
     F = curve.field
     quad = next(p for p in enumerate_irreducibles(F, 2) if p.degree == 2)
@@ -176,8 +232,6 @@ def test_monotonicity_in_radius():
 def _gf5_quadratic_place():
     """P1 over GF(5) with D = one degree-2 place: all six rational points
     stay in play, so the center space of m orders is 5^(6m)."""
-    from agcodes.field import enumerate_irreducibles
-
     curve = build_curve("p1", make_field(5, 1))
     quad = next(p for p in enumerate_irreducibles(curve.field, 2) if p.degree == 2)
     return curve, curve.divisor({curve.place_of_poly(quad): 1})
@@ -192,9 +246,8 @@ def test_coset_search_past_the_center_space_cap():
     assert 5 ** 12 > kernels.EXHAUSTIVE_CENTER_CAP
     res = search_centers(curve, D, params)
     points = default_eval_points(curve, D)
-    basis = curve.riemann_roch_basis(D)
     spans = [kernels.linear_span_words(curve.field, rows)
-             for rows in phi_basis_rows(curve, basis, points, 1)]
+             for rows in phi_basis_rows(curve, D, points, 1)]
     count, index = kernels._histogram_search(spans, params.radii, 5)
     assert res.best_count == count
     digits = np.unravel_index(index, (5,) * 12)
@@ -276,7 +329,7 @@ def test_random_and_greedy_routes_agree():
     D = curve.one_point_divisor(2)
     points = default_eval_points(curve, D)
     span = kernels.linear_span_words(
-        curve.field, phi_basis_rows(curve, curve.riemann_roch_basis(D), points, 0)[0])
+        curve.field, phi_basis_rows(curve, D, points, 0)[0])
     for strategy in ("random", "greedy"):
         params = XingParams(m=1, radii=(2,), strategy=strategy, seed=5, trials=32)
         res = search_centers(curve, D, params)
@@ -350,8 +403,6 @@ def test_build_xing_all_zero_radii():
 
 
 def test_build_xing_rejects_nonpositive_floor():
-    from agcodes.field import enumerate_irreducibles
-
     curve = build_curve("p1", make_field(2, 1))
     F = curve.field
     quintic = next(p for p in enumerate_irreducibles(F, 5) if p.degree == 5)
@@ -399,7 +450,7 @@ def test_zero_radius_zero_center_reduces_to_goppa():
     # survivors are exactly the functions vanishing at every point
     assert len(survivors) == F.q ** 4
     for f in survivors:
-        assert all(curve.evaluate(f, p) == 0 for p in points)
+        assert all(oracle_evaluate(curve, f, p) == 0 for p in points)
     # and the final-order words are the scaled words of the small Goppa code
     goppa = build_goppa(curve, curve.divisor({curve.place_inf(): 3}), points=points)
     scale = []
@@ -484,8 +535,6 @@ def test_multiplicity_chain_on_hermitian_survivors():
 
 def test_phi_m_injective_on_survivors():
     curve = build_curve("p1", make_field(3, 1))
-    from agcodes.field import enumerate_irreducibles
-
     quad = next(p for p in enumerate_irreducibles(curve.field, 2) if p.degree == 2)
     D = curve.divisor({curve.place_of_poly(quad): 1})
     params = XingParams(m=1, radii=(1,), strategy="exhaustive")
