@@ -11,10 +11,8 @@ from types import ModuleType as _Module
 
 from .errors import PreconditionError, VerificationError
 from .field import (
-    INF,
     FieldSpec,
     Polynomial,
-    RationalFunction,
     enumerate_irreducibles,
     make_field,
     make_field_q,
@@ -32,7 +30,6 @@ from .codes import Alphabet, Code, build_goppa, exact_min_distance, goppa_sum_ch
 from .kernels import ball_size
 from .xing import XingParams, build_xing, optimal_sigma, search_centers
 from .sections import (
-    RationalSection,
     SectionTable,
     build_section_code,
     enumerate_sections,

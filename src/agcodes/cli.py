@@ -292,11 +292,13 @@ def cmd_sections_proposition(args) -> int:
         failed = (total != target) | (mu_total != target)
         if failed.any():
             k = int(failed.argmax())  # the first failing pair in draw order
-            a, b = sections[pairs[k][0]], sections[pairs[k][1]]
-            print(f"multiplicity total {total[k]} != {a.height} + {b.height}"
+            a, b = pairs[k]
+            heights = sections.heights.tolist()
+            print(f"multiplicity total {total[k]} != {heights[a]} + {heights[b]}"
                   if total[k] != target[k] else "pole-count identity failed")
-            for name, s in (("a", a), ("b", b)):
-                print(f"witness section {name}: {s.f.serialize()} height {s.height}")
+            for name, row in (("a", a), ("b", b)):
+                print(f"witness section {name}: {_serialize_row(sections.numer[row].tolist())}/"
+                      f"{_serialize_row(sections.denom[row].tolist())} height {heights[row]}")
             for r in census.rows(k):
                 print(f"census {r['place'].serialize()}: m={r['m']} mu={r['mu']} "
                       f"mu2={r['mu2']} v_diff={r['v_diff']}")

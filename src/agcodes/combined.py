@@ -15,8 +15,8 @@ forces the first-order map to be injective on the survivors and the image
 code to have minimum distance at least d0. The sections stay one
 SectionTable throughout: the order-0 words that pick the center and the
 order-1 words of the survivors come from one call each of the table kernel
-sections.phi_words, and only the survivors become RationalSection objects,
-for the result. The result holds the code and the finished
+sections.phi_words, and the result keeps the survivors as the table's rows
+they select. The result holds the code and the finished
 `kernels.SearchOutcome` of `kernels.center_search`. The averaging census is
 the same search with the census strategy, which scans every center; it
 compares the sum its scan counts with the outcome's `expected_census`.
@@ -32,7 +32,6 @@ from .codes import Alphabet, Code, finish_code
 from .curves import Divisor, ProjectiveLine, distinct_points
 from .errors import PreconditionError, VerificationError
 from .sections import (
-    RationalSection,
     SectionTable,
     enumerate_sections,
     phi_words,
@@ -57,13 +56,13 @@ def distance_budget_ok(n: int, h: int, s0: int, d0: int) -> bool:
     return 2 * h <= 2 * n - 4 * s0 - d0
 
 
-def phi_r_projective(curve: ProjectiveLine, f: RationalSection, points, r: int) -> tuple[int, ...]:
-    """Order-r expansion word of one section over the base field (r >= 1):
-    at each point, the t^r coefficient of the twisted section, or of its
-    inverse when the twisted value is infinite."""
+def phi_r_projective(curve: ProjectiveLine, row: SectionTable, points, r: int) -> tuple[int, ...]:
+    """Order-r expansion word of the section of a one-row table over the
+    base field (r >= 1): at each point, the t^r coefficient of the twisted
+    section, or of its inverse when the twisted value is infinite."""
     if r < 1:
         raise PreconditionError("use the projective evaluation word for r = 0")
-    return tuple(phi_words(curve, SectionTable.of(f.divisor, (f,)), points, r)[0].tolist())
+    return tuple(phi_words(curve, row, points, r)[0].tolist())
 
 
 def averaging_census(curve: ProjectiveLine, D: Divisor, h: int, s0: int):
@@ -111,7 +110,7 @@ class CombinedParams:
 class CombinedResult:
     code: Code
     search: kernels.SearchOutcome
-    survivors: tuple[RationalSection, ...]
+    survivors: SectionTable
     points: tuple
 
 
@@ -153,4 +152,4 @@ def build_combined(
     }
     words1 = phi_words(curve, survivors, points, 1)
     code = finish_code(Alphabet("field", q), n, words1, curve.field, metadata)
-    return CombinedResult(code=code, search=search, survivors=tuple(survivors), points=points)
+    return CombinedResult(code=code, search=search, survivors=survivors, points=points)

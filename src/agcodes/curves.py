@@ -4,19 +4,19 @@ Hermitian curve y^q0 + y = x^(q0+1) over GF(q0^2).
 Both curves expose the same small surface: an ordered list of rational
 points (affine points ascending by coordinate encodings, the point at
 infinity last), places and divisors, Riemann-Roch bases, and `expansions`,
-the coefficients of a batch of functions at a batch of rational points to a
-given order (in t = x - a at an affine point, and in 1/x at infinity on the
-projective line), computed on the field tables by the Taylor kernel of
-kernels.py; order 0 is the value. `local_expansion` is its one-function
-view. The symbolic evaluation and expansion that the kernel replaced are
-test oracles (tests/conftest.py).
+the coefficients of a basis at a batch of rational points to a given order
+(in t = x - a at an affine point, and in 1/x at infinity on the projective
+line), computed on the field tables by the Taylor kernel of kernels.py;
+order 0 is the value. `local_expansion` is its one-row view.
 The point order fixes codeword coordinate order once and for all; code
 files record it explicitly.
 
-Functions live in curve-specific representations: reduced rational
-functions in x on the projective line, and reduced polynomial combinations
-sum_j a_j(x) y^j with j < q0 on the Hermitian curve (equality is
-representation equality).
+A basis of L(D) is an integer array, in a curve-specific form: on the
+projective line a (k, 2, width) array of numerators z * x^i and the common
+denominator v, constant term first; on the Hermitian curve a (k, 2) array
+of the exponents (i, j) of the monomials x^i y^j. Functions as symbolic
+objects, with their evaluation and expansion, are test oracles
+(tests/conftest.py).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .errors import PreconditionError, VerificationError
-from .field import FieldSpec, Polynomial, RationalFunction, factorize, linear_poly
+from .field import FieldSpec, Polynomial, factorize, linear_poly
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ class Divisor:
 
 class ProjectiveLine:
     """P^1 over GF(q): q + 1 rational points, genus 0, functions are
-    reduced rational functions in x."""
+    rational functions in x."""
 
     kind = "p1"
     genus = 0
@@ -222,7 +222,7 @@ class ProjectiveLine:
             else:
                 pi = Polynomial.parse(self.field, desc).monic()
                 pl = self.place_of_poly(pi)
-                if factorize(pi) != {pi: 1}:
+                if pi.degree > 1 and factorize(pi) != {pi: 1}:  # x - a is irreducible
                     raise PreconditionError(
                         f"place polynomial {desc} is reducible over GF({self.field.q})"
                     )
@@ -231,18 +231,19 @@ class ProjectiveLine:
 
     # -- function operations ----------------------------------------------------
 
-    def expansions(self, functions, points, r_max: int) -> tuple[np.ndarray, np.ndarray]:
-        """The expansion coefficients of every function at every rational
-        point to order r_max, as an (r_max + 1, points, functions) array of
-        encodings, and the (points, functions) mask of the poles, where the
-        coefficients read 0. Numerators and denominators are padded to one
-        width, so the offset of their reversed arrays at infinity cancels."""
+    def expansions(self, basis, points, r_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """The expansion coefficients of every row of a (k, 2, width) basis
+        array (numerator and denominator, constant term first, as
+        `riemann_roch_basis` returns them) at every rational point to order
+        r_max, as an (r_max + 1, points, k) array of encodings, and the
+        (points, k) mask of the poles, where the coefficients read 0. The
+        rows need not be reduced: a common factor drops out of the
+        valuation and of the unit quotient. Numerators and denominators
+        share one width, so the offset of their reversed arrays at infinity
+        cancels."""
         F = self.field
-        polys = [poly.coeffs for f in functions for poly in (f.numer, f.denom)]
-        uv = np.zeros((max(map(len, polys)), len(polys)), dtype=np.uint8)
-        for col, coeffs in enumerate(polys):
-            uv[: len(coeffs), col] = coeffs
         at = [None if p.is_infinity else p.coords[0] for p in points]
+        uv = basis.reshape(-1, basis.shape[-1]).T  # numerator and denominator columns alternate
         mult, units = kernels.leading(kernels.taylor(F, uv, at, r_max), r_max)
         val = mult[:, 0::2] - mult[:, 1::2]
         series = kernels.series_quotient(F, units[:, :, 0::2], units[:, :, 1::2])
@@ -250,12 +251,12 @@ class ProjectiveLine:
         rows = np.take_along_axis(series, np.clip(order, 0, r_max), axis=0)
         return np.where((order >= 0) & (val >= 0), rows, 0).astype(np.uint8), val < 0
 
-    def local_expansion(self, f: RationalFunction, point: Point, r_max: int) -> tuple:
-        """Expansion coefficients of f at a rational point, as encoded ints:
-        the one-function view of `expansions`."""
+    def local_expansion(self, row, point: Point, r_max: int) -> tuple:
+        """Expansion coefficients of one (2, width) basis row at a rational
+        point, as encoded ints: the one-row view of `expansions`."""
         if r_max < 0:
             raise PreconditionError("r_max must be nonnegative")
-        rows, pole = self.expansions([f], [point], r_max)
+        rows, pole = self.expansions(np.asarray(row)[None], [point], r_max)
         if pole[0, 0]:
             where = "infinity" if point.is_infinity else "the place"
             raise PreconditionError(f"pole at {where}; expand the inverse")
@@ -263,13 +264,14 @@ class ProjectiveLine:
 
     # -- Riemann-Roch ----------------------------------------------------------
 
-    def riemann_roch_basis(self, D: Divisor) -> list[RationalFunction]:
-        """Exact basis of L(D) = {f : (f) + D >= 0} for an arbitrary divisor.
+    def riemann_roch_basis(self, D: Divisor) -> np.ndarray:
+        """Exact basis of L(D) = {f : (f) + D >= 0} for an arbitrary divisor,
+        as a (k, 2, width) array with k = dim L(D): row i holds the numerator
+        z * x^i and the denominator v, constant term first.
 
-        The basis is {z * x^i / v : 0 <= i <= deg D} where v collects the
-        allowed finite pole orders and z the required finite zero orders;
-        the bound on i enforces the order condition at infinity. Empty for
-        deg D < 0.
+        v collects the allowed finite pole orders and z the required finite
+        zero orders; the bound i <= deg D enforces the order condition at
+        infinity. The rows are not reduced. Empty for deg D < 0.
         """
         if D.curve is not self:
             raise PreconditionError("divisor lives on a different curve")
@@ -283,13 +285,13 @@ class ProjectiveLine:
                 v = v * pl.poly ** c
             else:
                 z = z * pl.poly ** (-c)
-        bound = v.degree - z.degree + c_inf
-        if bound < 0:
-            return []
-        return [
-            RationalFunction(z.shift(i), v)
-            for i in range(bound + 1)
-        ]
+        k = max(v.degree - z.degree + c_inf + 1, 0)
+        basis = np.zeros((k, 2, max(z.degree + k, v.degree + 1)),
+                         dtype=np.min_scalar_type(self.field.q - 1))
+        for i in range(k):
+            basis[i, 0, i : i + len(z.coeffs)] = z.coeffs
+        basis[:, 1, : len(v.coeffs)] = v.coeffs
+        return basis
 
     def info(self) -> dict:
         return {
@@ -301,91 +303,6 @@ class ProjectiveLine:
 
 
 # ---------------------------------------------------------------------------
-
-
-class HermitianFunction:
-    """Function on the Hermitian curve in the reduced representation
-    sum a_{ij} x^i y^j with 0 <= j < q0. terms maps (i, j) to a nonzero
-    encoded coefficient."""
-
-    __slots__ = ("curve", "terms", "_hash")
-
-    def __init__(self, curve, terms):
-        items = {}
-        for (i, j), c in dict(terms).items():
-            code = int(c)
-            if code:
-                if j >= curve.q0:
-                    raise PreconditionError("unreduced power of y")
-                items[(i, j)] = code
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "terms", tuple(sorted(items.items())))
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HermitianFunction is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def is_constant(self) -> bool:
-        return all(ij == (0, 0) for ij, _ in self.terms)
-
-    @property
-    def constant_code(self) -> int:
-        for ij, c in self.terms:
-            if ij == (0, 0):
-                return c
-        return 0
-
-    def __add__(self, other):
-        if other.curve is not self.curve:
-            raise PreconditionError("functions on different curves")
-        F = self.curve.field
-        out = dict(self.terms)
-        for ij, c in other.terms:
-            out[ij] = F.add(out.get(ij, 0), c)
-        return HermitianFunction(self.curve, out)
-
-    def __sub__(self, other):
-        return self + other.scale(self.curve.field.neg(1))
-
-    def scale(self, code: int):
-        F = self.curve.field
-        return HermitianFunction(
-            self.curve, {ij: F.mul(c, code) for ij, c in self.terms}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HermitianFunction)
-            and other.curve is self.curve
-            and other.terms == self.terms
-        )
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self.terms)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __repr__(self):
-        if not self.terms:
-            return "H(0)"
-        bits = []
-        for (i, j), c in self.terms:
-            mono = "".join(
-                s for s in (
-                    f"{c}*" if c != 1 or (i == 0 and j == 0) else "",
-                    f"x^{i}" if i > 1 else ("x" if i == 1 else ""),
-                    f"y^{j}" if j > 1 else ("y" if j == 1 else ""),
-                )
-            )
-            bits.append(mono.rstrip("*") or str(c))
-        return "H(" + " + ".join(bits) + ")"
 
 
 class HermitianCurve:
@@ -447,30 +364,25 @@ class HermitianCurve:
 
     # -- functions ----------------------------------------------------------------
 
-    def monomial(self, i: int, j: int, code: int = 1) -> HermitianFunction:
-        return HermitianFunction(self, {(i, j): code})
-
-    def expansions(self, functions, points, r_max: int) -> tuple[np.ndarray, np.ndarray]:
-        """The expansion coefficients of every function at every rational
-        point to order r_max, as an (r_max + 1, points, functions) array of
-        encodings, and the (points, functions) mask of the poles, where the
+    def expansions(self, basis, points, r_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """The expansion coefficients of the monomials x^i y^j of a (k, 2)
+        array of exponents (i, j), as `riemann_roch_basis` returns them, at
+        every rational point to order r_max, as an (r_max + 1, points, k)
+        array of encodings, and the (points, k) mask of the poles, where the
         coefficients read 0.
 
         At an affine point (a, b) the uniformizer is t = x - a: a monomial
         x^i y^j expands as the Taylor shift of x^i times the j-th power of
         y = b + u(t), one series per point from the curve's recurrence
         u^q0 + u = a^q0 t + a t^q0 + t^(q0+1). At P_inf only order 0 is
-        supported: a constant reads its value, any other function a pole."""
+        supported: the constant 1 reads 1, any other monomial a pole."""
         if r_max and any(p.is_infinity for p in points):
             raise PreconditionError("expansion at P_inf is not supported")
         F, q0 = self.field, self.q0
         add, mul = kernels.field_tables(F)
         neg, _ = kernels.neg_inv(add, mul)
+        i, j = np.asarray(basis, dtype=np.int64).T
         a = [0 if p.is_infinity else p.coords[0] for p in points]
-        # every term (i, j, code) of every function, and its function and its rank there
-        terms = [(*ij, code, c, s) for c, f in enumerate(functions)
-                 for s, (ij, code) in enumerate(f.terms)]
-        i, j, code, column, rank = np.array(terms, dtype=np.int64).reshape(-1, 5).T
         shifts = kernels.taylor(F, np.eye(i.max(initial=0) + 1, dtype=np.uint8), a, r_max)
         frobenius = np.array([F.pow(c, q0) for c in range(F.q)], dtype=np.uint8)
         powers = np.zeros((q0, r_max + 1, len(points)), dtype=np.uint8)  # y^0 .. y^(q0-1)
@@ -484,30 +396,24 @@ class HermitianCurve:
                 y[k] = add[y[k], neg[frobenius[y[k // q0]]]]
         for e in range(2, q0):
             powers[e] = kernels.series_product(F, powers[e - 1], y)
-        series = kernels.series_product(F, shifts[: r_max + 1, :, i], powers[j].transpose(1, 2, 0))
-        series = mul[code, series]
-        rows = np.zeros((r_max + 1, len(points), len(functions)), dtype=np.uint8)
-        for s in range(rank.max(initial=-1) + 1):  # each function's s-th terms at once
-            at = rank == s
-            rows[..., column[at]] = add[rows[..., column[at]], series[..., at]]
-        pole = np.zeros((len(points), len(functions)), dtype=bool)
-        for k, p in enumerate(points):
-            if p.is_infinity:
-                pole[k] = [not f.is_constant for f in functions]
-                rows[0, k] = [f.constant_code for f in functions]
-        return rows, pole
+        rows = kernels.series_product(F, shifts[: r_max + 1, :, i], powers[j].transpose(1, 2, 0))
+        # P_inf stands in as (0, 0), where x^i y^j reads 1 for i = j = 0 and 0 at every pole
+        infinite = np.array([p.is_infinity for p in points], dtype=bool)
+        return rows, infinite[:, None] & ((i != 0) | (j != 0))
 
-    def local_expansion(self, f: HermitianFunction, point: Point, r_max: int) -> tuple:
-        """Expansion of f at an affine point in t = x - a, as encoded ints:
-        the one-function view of `expansions`."""
+    def local_expansion(self, row, point: Point, r_max: int) -> tuple:
+        """Expansion of the monomial of one exponent row (i, j) at an affine
+        point in t = x - a, as encoded ints: the one-row view of
+        `expansions`."""
         if point.is_infinity:
             raise PreconditionError("expansion at P_inf is not supported")
-        return tuple(self.expansions([f], [point], r_max)[0][:, 0, 0].tolist())
+        return tuple(self.expansions([row], [point], r_max)[0][:, 0, 0].tolist())
 
     # -- Riemann-Roch -----------------------------------------------------------
 
-    def riemann_roch_basis(self, D: Divisor) -> list[HermitianFunction]:
-        """Monomial basis of L(m P_inf): x^i y^j with j < q0 and
+    def riemann_roch_basis(self, D: Divisor) -> np.ndarray:
+        """Monomial basis of L(m P_inf) as a (k, 2) array of the exponents
+        (i, j) of x^i y^j, with k = dim L(D): j < q0 and
         i*q0 + j*(q0+1) <= m, ordered by pole order at P_inf."""
         if D.curve is not self:
             raise PreconditionError("divisor lives on a different curve")
@@ -518,14 +424,13 @@ class HermitianCurve:
                 )
         m = D.coeff(Place("inf"))
         q0 = self.q0
-        monos = [
+        monos = sorted(
             (i * q0 + j * (q0 + 1), i, j)
             for j in range(q0)
             for i in range(m // q0 + 1)
             if i * q0 + j * (q0 + 1) <= m
-        ]
-        monos.sort()
-        return [self.monomial(i, j) for _, i, j in monos]
+        )
+        return np.array([(i, j) for _, i, j in monos], dtype=np.int64)
 
     def info(self) -> dict:
         out = {

@@ -1,7 +1,9 @@
-"""Exact arithmetic in small finite fields GF(p^alpha), univariate
-polynomials and reduced rational functions. Valuations, evaluation and local
-power-series expansions of rational functions live in the test oracles
-(tests/conftest.py); the library expands on the field tables (kernels.taylor).
+"""Exact arithmetic in small finite fields GF(p^alpha) and univariate
+polynomials, which name places, parse divisors and build Riemann-Roch bases.
+Rational functions, their valuations, evaluation and local power-series
+expansions live in the test oracles (tests/conftest.py); the library keeps
+functions as coefficient arrays and expands them on the field tables
+(kernels.taylor).
 
 Canonical conventions used by every downstream module and serialized file:
 
@@ -35,23 +37,6 @@ from .errors import PreconditionError
 
 FIELD_SIZE_CAP = 1 << 20
 _LOG_TABLE_LIMIT = 1 << 16
-
-
-class _Infinity:
-    """Singleton marker for the value/place at infinity."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-
-INF = _Infinity()
 
 
 def is_prime(n: int) -> bool:
@@ -435,12 +420,6 @@ class Polynomial:
             return Polynomial.zero(F)
         return Polynomial(F, [F.mul(c, code) for c in self.coeffs])
 
-    def shift(self, k: int):
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return Polynomial(self.field, (0,) * k + self.coeffs)
-
     def __pow__(self, e: int):
         if e < 0:
             raise PreconditionError("negative polynomial power")
@@ -479,16 +458,6 @@ class Polynomial:
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def gcd(self, other):
-        """Monic greatest common divisor."""
-        self._check(other)
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        if a.is_zero:
-            return a
-        return a.monic()
 
     def monic(self):
         if self.is_zero:
@@ -551,131 +520,6 @@ class Polynomial:
 def linear_poly(field: FieldSpec, a: int) -> Polynomial:
     """The monic linear polynomial x - a."""
     return Polynomial(field, (field.neg(a), 1))
-
-
-# ---------------------------------------------------------------------------
-# Reduced rational functions u/v (gcd 1, v monic).
-
-class RationalFunction:
-    """Reduced ratio of polynomials. Construction always cancels the gcd and
-    normalizes the denominator to be monic, so equality is structural."""
-
-    __slots__ = ("numer", "denom", "_hash")
-
-    def __init__(self, numer: Polynomial, denom: Polynomial):
-        if denom.is_zero:
-            raise PreconditionError("zero denominator")
-        if numer.field is not denom.field:
-            raise PreconditionError("mixed fields in rational function")
-        if numer.is_zero:
-            numer = Polynomial.zero(numer.field)
-            denom = Polynomial.one(numer.field)
-        else:
-            g = numer.gcd(denom)
-            if g.degree and g.degree > 0:
-                numer = numer // g
-                denom = denom // g
-            if denom.lead != 1:
-                inv = numer.field.inv(denom.lead)
-                numer = numer.scale(inv)
-                denom = denom.scale(inv)
-        object.__setattr__(self, "numer", numer)
-        object.__setattr__(self, "denom", denom)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalFunction is immutable")
-
-    @classmethod
-    def from_reduced(cls, numer: Polynomial, denom: Polynomial):
-        """Trusted constructor for a pair already in canonical form: coprime,
-        denominator monic (and 1 when numer is zero). Skips the gcd."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "numer", numer)
-        object.__setattr__(f, "denom", denom)
-        object.__setattr__(f, "_hash", None)
-        return f
-
-    @classmethod
-    def zero(cls, field):
-        return cls(Polynomial.zero(field), Polynomial.one(field))
-
-    @classmethod
-    def one(cls, field):
-        return cls(Polynomial.one(field), Polynomial.one(field))
-
-    @classmethod
-    def constant(cls, field, code):
-        return cls(Polynomial.constant(field, code), Polynomial.one(field))
-
-    @classmethod
-    def x(cls, field):
-        return cls(Polynomial.x(field), Polynomial.one(field))
-
-    @classmethod
-    def from_poly(cls, poly):
-        return cls(poly, Polynomial.one(poly.field))
-
-    @property
-    def field(self):
-        return self.numer.field
-
-    @property
-    def is_zero(self):
-        return self.numer.is_zero
-
-    def __add__(self, other):
-        return RationalFunction(
-            self.numer * other.denom + other.numer * self.denom,
-            self.denom * other.denom,
-        )
-
-    def __sub__(self, other):
-        return RationalFunction(
-            self.numer * other.denom - other.numer * self.denom,
-            self.denom * other.denom,
-        )
-
-    def __mul__(self, other):
-        return RationalFunction(self.numer * other.numer, self.denom * other.denom)
-
-    def __truediv__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero function")
-        return RationalFunction(self.numer * other.denom, self.denom * other.numer)
-
-    def inverse(self):
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of the zero function")
-        return RationalFunction(self.denom, self.numer)
-
-    def scale(self, code: int):
-        return RationalFunction(self.numer.scale(code), self.denom)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return RationalFunction(self.numer ** e, self.denom ** e)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunction)
-            and other.numer == self.numer
-            and other.denom == self.denom
-        )
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.numer, self.denom))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def serialize(self) -> str:
-        return f"{self.numer.serialize()}/{self.denom.serialize()}"
-
-    def __repr__(self):
-        return f"Rat({self.numer!r}/{self.denom!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ tests verify explicitly.
 Enumeration and evaluation work on integer encodings. enumerate_sections
 returns a SectionTable of padded (u, v) coefficient arrays and heights, read
 from the field's factor sieve with no gcd and no object per candidate pair;
-a row becomes a RationalSection only when asked for. One kernel, phi_words,
+every caller reads the table's rows, and no section becomes an object (the
+symbolic sections are test oracles, tests/conftest.py). One kernel, phi_words,
 computes the words of every order for a whole table with the field's lookup
 tables: one call of the Taylor kernel (kernels.taylor) gives each distinct
 polynomial's multiplicity and leading Taylor coefficients at every point,
@@ -50,19 +51,9 @@ from . import kernels
 from .codes import Alphabet, Code, finish_code
 from .curves import Divisor, Place, ProjectiveLine
 from .errors import PreconditionError
-from .field import Polynomial, RationalFunction, _factor_sieve, _monic_index
+from .field import Polynomial, _factor_sieve, _monic_index
 
 SECTION_ENUM_GUARD = 10 ** 6
-
-
-@dataclass(frozen=True)
-class RationalSection:
-    """A section: the underlying function, its reference divisor, and its
-    height (0 for the zero function)."""
-
-    f: RationalFunction
-    divisor: Divisor
-    height: int
 
 
 # ---------------------------------------------------------------------------
@@ -72,34 +63,19 @@ class RationalSection:
 class SectionTable:
     """Sections u/v as padded coefficient arrays, one row per section with
     the constant term first (numer and denom, v monic and 1 for the zero
-    section), with their heights. A row becomes a RationalSection on
-    demand; any other index gives the table of the rows it selects."""
+    section), with their heights. An index array or a slice gives the
+    table of the rows it selects."""
 
     divisor: Divisor
     numer: np.ndarray
     denom: np.ndarray
     heights: np.ndarray
 
-    @classmethod
-    def of(cls, divisor: Divisor, sections) -> SectionTable:
-        """The table of given sections, padded to their widest polynomial."""
-        polys = [p.coeffs for s in sections for p in (s.f.numer, s.f.denom)]
-        uv = np.zeros((len(polys), max(map(len, polys), default=1)),
-                      dtype=np.min_scalar_type(divisor.curve.field.q - 1))
-        for row, coeffs in zip(uv, polys):
-            row[: len(coeffs)] = coeffs
-        return cls(divisor, uv[0::2], uv[1::2], np.array([s.height for s in sections], dtype=np.int32))
-
     def __len__(self) -> int:
         return len(self.heights)
 
-    def __getitem__(self, i):
-        if not isinstance(i, (int, np.integer)):
-            return SectionTable(self.divisor, self.numer[i], self.denom[i], self.heights[i])
-        F = self.divisor.curve.field
-        f = RationalFunction.from_reduced(
-            Polynomial(F, self.numer[i].tolist()), Polynomial(F, self.denom[i].tolist()))
-        return RationalSection(f, self.divisor, int(self.heights[i]))
+    def __getitem__(self, rows) -> SectionTable:
+        return SectionTable(self.divisor, self.numer[rows], self.denom[rows], self.heights[rows])
 
 
 def enumerate_sections(curve: ProjectiveLine, D: Divisor, h: int, census=False) -> SectionTable:
@@ -272,12 +248,11 @@ def multiplicity_census(sections: SectionTable, pairs) -> Census:
                   m, np.where(inf1, -g, 0), np.where(inf2, -g2, 0), v_diff)
 
 
-def solution_multiplicity(
-    curve: ProjectiveLine, f: RationalSection, f2: RationalSection, place: Place
-) -> int:
-    """Multiplicity of the place as a solution of f = f2 (per geometric
-    point; every point over the place carries the same value)."""
-    rows = multiplicity_census(SectionTable.of(f.divisor, (f, f2)), [(0, 1)]).rows(0)
+def solution_multiplicity(curve: ProjectiveLine, pair: SectionTable, place: Place) -> int:
+    """Multiplicity of the place as a solution of f = f2 for the two rows of
+    a table (per geometric point; every point over the place carries the
+    same value)."""
+    rows = multiplicity_census(pair, [(0, 1)]).rows(0)
     return next((r["m"] for r in rows if r["place"] == place), 0)
 
 
@@ -334,10 +309,10 @@ def phi_words(curve: ProjectiveLine, sections: SectionTable, points, r: int) -> 
     return out
 
 
-def phi0_projective(curve: ProjectiveLine, f: RationalSection, points) -> tuple[int, ...]:
-    """Twisted evaluation word of one section over P^1(k): field encodings
-    for finite values, symbol q for infinity."""
-    return tuple(phi_words(curve, SectionTable.of(f.divisor, (f,)), points, 0)[0].tolist())
+def phi0_projective(curve: ProjectiveLine, row: SectionTable, points) -> tuple[int, ...]:
+    """Twisted evaluation word of the section of a one-row table over P^1(k):
+    field encodings for finite values, symbol q for infinity."""
+    return tuple(phi_words(curve, row, points, 0)[0].tolist())
 
 
 def threshold_check(q: int, h: int, n: int) -> bool:

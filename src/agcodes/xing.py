@@ -13,8 +13,9 @@ guarantees the final-order map is injective on the survivor set and the
 image code has minimum distance at least d0.
 
 The basis rows of L(D), every order at every point, come from one call of
-the curve's `expansions` on the Taylor kernel; their order-0 rows are also
-the words of the evaluation code (codes.build_goppa).
+the curve's `expansions` on the Taylor kernel, which reads the basis as the
+integer array `riemann_roch_basis` returns; their order-0 rows are also the
+words of the evaluation code (codes.build_goppa).
 A search is one call of `kernels.span_search` on the basis rows of L(D),
 which chooses between the coset search and the scan of the span's words and
 returns its finished `kernels.SearchOutcome`: the center, the survivors,
@@ -78,7 +79,7 @@ def phi_basis_rows(curve, D: Divisor, points, r_max: int) -> np.ndarray:
     Expansion is linear, so the order-r rows span the order-r word set of
     L(D). The points avoid supp(D), so a pole fails verification."""
     basis = curve.riemann_roch_basis(D)
-    if not basis:
+    if not len(basis):
         raise PreconditionError(f"L({D.serialize()}) has no nonzero function")
     rows, pole = curve.expansions(basis, points, r_max)
     if pole.any():

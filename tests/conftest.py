@@ -17,6 +17,14 @@ library runs one Taylor kernel on the field tables), and subspaces
 by set closure or, past its reach, by k pivot eliminations over every row.
 Code words and code files have tuple-and-set versions, the form the library
 used before it kept words as one integer array.
+
+Functions and sections are symbolic objects here only: reduced rational
+functions (one gcd per construction), Hermitian functions as sums of
+monomials, sections, the marker INF, and the basis of L(D) built from
+them. The library keeps bases and sections as integer arrays; helpers read
+its arrays into these objects and write functions back as rows. The
+oracles use none of the library's expansion kernel or its basis
+(tests/test_imports.py checks this).
 """
 
 from __future__ import annotations
@@ -24,14 +32,254 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp, mpf
 
 from agcodes.curves import Divisor, Place
 from agcodes.errors import PreconditionError
-from agcodes.field import INF, Polynomial, RationalFunction, enumerate_irreducibles
-from agcodes.sections import RationalSection, SectionTable, multiplicity_census
+from agcodes.field import Polynomial, enumerate_irreducibles
+from agcodes.sections import SectionTable, multiplicity_census
+
+
+# ---------------------------------------------------------------------------
+# Functions and sections as symbolic objects. The library keeps them as
+# integer arrays; these are the oracles' representation.
+
+class _Infinity:
+    """The value, and the place, at infinity."""
+
+    def __repr__(self):
+        return "inf"
+
+
+INF = _Infinity()
+
+
+def poly_gcd(a, b):
+    """Monic greatest common divisor of two polynomials, by Euclid."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a if a.is_zero else a.monic()
+
+
+class RationalFunction:
+    """Reduced ratio of polynomials. Construction always cancels the gcd and
+    normalizes the denominator to be monic, so equality is structural."""
+
+    __slots__ = ("numer", "denom")
+
+    def __init__(self, numer, denom):
+        if denom.is_zero:
+            raise PreconditionError("zero denominator")
+        if numer.is_zero:
+            denom = Polynomial.one(numer.field)
+        else:
+            g = poly_gcd(numer, denom)
+            numer, denom = numer // g, denom // g
+            inv = numer.field.inv(denom.lead)
+            numer, denom = numer.scale(inv), denom.scale(inv)
+        self.numer = numer
+        self.denom = denom
+
+    @classmethod
+    def zero(cls, field):
+        return cls(Polynomial.zero(field), Polynomial.one(field))
+
+    @classmethod
+    def one(cls, field):
+        return cls(Polynomial.one(field), Polynomial.one(field))
+
+    @classmethod
+    def constant(cls, field, code):
+        return cls(Polynomial.constant(field, code), Polynomial.one(field))
+
+    @classmethod
+    def x(cls, field):
+        return cls(Polynomial.x(field), Polynomial.one(field))
+
+    @classmethod
+    def from_poly(cls, poly):
+        return cls(poly, Polynomial.one(poly.field))
+
+    @property
+    def field(self):
+        return self.numer.field
+
+    @property
+    def is_zero(self):
+        return self.numer.is_zero
+
+    def __add__(self, other):
+        return RationalFunction(self.numer * other.denom + other.numer * self.denom,
+                                self.denom * other.denom)
+
+    def __sub__(self, other):
+        return RationalFunction(self.numer * other.denom - other.numer * self.denom,
+                                self.denom * other.denom)
+
+    def __mul__(self, other):
+        return RationalFunction(self.numer * other.numer, self.denom * other.denom)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def inverse(self):
+        if self.is_zero:
+            raise ZeroDivisionError("inverse of the zero function")
+        return RationalFunction(self.denom, self.numer)
+
+    def scale(self, code: int):
+        return RationalFunction(self.numer.scale(code), self.denom)
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** (-e)
+        return RationalFunction(self.numer ** e, self.denom ** e)
+
+    def __eq__(self, other):
+        return (isinstance(other, RationalFunction) and other.numer == self.numer
+                and other.denom == self.denom)
+
+    def __hash__(self):
+        return hash((self.numer, self.denom))
+
+    def serialize(self) -> str:
+        return f"{self.numer.serialize()}/{self.denom.serialize()}"
+
+
+class HermitianFunction:
+    """Function on the Hermitian curve in the reduced representation
+    sum a_{ij} x^i y^j with 0 <= j < q0. terms holds the pairs ((i, j), c)
+    of the nonzero encoded coefficients c, sorted."""
+
+    __slots__ = ("curve", "terms")
+
+    def __init__(self, curve, terms):
+        items = {}
+        for (i, j), c in dict(terms).items():
+            if c:
+                if j >= curve.q0:
+                    raise PreconditionError("unreduced power of y")
+                items[(i, j)] = int(c)
+        self.curve = curve
+        self.terms = tuple(sorted(items.items()))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    @property
+    def is_constant(self) -> bool:
+        return all(ij == (0, 0) for ij, _ in self.terms)
+
+    @property
+    def constant_code(self) -> int:
+        return dict(self.terms).get((0, 0), 0)
+
+    def __add__(self, other):
+        F = self.curve.field
+        out = dict(self.terms)
+        for ij, c in other.terms:
+            out[ij] = F.add(out.get(ij, 0), c)
+        return HermitianFunction(self.curve, out)
+
+    def __sub__(self, other):
+        return self + other.scale(self.curve.field.neg(1))
+
+    def scale(self, code: int):
+        F = self.curve.field
+        return HermitianFunction(self.curve, {ij: F.mul(c, code) for ij, c in self.terms})
+
+    def __eq__(self, other):
+        return (isinstance(other, HermitianFunction) and other.curve is self.curve
+                and other.terms == self.terms)
+
+
+def monomial(curve, i: int, j: int, code: int = 1):
+    """The Hermitian function code * x^i y^j."""
+    return HermitianFunction(curve, {(i, j): code})
+
+
+@dataclass(frozen=True)
+class RationalSection:
+    """A section: the underlying function, its reference divisor, and its
+    height (0 for the zero function)."""
+
+    f: RationalFunction
+    divisor: Divisor
+    height: int
+
+
+def section_table(divisor, sections) -> SectionTable:
+    """The library's table of given sections, padded to their widest
+    polynomial."""
+    polys = [p.coeffs for s in sections for p in (s.f.numer, s.f.denom)]
+    uv = np.zeros((len(polys), max(map(len, polys), default=1)),
+                  dtype=np.min_scalar_type(divisor.curve.field.q - 1))
+    for row, coeffs in zip(uv, polys):
+        row[: len(coeffs)] = coeffs
+    return SectionTable(divisor, uv[0::2], uv[1::2],
+                        np.array([s.height for s in sections], dtype=np.int32))
+
+
+def table_section(table, i) -> RationalSection:
+    """Row i of a library table as a section, reduced by the oracle's own
+    gcd."""
+    F = table.divisor.curve.field
+    f = RationalFunction(Polynomial(F, table.numer[i].tolist()),
+                         Polynomial(F, table.denom[i].tolist()))
+    return RationalSection(f, table.divisor, int(table.heights[i]))
+
+
+def table_sections(table) -> list[RationalSection]:
+    """Every row of a library table as a section."""
+    return [table_section(table, i) for i in range(len(table))]
+
+
+def oracle_riemann_roch_basis(curve, D):
+    """The basis of L(D) as functions, in the library's order: on the
+    projective line z x^i / v for 0 <= i <= deg D, with v the allowed finite
+    poles and z the required finite zeros, each reduced by one gcd; on the
+    Hermitian curve, for D = m P_inf, the monomials x^i y^j with j < q0 and
+    pole order i q0 + j (q0 + 1) <= m, by pole order."""
+    if curve.kind == "hermitian":
+        q0, m = curve.q0, D.coeff(Place("inf"))
+        orders = sorted((i * q0 + j * (q0 + 1), i, j) for j in range(q0) for i in range(m + 1))
+        return [monomial(curve, i, j) for order, i, j in orders if order <= m]
+    F = curve.field
+    v = z = Polynomial.one(F)
+    for pl, c in D.items():
+        if pl.kind != "inf":
+            if c > 0:
+                v = v * pl.poly ** c
+            else:
+                z = z * pl.poly ** -c
+    return [RationalFunction(z * Polynomial.x(F) ** i, v) for i in range(D.degree + 1)]
+
+
+def basis_functions(curve, basis):
+    """The rows of a library basis array as functions: (numerator,
+    denominator) rows on the projective line, exponent rows (i, j) of
+    monomials on the Hermitian curve."""
+    if curve.kind == "hermitian":
+        return [monomial(curve, i, j) for i, j in np.asarray(basis).tolist()]
+    F = curve.field
+    return [RationalFunction(Polynomial(F, u), Polynomial(F, v))
+            for u, v in np.asarray(basis).tolist()]
+
+
+def function_row(f) -> np.ndarray:
+    """A rational function as one (2, width) basis row of the projective
+    line: numerator and denominator, constant term first."""
+    row = np.zeros((2, max(len(f.numer.coeffs), len(f.denom.coeffs))), dtype=np.uint8)
+    row[0, : len(f.numer.coeffs)] = f.numer.coeffs
+    row[1, : len(f.denom.coeffs)] = f.denom.coeffs
+    return row
+
+
+# ---------------------------------------------------------------------------
 
 
 def naive_min_distance(words):
@@ -318,8 +566,8 @@ def function_from_index(field, basis, index):
 
 def survivor_functions(curve, D, search):
     """The survivor functions of a search over L(D) themselves, for
-    multiplicity audits."""
-    basis = curve.riemann_roch_basis(D)
+    multiplicity audits, from the oracle basis."""
+    basis = oracle_riemann_roch_basis(curve, D)
     return [function_from_index(curve.field, basis, int(i)) for i in search.survivor_indices]
 
 
@@ -363,7 +611,7 @@ def census_rows(f, f2):
     """The library's census rows (place, m, mu, mu2, v_diff) of two sections,
     from the batched kernel on the one-pair table of f and f2. Not
     independent of the library: compare them with oracle_multiplicity_census."""
-    return multiplicity_census(SectionTable.of(f.divisor, (f, f2)), [(0, 1)]).rows(0)
+    return multiplicity_census(section_table(f.divisor, (f, f2)), [(0, 1)]).rows(0)
 
 
 def census_total(curve, f, f2):
@@ -525,7 +773,7 @@ def oracle_enumerate_sections(curve, D, h):
     out = [RationalSection(RationalFunction.zero(F), D, 0)]
     for v in monics:
         for m in monics:
-            if m.gcd(v).degree != 0:
+            if poly_gcd(m, v).degree != 0:
                 continue
             height = max(m.degree, v.degree)
             for pl, c in D.items():

@@ -33,6 +33,7 @@ from conftest import (
     naive_min_distance,
     oracle_evaluate,
     survivor_functions,
+    table_section,
 )
 
 
@@ -81,8 +82,8 @@ def test_criterion_2_multiplicity_proposition():
         rng = random.Random(4096 + q)
         checked = 0
         while checked < 80:
-            a = secs[rng.randrange(len(secs))]
-            b = secs[rng.randrange(len(secs))]
+            a = table_section(secs, rng.randrange(len(secs)))
+            b = table_section(secs, rng.randrange(len(secs)))
             if a.f == b.f:
                 continue
             rows = census_rows(a, b)

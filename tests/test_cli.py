@@ -23,6 +23,7 @@ from agcodes.cli import (
 from agcodes.curves import build_curve
 from agcodes.errors import PreconditionError
 from agcodes.field import make_field
+from conftest import table_section
 
 
 def _exit_code(argv) -> int:
@@ -321,7 +322,8 @@ def test_sections_proposition_names_witness(monkeypatch, capsys, key, message):
     def wrong_census(sections, pairs):
         census = real(sections, pairs)
         getattr(census, key)[0] += 1  # the first place of the block's first pair
-        seen.append((sections[pairs[0][0]], sections[pairs[0][1]], np.sum(census.pair == 0)))
+        seen.append((table_section(sections, pairs[0][0]), table_section(sections, pairs[0][1]),
+                     np.sum(census.pair == 0)))
         return census
 
     monkeypatch.setattr(cli, "multiplicity_census", wrong_census)
@@ -362,7 +364,7 @@ def test_sections_proposition_names_the_first_failing_pair_in_draw_order(monkeyp
         if i != j:
             drawn.append((i, j))
     assert pairs == drawn
-    a, b = sections[pairs[1][0]], sections[pairs[1][1]]
+    a, b = table_section(sections, pairs[1][0]), table_section(sections, pairs[1][1])
     rows = real(sections, pairs[1:2]).rows(0)
     assert capsys.readouterr().out.splitlines() == [
         "pole-count identity failed",

@@ -3,9 +3,7 @@ conftest: make_code, the code-file writer and reader, and the subspace proof
 behind the minimum-weight distance, against set closure, the k-step
 elimination and the pairwise scan."""
 
-import importlib.util
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,18 +323,3 @@ def test_code_file_roundtrip_property(code):
     assert code_to_text(back) == text
     kind, q, length, words, _, meta = oracle_code_from_text(text)
     assert back.words.tolist() == [list(w) for w in words] and back.metadata == meta
-
-
-def test_perfbench_entry_points_resolve():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for layer, names in tracer.ENTRY_POINTS.items():
-        module = importlib.import_module(f"agcodes.{layer}")
-        for name in names:
-            assert callable(getattr(module, name, None)), f"agcodes.{layer}.{name}"
-    curves = importlib.import_module("agcodes.curves")
-    for cls in tracer.CURVE_CLASSES:
-        for method in tracer.CURVE_METHODS:
-            assert callable(vars(getattr(curves, cls)).get(method)), f"{cls}.{method}"

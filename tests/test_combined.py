@@ -17,15 +17,17 @@ from agcodes.combined import (
 )
 from agcodes.curves import build_curve
 from agcodes.errors import PreconditionError
-from agcodes.field import Polynomial, RationalFunction, make_field_q
-from agcodes.sections import (
-    RationalSection,
-    enumerate_sections,
-    phi0_projective,
-    solution_multiplicity,
-)
+from agcodes.field import Polynomial, make_field_q
+from agcodes.sections import enumerate_sections, phi0_projective, solution_multiplicity
 from agcodes.kernels import ball_size
-from conftest import census_total, naive_min_distance
+from conftest import (
+    RationalFunction,
+    RationalSection,
+    census_total,
+    naive_min_distance,
+    section_table,
+    table_section,
+)
 
 
 def _p1(q):
@@ -44,7 +46,7 @@ def test_phi1_inverse_branch_example():
     inv_x = RationalSection(
         RationalFunction(Polynomial.one(F), Polynomial.x(F)), D, 1
     )
-    word = phi_r_projective(curve, inv_x, (curve.points[0],), 1)
+    word = phi_r_projective(curve, section_table(D, (inv_x,)), (curve.points[0],), 1)
     assert word == (1,)
 
 
@@ -52,7 +54,7 @@ def test_phi1_constants_are_zero_words():
     curve = _p1(4)
     D = curve.zero_divisor()
     c = RationalSection(RationalFunction.constant(curve.field, 3), D, 0)
-    assert phi_r_projective(curve, c, curve.points, 1) == (0,) * 5
+    assert phi_r_projective(curve, section_table(D, (c,)), curve.points, 1) == (0,) * 5
 
 
 def test_phi1_series_example():
@@ -62,7 +64,7 @@ def test_phi1_series_example():
     f = RationalSection(
         RationalFunction(Polynomial.x(F), Polynomial(F, (1, 1))), D, 1
     )
-    word = phi_r_projective(curve, f, (curve.points[0],), 1)
+    word = phi_r_projective(curve, section_table(D, (f,)), (curve.points[0],), 1)
     assert word == (1,)
 
 
@@ -75,20 +77,20 @@ def test_multiplicity_bridge():
     rng = random.Random(8)
     checked = 0
     while checked < 30:
-        a = secs[rng.randrange(len(secs))]
-        b = secs[rng.randrange(len(secs))]
-        if a.f == b.f:
+        i, j = rng.randrange(len(secs)), rng.randrange(len(secs))
+        if i == j:  # rows are distinct sections
             continue
         checked += 1
+        a, b = secs[i : i + 1], secs[j : j + 1]
         w0a = phi0_projective(curve, a, curve.points)
         w0b = phi0_projective(curve, b, curve.points)
         w1a = phi_r_projective(curve, a, curve.points, 1)
         w1b = phi_r_projective(curve, b, curve.points, 1)
         w2a = phi_r_projective(curve, a, curve.points, 2)
         w2b = phi_r_projective(curve, b, curve.points, 2)
-        for j, pt in enumerate(curve.points):
-            m = solution_multiplicity(curve, a, b, curve.place_of_point(pt))
-            agrees = (w0a[j] == w0b[j], w1a[j] == w1b[j], w2a[j] == w2b[j])
+        for k, pt in enumerate(curve.points):
+            m = solution_multiplicity(curve, secs[[i, j]], curve.place_of_point(pt))
+            agrees = (w0a[k] == w0b[k], w1a[k] == w1b[k], w2a[k] == w2b[k])
             if m == 0:
                 assert not agrees[0]
             elif m == 1:
@@ -201,8 +203,8 @@ def test_zero_radius_reduces_to_shared_evaluation():
     params = CombinedParams(h=3, s0=0, d0=4, strategy="exhaustive")
     res = build_combined(curve, D, params)
     assert res.code.metadata["claimed_distance"] == 2 * 5 - 2 * 3
-    for s in res.survivors:
-        assert phi0_projective(curve, s, res.points) == res.search.centers[0]
+    for k in range(len(res.survivors)):
+        assert phi0_projective(curve, res.survivors[k : k + 1], res.points) == res.search.centers[0]
     assert res.code.metadata["measured_distance"] >= 4
     # pairwise: the total agreement multiplicity bound forces >= 2N - 2h
     assert len(res.survivors) >= 2
@@ -235,7 +237,7 @@ def test_agreement_accounting_chain():
     n = len(res.points)
     for i in range(len(res.survivors)):
         for j in range(i + 1, len(res.survivors)):
-            f, f2 = res.survivors[i], res.survivors[j]
+            f, f2 = res.survivors[i : i + 1], res.survivors[j : j + 1]
             w0a = phi0_projective(curve, f, res.points)
             w0b = phi0_projective(curve, f2, res.points)
             w1a = phi_r_projective(curve, f, res.points, 1)
@@ -245,7 +247,7 @@ def test_agreement_accounting_chain():
             d1 = sum(1 for x, y in zip(w1a, w1b) if x != y)
             assert a >= n - 2 * params.s0
             assert b >= a - d1
-            total = census_total(curve, f, f2)
+            total = census_total(curve, *(table_section(res.survivors, k) for k in (i, j)))
             assert a + b <= total <= 2 * params.h
             assert 2 * n - 4 * params.s0 - d1 <= 2 * params.h
 

@@ -4,21 +4,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agcodes.field
+from agcodes import kernels
+from agcodes.cli import main
 from agcodes.curves import Point, build_curve, default_eval_points
 from agcodes.errors import PreconditionError
-from agcodes.field import (
-    INF,
-    Polynomial,
-    RationalFunction,
-    enumerate_irreducibles,
-    make_field,
-    make_field_q,
-)
+from agcodes.field import Polynomial, enumerate_irreducibles, make_field, make_field_q
+from agcodes.xing import phi_basis_rows
 from conftest import (
+    INF,
+    RationalFunction,
+    basis_functions,
+    function_from_index,
+    function_row,
+    monomial,
     oracle_divisor_of,
     oracle_evaluate,
     oracle_local_expansion,
     oracle_rational_valuation,
+    oracle_riemann_roch_basis,
     oracle_valuation,
 )
 
@@ -68,7 +72,8 @@ def test_rr_p1_polynomials():
     curve = build_curve("p1", F)
     D = curve.divisor({curve.place_inf(): 2})
     basis = curve.riemann_roch_basis(D)
-    assert [f.serialize() for f in basis] == ["1/1", "0,1/1", "0,0,1/1"]
+    assert basis.tolist() == [[[1, 0, 0], [1, 0, 0]], [[0, 1, 0], [1, 0, 0]], [[0, 0, 1], [1, 0, 0]]]
+    assert [f.serialize() for f in basis_functions(curve, basis)] == ["1/1", "0,1/1", "0,0,1/1"]
 
 
 def test_rr_p1_higher_degree_place():
@@ -78,7 +83,7 @@ def test_rr_p1_higher_degree_place():
     D = curve.divisor({curve.place_of_poly(pi): 1})
     basis = curve.riemann_roch_basis(D)
     assert len(basis) == 3
-    for f in basis:
+    for f in basis_functions(curve, basis):
         assert oracle_rational_valuation(f, pi) >= -1
 
 
@@ -86,7 +91,7 @@ def test_rr_p1_negative_degree_empty():
     F = make_field(2, 1)
     curve = build_curve("p1", F)
     D = curve.divisor({curve.place_inf(): -1})
-    assert curve.riemann_roch_basis(D) == []
+    assert len(curve.riemann_roch_basis(D)) == 0
 
 
 def _random_divisor(curve, rng, deg_lo, deg_hi):
@@ -130,7 +135,7 @@ def test_rr_p1_basis_divisor_bound():
             continue
         checked += 1
         supp = set(D.support)
-        for f in curve.riemann_roch_basis(D):
+        for f in basis_functions(curve, curve.riemann_roch_basis(D)):
             for pi in factorize(f.denom):
                 assert curve.place_of_poly(pi) in supp
             for pl in supp | {curve.place_inf()}:
@@ -164,13 +169,13 @@ def test_rr_hermitian_dimensions_exhaustive(q0):
 def test_rr_hermitian_q0_2_m3_example():
     curve = build_curve("hermitian", make_field(2, 2))
     basis = curve.riemann_roch_basis(curve.one_point_divisor(3))
-    assert [f.terms for f in basis] == [(((0, 0), 1),), (((1, 0), 1),), (((0, 1), 1),)]
+    assert basis.tolist() == [[0, 0], [1, 0], [0, 1]]
 
 
 def test_rr_hermitian_basis_pole_orders():
     curve = build_curve("hermitian", make_field(2, 2))
     q0 = curve.q0
-    for f in curve.riemann_roch_basis(curve.one_point_divisor(11)):
+    for f in basis_functions(curve, curve.riemann_roch_basis(curve.one_point_divisor(11))):
         (i, j), _ = f.terms[0]
         assert oracle_valuation(curve, f, curve.place_inf()) == -(i * q0 + j * (q0 + 1))
         for pt in curve.points[:-1]:
@@ -200,18 +205,24 @@ def test_evaluate_examples():
     p1 = build_curve("p1", F2)
     inv_x = RationalFunction(Polynomial.one(F2), Polynomial.x(F2))
     assert oracle_evaluate(p1, inv_x, p1.points[0]) is INF
-    assert p1.local_expansion(inv_x, p1.points[1], 0) == (1,)
+    assert p1.local_expansion(function_row(inv_x), p1.points[1], 0) == (1,)
 
     F5 = make_field(5, 1)
     p15 = build_curve("p1", F5)
     xsq = RationalFunction(Polynomial(F5, (0, 0, 1)), Polynomial.one(F5))
     assert oracle_evaluate(p15, xsq, p15.points[3]) == 4
-    assert p15.local_expansion(xsq, p15.points[3], 0) == (4,)
+    assert p15.local_expansion(function_row(xsq), p15.points[3], 0) == (4,)
 
     herm = build_curve("hermitian", make_field(2, 2))
-    assert oracle_evaluate(herm, herm.monomial(0, 1), herm.points[-1]) is INF
-    assert oracle_evaluate(herm, herm.monomial(0, 1), Point((0, 0))) == 0
-    assert herm.local_expansion(herm.monomial(0, 1), Point((0, 0)), 0) == (0,)
+    assert oracle_evaluate(herm, monomial(herm, 0, 1), herm.points[-1]) is INF
+    assert oracle_evaluate(herm, monomial(herm, 0, 1), Point((0, 0))) == 0
+    assert herm.local_expansion((0, 1), Point((0, 0)), 0) == (0,)
+    # at P_inf, order 0 only: the constant reads its value, x and y are poles
+    basis = herm.riemann_roch_basis(herm.one_point_divisor(3))
+    rows, pole = herm.expansions(basis, [herm.points[-1]], 0)
+    values = [oracle_evaluate(herm, f, herm.points[-1]) for f in basis_functions(herm, basis)]
+    assert pole[0].tolist() == [v is INF for v in values] == [False, True, True]
+    assert rows[0, 0].tolist() == [0 if v is INF else v for v in values]
 
 
 @pytest.mark.parametrize("q0", [2, 3])
@@ -223,8 +234,8 @@ def test_hermitian_branch_series_satisfies_curve_equation(q0):
     depth = 9
     for pt in curve.points[:-1]:
         a, _ = pt.coords
-        ys = curve.local_expansion(curve.monomial(0, 1), pt, depth)
-        assert ys == oracle_local_expansion(curve, curve.monomial(0, 1), pt, depth)
+        ys = curve.local_expansion((0, 1), pt, depth)
+        assert ys == oracle_local_expansion(curve, monomial(curve, 0, 1), pt, depth)
         # left side: Frobenius acts coefficientwise with index dilation
         lhs = [0] * (depth + 1)
         for r, c in enumerate(ys):
@@ -244,16 +255,19 @@ def test_hermitian_branch_series_satisfies_curve_equation(q0):
 
 
 def test_hermitian_expansion_order_zero_matches_evaluation():
+    # sums of basis monomials, read from the basis rows as builds read them
     curve = build_curve("hermitian", make_field(2, 2))
     rng = random.Random(3)
-    basis = curve.riemann_roch_basis(curve.one_point_divisor(7))
+    D = curve.one_point_divisor(7)
+    points = curve.points[:-1]
+    rows = phi_basis_rows(curve, D, points, 2)
+    basis = oracle_riemann_roch_basis(curve, D)
     for _ in range(25):
-        f = basis[0].scale(0)
-        for b in basis:
-            f = f + b.scale(rng.randrange(4))
-        for pt in curve.points[:-1]:
-            series = curve.local_expansion(f, pt, 2)
-            assert series[0] == oracle_evaluate(curve, f, pt)
+        index = sum(rng.randrange(4) * 4 ** k for k in range(len(basis)))
+        f = function_from_index(curve.field, basis, index)
+        values = kernels.span_words_at(curve.field, rows[0], [index])[0]
+        for pt, value in zip(points, values.tolist()):
+            assert value == oracle_evaluate(curve, f, pt)
 
 
 def test_default_eval_points_avoid_support():
@@ -315,6 +329,26 @@ def test_property_hermitian_divisor_round_trip(q, k):
     curve = build_curve("hermitian", make_field_q(q))
     D = curve.one_point_divisor(k)
     assert curve.parse_divisor(D.serialize()) == D
+
+
+def test_parse_divisor_builds_no_sieve_for_rational_places(monkeypatch):
+    # x - a is irreducible, so the proposition over GF(4) with a twist at
+    # x = 0 builds only its census sieve, not one at degree 1 first
+    field = make_field_q(4)
+    real = agcodes.field._factor_sieve
+    builds = []
+
+    def counted(F, degree):
+        if F is field and (F._sieve is None or F._sieve[0] < degree):
+            builds.append(degree)
+        return real(F, degree)
+
+    monkeypatch.setattr(field, "_sieve", None)
+    for module in ("agcodes.field", "agcodes.sections"):
+        monkeypatch.setattr(f"{module}._factor_sieve", counted)
+    argv = ["sections", "proposition", "--q", "4", "--h-max", "8", "--divisor", "0,1:1;inf:-1"]
+    assert main(argv) == 0
+    assert builds == [9]
 
 
 @pytest.mark.parametrize("q,text,reducible", [

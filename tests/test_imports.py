@@ -49,9 +49,9 @@ def test_no_unused_module_level_import(path):
 
 # the re-exports and the `bounds` module; the other submodules are not exports
 PUBLIC_NAMES = [
-    "Alphabet", "Code", "CombinedParams", "Divisor", "FieldSpec", "HermitianCurve", "INF", "Place",
-    "Point", "Polynomial", "PreconditionError", "ProjectiveLine", "RationalFunction",
-    "RationalSection", "SectionTable", "VerificationError", "XingParams", "ball_size", "bounds",
+    "Alphabet", "Code", "CombinedParams", "Divisor", "FieldSpec", "HermitianCurve", "Place",
+    "Point", "Polynomial", "PreconditionError", "ProjectiveLine",
+    "SectionTable", "VerificationError", "XingParams", "ball_size", "bounds",
     "build_combined", "build_curve", "build_goppa", "build_section_code", "build_xing",
     "default_eval_points", "enumerate_irreducibles", "enumerate_sections", "exact_min_distance",
     "goppa_sum_check", "make_field", "make_field_q", "optimal_sigma",
@@ -61,6 +61,22 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(agcodes.__all__) == PUBLIC_NAMES
+
+
+# the expansion kernel and the basis it reads; the oracles must reach their
+# answers without them, or a basis or word test would check the code against
+# itself
+CHECKED_NAMES = {"kernels", "taylor", "expansions", "local_expansion", "phi_words",
+                 "phi_basis_rows", "riemann_roch_basis"}
+
+
+def test_oracles_read_none_of_the_checked_code():
+    tree = ast.parse((ROOT / "tests" / "conftest.py").read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read |= {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not read & CHECKED_NAMES, sorted(read & CHECKED_NAMES)
 
 
 def test_importing_the_cli_leaves_mpmath_unloaded():

@@ -8,16 +8,8 @@ from hypothesis import strategies as st
 from agcodes.cli import main
 from agcodes.curves import build_curve
 from agcodes.errors import PreconditionError
-from agcodes.field import (
-    Polynomial,
-    RationalFunction,
-    enumerate_irreducibles,
-    linear_poly,
-    make_field_q,
-)
+from agcodes.field import Polynomial, enumerate_irreducibles, linear_poly, make_field_q
 from agcodes.sections import (
-    RationalSection,
-    SectionTable,
     build_section_code,
     enumerate_sections,
     multiplicity_census,
@@ -26,6 +18,9 @@ from agcodes.sections import (
     solution_multiplicity,
 )
 from conftest import (
+    RationalFunction,
+    RationalSection,
+    basis_functions,
     census_rows,
     census_total,
     function_from_index,
@@ -40,6 +35,9 @@ from conftest import (
     oracle_section_height,
     oracle_total_multiplicity,
     oracle_twist,
+    section_table,
+    table_section,
+    table_sections,
 )
 
 
@@ -62,7 +60,7 @@ def test_height_zero_sections_are_constants(q):
     curve = _p1(q)
     secs = enumerate_sections(curve, curve.zero_divisor(), 0)
     assert len(secs) == q
-    values = sorted(s.f.numer.coeffs[0] if not s.f.is_zero else 0 for s in secs)
+    values = sorted(s.f.numer.coeffs[0] if not s.f.is_zero else 0 for s in table_sections(secs))
     assert values == list(range(q))
 
 
@@ -75,7 +73,7 @@ def test_height_one_sections_gf2():
 def test_section_heights_audited_by_full_factorization():
     curve = _p1(3)
     D = curve.zero_divisor()
-    for s in enumerate_sections(curve, D, 2):
+    for s in table_sections(enumerate_sections(curve, D, 2)):
         assert s.height == oracle_section_height(curve, D, s.f)
         assert s.height <= 2
 
@@ -84,7 +82,7 @@ def test_sections_nontrivial_divisor_shape():
     # every section's divisor plus D splits into parts of equal degree <= h
     curve = _p1(2)
     D = _nontrivial_divisor_gf2(curve)
-    secs = enumerate_sections(curve, D, 1)
+    secs = table_sections(enumerate_sections(curve, D, 1))
     for s in secs:
         if s.f.is_zero:
             continue
@@ -100,7 +98,7 @@ def test_sections_match_union_of_function_spaces():
     curve = _p1(2)
     D = curve.zero_divisor()
     h = 1
-    direct = {s.f for s in enumerate_sections(curve, D, h)}
+    direct = {s.f for s in table_sections(enumerate_sections(curve, D, h))}
     places = [curve.place_inf()] + [
         curve.place_of_poly(pi)
         for pi in enumerate_irreducibles(curve.field, max(h, 1))
@@ -110,7 +108,7 @@ def test_sections_match_union_of_function_spaces():
     q = curve.field.q
     for pl in places:
         B = curve.divisor({pl: h})
-        basis = curve.riemann_roch_basis(D + B)
+        basis = basis_functions(curve, curve.riemann_roch_basis(D + B))
         for idx in range(q ** len(basis)):
             spanned.add(function_from_index(curve.field, basis, idx))
     assert spanned == direct
@@ -141,8 +139,8 @@ def test_sections_equal_twist_of_reference_sections():
     D = _nontrivial_divisor_gf2(curve)
     g = oracle_global_twist(curve, D)
     assert oracle_divisor_of(curve, g) == D
-    with_d = {s.f for s in enumerate_sections(curve, D, 1)}
-    base = {s.f for s in enumerate_sections(curve, curve.zero_divisor(), 1)}
+    with_d = {s.f for s in table_sections(enumerate_sections(curve, D, 1))}
+    base = {s.f for s in table_sections(enumerate_sections(curve, curve.zero_divisor(), 1))}
     mapped = set()
     for f in base:
         if f.is_zero:
@@ -160,8 +158,8 @@ def _assert_pipeline_matches_oracles(curve, D, h, points=None):
     points = curve.points if points is None else points
     secs = enumerate_sections(curve, D, h)
     expected = oracle_enumerate_sections(curve, D, h)
-    assert [(s.f, s.height) for s in secs] == [(s.f, s.height) for s in expected]
-    assert all(s.divisor == D for s in secs)
+    assert [(s.f, s.height) for s in table_sections(secs)] == [(s.f, s.height) for s in expected]
+    assert secs.divisor == D
     words = phi_words(curve, secs, points, 0)
     assert words.shape == (len(secs), len(points))
     assert words.dtype == np.uint8
@@ -170,7 +168,7 @@ def _assert_pipeline_matches_oracles(curve, D, h, points=None):
     for r in (1, 2):
         words = phi_words(curve, sample, points, r)
         assert [tuple(w) for w in words.tolist()] == [
-            oracle_phi_r(curve, s, points, r) for s in sample]
+            oracle_phi_r(curve, s, points, r) for s in table_sections(sample)]
     return secs
 
 
@@ -208,9 +206,9 @@ def test_pipeline_on_a_permuted_point_subset():
     points = tuple(curve.points[i] for i in (5, 4, 0, 2))
     secs = _assert_pipeline_matches_oracles(curve, D, 1, points)
     words = phi_words(curve, secs, points, 0)
-    assert all(phi0_projective(curve, s, points) == tuple(w)
-               for s, w in zip(secs[::7], words[::7].tolist()))
-    for empty in (secs[:0], SectionTable.of(D, ())):  # no rows, no words
+    assert all(phi0_projective(curve, secs[k : k + 1], points) == tuple(w)
+               for k, w in zip(range(0, len(secs), 7), words[::7].tolist()))
+    for empty in (secs[:0], section_table(D, ())):  # no rows, no words
         for r in (0, 1):
             assert phi_words(curve, empty, points, r).shape == (0, len(points))
 
@@ -271,7 +269,7 @@ def _expansion_cases(draw):
     for _ in range(draw(st.integers(1, 8))):
         f = RationalFunction(poly(), poly())
         secs.append(RationalSection(f, D, oracle_section_height(curve, D, f)))
-    return curve, SectionTable.of(D, secs)
+    return curve, secs
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,7 +278,7 @@ def test_phi_words_match_the_symbolic_oracles(case):
     curve, secs = case
     points = curve.points
     for r in range(4):
-        words = phi_words(curve, secs, points, r)
+        words = phi_words(curve, section_table(secs[0].divisor, secs), points, r)
         if r == 0:
             expected = [oracle_phi0(curve, s, points) for s in secs]
         else:
@@ -293,10 +291,15 @@ def test_phi_words_match_the_symbolic_oracles(case):
 
 
 def _section_by_serial(curve, D, h, serial):
-    for s in enumerate_sections(curve, D, h):
+    for s in table_sections(enumerate_sections(curve, D, h)):
         if s.f.serialize() == serial:
             return s
     raise AssertionError(f"section {serial} not found")
+
+
+def _multiplicity(curve, a, b, place):
+    """solution_multiplicity on the two-row table of sections a and b."""
+    return solution_multiplicity(curve, section_table(a.divisor, (a, b)), place)
 
 
 def test_multiplicity_example_gf3():
@@ -305,8 +308,8 @@ def test_multiplicity_example_gf3():
     fx = _section_by_serial(curve, D, 2, "0,1/1")
     fxx = _section_by_serial(curve, D, 2, "0,1,1/1")
     assert fx.height == 1 and fxx.height == 2
-    assert solution_multiplicity(curve, fx, fxx, curve.place_of_point(curve.points[0])) == 2
-    assert solution_multiplicity(curve, fx, fxx, curve.place_inf()) == 1
+    assert _multiplicity(curve, fx, fxx, curve.place_of_point(curve.points[0])) == 2
+    assert _multiplicity(curve, fx, fxx, curve.place_inf()) == 1
     assert census_total(curve, fx, fxx) == 3
 
 
@@ -316,8 +319,8 @@ def test_multiplicity_example_unit_difference():
     fx = _section_by_serial(curve, D, 1, "0,1/1")
     fx1 = _section_by_serial(curve, D, 1, "1,1/1")
     for pt in curve.points[:-1]:
-        assert solution_multiplicity(curve, fx, fx1, curve.place_of_point(pt)) == 0
-    assert solution_multiplicity(curve, fx, fx1, curve.place_inf()) == 2
+        assert _multiplicity(curve, fx, fx1, curve.place_of_point(pt)) == 0
+    assert _multiplicity(curve, fx, fx1, curve.place_inf()) == 2
     assert census_total(curve, fx, fx1) == 2
 
 
@@ -335,7 +338,7 @@ def test_multiplicity_at_higher_degree_place():
     )
     pi = Polynomial(curve.field, (1, 1, 1))
     place = curve.place_of_poly(pi)
-    assert solution_multiplicity(curve, f, f2, place) == 1
+    assert _multiplicity(curve, f, f2, place) == 1
     assert census_total(curve, f, f2) == 3
 
 
@@ -364,8 +367,8 @@ def test_proposition_total_equals_height_sum(q):
     rng = random.Random(100 + q)
     checked = 0
     while checked < 40:
-        a = secs[rng.randrange(len(secs))]
-        b = secs[rng.randrange(len(secs))]
+        a = table_section(secs, rng.randrange(len(secs)))
+        b = table_section(secs, rng.randrange(len(secs)))
         if a.f == b.f:
             continue
         total = census_total(curve, a, b)
@@ -382,8 +385,8 @@ def test_proposition_with_nontrivial_divisor():
     rng = random.Random(55)
     checked = 0
     while checked < 25:
-        a = secs[rng.randrange(len(secs))]
-        b = secs[rng.randrange(len(secs))]
+        a = table_section(secs, rng.randrange(len(secs)))
+        b = table_section(secs, rng.randrange(len(secs)))
         if a.f == b.f:
             continue
         total = census_total(curve, a, b)
@@ -399,8 +402,8 @@ def test_proof_identity_rows():
     rng = random.Random(77)
     checked = 0
     while checked < 20:
-        a = secs[rng.randrange(len(secs))]
-        b = secs[rng.randrange(len(secs))]
+        a = table_section(secs, rng.randrange(len(secs)))
+        b = table_section(secs, rng.randrange(len(secs)))
         if a.f == b.f:
             continue
         rows = census_rows(a, b)
@@ -469,8 +472,8 @@ def test_twist_independence():
     ]
     rng = random.Random(31)
     for _ in range(15):
-        a = secs[rng.randrange(len(secs))]
-        b = secs[rng.randrange(len(secs))]
+        a = table_section(secs, rng.randrange(len(secs)))
+        b = table_section(secs, rng.randrange(len(secs)))
         if a.f == b.f:
             continue
         _assert_census_matches_oracles(curve, a, b, places)
@@ -490,7 +493,7 @@ def _assert_census_matches_oracles(curve, a, b, places=()):
         assert oracle_multiplicity_census(curve, a, b, tw) == rows
     m_at = {r["place"]: r["m"] for r in rows}
     for pl in (*m_at, *places):
-        assert solution_multiplicity(curve, a, b, pl) == m_at.get(pl, 0)
+        assert _multiplicity(curve, a, b, pl) == m_at.get(pl, 0)
     return rows
 
 
@@ -502,7 +505,7 @@ def test_census_matches_oracle_on_the_grid(q, divisor, h):
     pairs = [(0, j) for j in rng.sample(range(1, len(secs)), 5)]  # the zero section
     pairs += [tuple(rng.sample(range(len(secs)), 2)) for _ in range(25)]
     for i, j in pairs:
-        _assert_census_matches_oracles(curve, secs[i], secs[j])
+        _assert_census_matches_oracles(curve, table_section(secs, i), table_section(secs, j))
 
 
 @settings(max_examples=30, deadline=None)
@@ -511,8 +514,9 @@ def test_census_matches_oracle_on_random_divisors(case, data):
     curve, D, h = case
     secs = enumerate_sections(curve, D, h)
     i, j = data.draw(st.lists(st.integers(0, len(secs) - 1), min_size=2, max_size=2, unique=True))
-    _assert_census_matches_oracles(curve, secs[0], secs[max(i, j)])  # the zero section
-    _assert_census_matches_oracles(curve, secs[i], secs[j])
+    a, b, zero = (table_section(secs, k) for k in (i, j, 0))
+    _assert_census_matches_oracles(curve, zero, b if j > i else a)  # the zero section
+    _assert_census_matches_oracles(curve, a, b)
 
 
 @st.composite
@@ -548,8 +552,8 @@ def _census_batches(draw, q):
             funcs.append(f + RationalFunction.from_poly(r * pi * pi))
     funcs = list(dict.fromkeys(funcs))
     assume(len(funcs) > 1)
-    table = SectionTable.of(D, [RationalSection(f, D, oracle_section_height(curve, D, f))
-                                for f in funcs])
+    table = section_table(D, [RationalSection(f, D, oracle_section_height(curve, D, f))
+                              for f in funcs])
     rows = st.integers(0, len(funcs) - 1)
     pairs = [p for k in range(1, len(funcs)) for p in ((k - 1, k), (k, k - 1), (k, 0))]
     pairs += draw(st.lists(st.tuples(rows, rows).filter(lambda p: p[0] != p[1]), max_size=4))
@@ -566,7 +570,7 @@ def test_batched_census_matches_oracle(q, data, block):
     census = multiplicity_census(table, pairs)
     totals = np.transpose(census.totals())
     for k, (i, j) in enumerate(pairs):
-        a, b = table[i], table[j]
+        a, b = table_section(table, i), table_section(table, j)
         rows = census.rows(k)
         assert rows == oracle_multiplicity_census(curve, a, b)
         assert multiplicity_census(table, [(i, j)]).rows(0) == rows

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from agcodes import kernels
 from agcodes.codes import build_goppa
 from agcodes.curves import build_curve, default_eval_points
-from agcodes.errors import PreconditionError
+from agcodes.errors import PreconditionError, VerificationError
 from agcodes.field import (
     Polynomial,
-    RationalFunction,
     enumerate_irreducibles,
     make_field,
     make_field_q,
@@ -28,12 +27,17 @@ from agcodes.xing import (
     search_centers,
 )
 from conftest import (
+    INF,
+    RationalFunction,
+    basis_functions,
     brute_ball_count,
     function_from_index,
+    function_row,
     naive_min_distance,
     oracle_evaluate,
     oracle_local_expansion,
     oracle_phi_word,
+    oracle_riemann_roch_basis,
     survivor_functions,
 )
 
@@ -55,7 +59,7 @@ def test_phi0_is_plain_evaluation():
     curve = build_curve("p1", make_field(2, 2))
     D = curve.divisor({curve.place_inf(): 3})
     points = default_eval_points(curve, D)
-    basis = curve.riemann_roch_basis(D)
+    basis = oracle_riemann_roch_basis(curve, D)
     for f, row in zip(basis, phi_basis_rows(curve, D, points, 0)[0]):
         assert tuple(row.tolist()) == oracle_phi_word(curve, f, points, 0) == tuple(
             oracle_evaluate(curve, f, p) for p in points
@@ -87,22 +91,51 @@ def _basis_instances(draw):
     return curve, D, points, r_max
 
 
-def _p1_instance(q, divisor, r_max):
-    curve = build_curve("p1", make_field_q(q))
+def _instance(kind, q, divisor, r_max, points=None):
+    curve = build_curve(kind, make_field_q(q))
     D = curve.parse_divisor(divisor)
-    return curve, D, default_eval_points(curve, D), r_max
+    return curve, D, default_eval_points(curve, D) if points is None else points, r_max
+
+
+def _oracle_rows(curve, f, point, r_max):
+    """The oracle's expansion of a basis function; at the Hermitian P_inf,
+    where only order 0 is defined, its value."""
+    if curve.kind == "hermitian" and point.is_infinity:
+        return (oracle_evaluate(curve, f, point),)
+    return oracle_local_expansion(curve, f, point, r_max)
 
 
 @settings(max_examples=80, deadline=None)
 @given(_basis_instances())
-@example(_p1_instance(5, "2,0,1:1;1,1:-1", 3))  # infinity among the points
-@example(_p1_instance(3, "1,0,1:2;inf:-1", 3))
+@example(_instance("p1", 5, "2,0,1:1;1,1:-1", 3))  # infinity among the points
+@example(_instance("p1", 3, "1,0,1:2;inf:-1", 3))
+@example(_instance("p1", 3, "0,1:2;inf:1", 3))  # x | v: z x^i / v is not reduced
+@example(_instance("p1", 4, "0,1:-1;inf:4", 3))  # a zero part z = x
+@example(_instance("hermitian", 4, "0", 0))  # P_inf among the points: the constant reads 1
+@example(_instance("hermitian", 4, "inf:3", 0,  # and x, y have poles there
+                   build_curve("hermitian", make_field_q(4)).points))
 def test_phi_basis_rows_match_the_symbolic_oracles(instance):
     curve, D, points, r_max = instance
-    expected = [[oracle_local_expansion(curve, f, p, r_max) for p in points]
-                for f in curve.riemann_roch_basis(D)]
+    basis = oracle_riemann_roch_basis(curve, D)
+    if any(oracle_evaluate(curve, f, p) is INF for f in basis for p in points):
+        with pytest.raises(VerificationError, match="pole"):  # P_inf: a pole of x and y
+            phi_basis_rows(curve, D, points, r_max)
+        return
+    expected = [[_oracle_rows(curve, f, p, r_max) for p in points] for f in basis]
     assert phi_basis_rows(curve, D, points, r_max).tolist() == [
         [[c[r] for c in row] for row in expected] for r in range(r_max + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_basis_instances())
+@example(_instance("p1", 3, "0,1:2;inf:1", 0))
+@example(_instance("p1", 4, "0,1:-1;inf:4", 0))
+@example(_instance("p1", 2, "1,1,1:1;inf:-3", 0))  # deg D < 0: no function
+def test_riemann_roch_basis_is_the_oracle_basis(instance):
+    # the library's integer basis, read as functions, is the reduced
+    # symbolic basis, function for function and in the same order
+    curve, D, _, _ = instance
+    assert basis_functions(curve, curve.riemann_roch_basis(D)) == oracle_riemann_roch_basis(curve, D)
 
 
 def test_phi_r_monomial_coefficients():
@@ -110,15 +143,15 @@ def test_phi_r_monomial_coefficients():
     curve = build_curve("p1", F)
     xsq = RationalFunction(Polynomial(F, (0, 0, 1)), Polynomial.one(F))
     origin = curve.points[0]
-    assert curve.local_expansion(xsq, origin, 2)[2] == 1
-    assert curve.local_expansion(xsq, origin, 1)[1] == 0
+    assert curve.local_expansion(function_row(xsq), origin, 2)[2] == 1
+    assert curve.local_expansion(function_row(xsq), origin, 1)[1] == 0
 
 
 def test_phi_1_series_division():
     F = make_field(2, 2)
     curve = build_curve("p1", F)
     f = RationalFunction(Polynomial.x(F), Polynomial(F, (1, 1)))
-    assert curve.local_expansion(f, curve.points[0], 1)[1] == 1
+    assert curve.local_expansion(function_row(f), curve.points[0], 1)[1] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +207,7 @@ def test_search_radius_zero_survivors_are_fibers():
     params = XingParams(m=1, radii=(0,), strategy="exhaustive")
     res = search_centers(curve, D, params)
     points = default_eval_points(curve, D)
-    basis = curve.riemann_roch_basis(D)
+    basis = oracle_riemann_roch_basis(curve, D)
     for idx in res.survivor_indices:
         f = function_from_index(curve.field, basis, int(idx))
         assert oracle_phi_word(curve, f, points, 0) == res.centers[0]
@@ -217,7 +250,7 @@ def test_monotonicity_in_radius():
     curve = build_curve("p1", make_field(2, 1))
     D = _deg1_divisor_gf2(curve)
     points = default_eval_points(curve, D)
-    basis = curve.riemann_roch_basis(D)
+    basis = oracle_riemann_roch_basis(curve, D)
     words = [oracle_phi_word(curve, function_from_index(curve.field, basis, i), points, 0)
              for i in range(curve.field.q ** len(basis))]
     center = (0, 1, 0)
@@ -474,7 +507,7 @@ def test_zero_radius_zero_center_reduces_to_goppa():
 
 def _agreement_multiplicity(curve, f, f2, point, depth):
     diff = f - f2
-    series = curve.local_expansion(diff, point, depth)
+    series = curve.local_expansion(function_row(diff), point, depth)
     for r, c in enumerate(series):
         if c:
             return r
@@ -517,14 +550,23 @@ def test_multiplicity_chain_on_hermitian_survivors():
     d0 = build.code.metadata["claimed_distance"]
     deg_d = D.degree
     assert len(survivors) >= 2
+    # the survivors' expansions to order deg D, read from the basis rows as
+    # builds read them: series[r, s, k] at order r, survivor s, point k
+    rows = phi_basis_rows(curve, D, points, deg_d)
+    series = np.stack([kernels.span_words_at(curve.field, rows[r], build.search.survivor_indices)
+                       for r in range(deg_d + 1)])
     for i in range(len(survivors)):
         for j in range(i + 1, len(survivors)):
             f, f2 = survivors[i], survivors[j]
             diff = f - f2
             total = 0
-            for p in points:
-                series = curve.local_expansion(diff, p, deg_d)
-                mult = next((r for r, c in enumerate(series) if c), deg_d + 1)
+            for k, p in enumerate(points):
+                # expansion is linear: f - f2 vanishes to the first order
+                # where the two series differ
+                oracle = oracle_local_expansion(curve, diff, p, deg_d)
+                differ = (series[:, i, k] != series[:, j, k]).tolist()
+                assert differ == [c != 0 for c in oracle]
+                mult = next((r for r, d in enumerate(differ) if d), deg_d + 1)
                 assert mult <= deg_d
                 total += mult
             assert total <= deg_d
