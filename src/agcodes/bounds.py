@@ -5,11 +5,16 @@ for finite order and in the limit, the projective-section gain, the
 crossing of the evaluation-code line over the random-coding line, and the
 CSV frontier table.
 
-All real arithmetic runs at 60 significant digits through mpmath, so golden
-values are anchored by the mathematics rather than by double rounding. The
-two entropy forms agree to well below 1e-30 across the open interval. The
-peak of H_q(delta) - delta is a closed form, and the crossing is decided
-exactly on integers, with no real arithmetic at all.
+The entropy forms and the gains run at 60 significant digits through
+mpmath, so golden values are anchored by the mathematics rather than by
+double rounding; the two entropy forms agree to well below 1e-30 across the
+open interval. Each gain is one log of an exact product. The frontier table
+takes only transcendental constants from mpmath: the logs of the primes up
+to grid + 1, log q, log(q-1) and the three gains, each rounded once to a
+200-bit fixed-point integer. Everything else in the table is exact integer
+arithmetic, and each printed cell is one correctly rounded division to a
+double. The peak of H_q(delta) - delta is a closed form, and the crossing is
+decided exactly on integers, with no real arithmetic at all.
 
 A note on the ball-size normalization: the limit of N^{-1} log_q of the
 Hamming-ball volume includes the (alphabet - 1)^(delta N) factor, and that
@@ -43,11 +48,21 @@ def _to_mpf(x):
     return mpf(x)
 
 
+# the fixed-point logs and gains are round(2^_FIX_BITS * x)
+_FIX_BITS = 200
+
+
+def _fixed(x) -> int:
+    import mpmath
+
+    return int(mpmath.nint(mpmath.ldexp(x, _FIX_BITS)))
+
+
 def entropy(q: int, delta) -> mpf:
     """H_q(delta) = delta log_q(q-1) - delta log_q delta
     - (1-delta) log_q (1-delta), with the continuous endpoint values."""
     import mpmath
-    from mpmath import mp
+    from mpmath import mp, mpf
 
     if q < 2:
         raise PreconditionError("alphabet must have at least 2 symbols")
@@ -55,19 +70,12 @@ def entropy(q: int, delta) -> mpf:
         d = _to_mpf(delta)
         if d < 0 or d > 1:
             raise PreconditionError("delta must lie in [0, 1]")
-        return _entropy_at(d, mpmath.log(q), mpmath.log(q - 1))
-
-
-def _entropy_at(d, lq, lq1):
-    """H_q at the mpf d in [0, 1], given lq = log q and lq1 = log(q-1)."""
-    import mpmath
-    from mpmath import mpf
-
-    if d == 0:
-        return mpf(0)
-    if d == 1:
-        return lq1 / lq
-    return (d * lq1 - d * mpmath.log(d) - (1 - d) * mpmath.log(1 - d)) / lq
+        lq, lq1 = mpmath.log(q), mpmath.log(q - 1)
+        if d == 0:
+            return mpf(0)
+        if d == 1:
+            return lq1 / lq
+        return (d * lq1 - d * mpmath.log(d) - (1 - d) * mpmath.log(1 - d)) / lq
 
 
 def entropy_alt(q: int, delta) -> mpf:
@@ -119,40 +127,44 @@ def goppa_line(q: int) -> Fraction:
     return 1 - Fraction(1, q0 - 1)
 
 
-def xing_gain(q: int, m: int) -> mpf:
-    """sum_{i=2}^{m+1} log_q(1 + (q-1) q^(-2i)): the derivative-refinement
-    gain at finite order m."""
+def _series_gain(q: int, last: int | None) -> mpf:
+    """sum_{i=2}^{last} log_q(1 + (q-1) q^(-2i)) as one log: log1p of the
+    exact product of the (q^(2i) + q - 1)/q^(2i), less 1. The sum stops
+    early at the first i past which the geometric tail bound
+    (q-1) q^(-2i-2) / (1 - q^(-2)) / ln q = 1 / (q^(2i) (q+1) ln q) is below
+    1e-45, decided on integers against the fixed-point ln q."""
     import mpmath
     from mpmath import mp, mpf
 
-    if q < 2 or m < 1:
-        raise PreconditionError("need q >= 2 and m >= 1")
     with mp.workdps(_DPS):
         lq = mpmath.log(q)
-        return sum(
-            mpmath.log(1 + mpf(q - 1) / mpf(q) ** (2 * i)) / lq for i in range(2, m + 2)
-        )
+        tail_scale, stop = (q + 1) * _fixed(lq), 10 ** 45 << _FIX_BITS
+        num = den = 1
+        i = 2
+        while True:
+            qi = q ** (2 * i)
+            num, den = num * (qi + q - 1), den * qi
+            if i == last or qi * tail_scale > stop:
+                return mpmath.log1p(mpf(num - den) / den) / lq
+            i += 1
+
+
+def xing_gain(q: int, m: int) -> mpf:
+    """sum_{i=2}^{m+1} log_q(1 + (q-1) q^(-2i)): the derivative-refinement
+    gain at finite order m. Terms past the last one xing_gain_limit sums
+    are below its 1e-45 tail bound and are left out, so the gain of every
+    larger m is the limit (and a large m costs no more)."""
+    if q < 2 or m < 1:
+        raise PreconditionError("need q >= 2 and m >= 1")
+    return _series_gain(q, m + 1)
 
 
 def xing_gain_limit(q: int) -> mpf:
     """The full series sum_{i>=2} log_q(1 + (q-1) q^(-2i)), summed until the
-    geometric tail bound drops below 1e-40."""
-    import mpmath
-    from mpmath import mp, mpf
-
+    geometric tail bound drops below 1e-45."""
     if q < 2:
         raise PreconditionError("need q >= 2")
-    with mp.workdps(_DPS):
-        lq = mpmath.log(q)
-        total = mpf(0)
-        i = 2
-        while True:
-            total += mpmath.log(1 + mpf(q - 1) / mpf(q) ** (2 * i)) / lq
-            i += 1
-            # remaining sum < (q-1) q^(-2i) / (1 - q^(-2)) / log q
-            tail = (mpf(q - 1) / mpf(q) ** (2 * i)) / (1 - mpf(q) ** -2) / lq
-            if tail < mpf("1e-45"):
-                return total
+    return _series_gain(q, None)
 
 
 def new_gain(q: int) -> mpf:
@@ -163,7 +175,7 @@ def new_gain(q: int) -> mpf:
     if q < 2:
         raise PreconditionError("need q >= 2")
     with mp.workdps(_DPS):
-        return mpmath.log(1 + mpf(q) ** -3) / mpmath.log(q)
+        return mpmath.log1p(mpf(1) / q ** 3) / mpmath.log(q)
 
 
 def entropy_gap_max(q: int) -> tuple[mpf, mpf]:
@@ -217,51 +229,76 @@ def gv_crossing(q: int) -> bool:
 FRONTIER_COLUMNS = ("delta", "R_GV", "R_Goppa", "R_Xing_m", "R_Xing_inf", "R_new")
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".12g")
-
-
-def frontier_rows(q: int, grid: int, m: int = 1) -> list[dict]:
-    """One row per grid point delta = k/(grid+1), k = 1..grid, with every
-    family's rate clipped at zero. The entropy of each row reuses log q and
-    log(q-1), taken once per table."""
+def _fixed_logs(n: int) -> list[int]:
+    """The fixed-point ln j for j = 1..n (index 0 unused): one log per prime
+    p up to n, added to every multiple of each power of p, so ln j is the sum
+    of the logs of its prime factors."""
     import mpmath
-    from mpmath import mp, mpf
+    from mpmath import mp
+
+    logs = [0] * (n + 1)
+    with mp.workdps(_DPS):
+        for p in range(2, n + 1):
+            if logs[p] == 0:  # no smaller prime divides p
+                lp, pk = _fixed(mpmath.log(p)), p
+                while pk <= n:
+                    for j in range(pk, n + 1, pk):
+                        logs[j] += lp
+                    pk *= p
+    return logs
+
+
+def _frontier_cells(q: int, grid: int, m: int):
+    """Each row of the frontier table as (numerator, denominator) integer
+    pairs, one per column, every rate clipped at zero.
+
+    With G = grid + 1 and delta = k/G, R_Goppa = (b_n G - k b_d)/(b_d G)
+    for the evaluation-code line b_n/b_d, and each gain column adds a
+    fixed-point gain to it. The entropy is H_q(k/G) ln q G =
+    k ln(q-1) - k ln k - (G-k) ln(G-k) + G ln G, so R_GV = 1 - H_q reads
+    (G LQ - h)/(G LQ) on the fixed-point logs LQ = ln q and h; it is 0 from
+    delta = (q-1)/q on, the end of its domain, where H_q reaches 1."""
+    import mpmath
+    from mpmath import mp
 
     if grid < 1:
         raise PreconditionError("grid must be positive")
     base = goppa_line(q)  # also validates squareness
+    G = grid + 1
+    logs = _fixed_logs(G)
     with mp.workdps(_DPS):
-        g_m = xing_gain(q, m)
-        g_inf = xing_gain_limit(q)
-        g_new = new_gain(q)
-        base_m = _to_mpf(base)
-        lq, lq1 = mpmath.log(q), mpmath.log(q - 1)
-        qm1q = Fraction(q - 1, q)
-        rows = []
-        for k in range(1, grid + 1):
-            delta = Fraction(k, grid + 1)
-            d = _to_mpf(delta)
-            r_gv = (1 - _entropy_at(d, lq, lq1)) if 0 < delta < qm1q else mpf(0)
-            rows.append(
-                {
-                    "delta": d,
-                    "R_GV": max(r_gv, mpf(0)),
-                    "R_Goppa": max(base_m - d, mpf(0)),
-                    "R_Xing_m": max(base_m + g_m - d, mpf(0)),
-                    "R_Xing_inf": max(base_m + g_inf - d, mpf(0)),
-                    "R_new": max(base_m + g_new - d, mpf(0)),
-                }
-            )
-        return rows
+        lq, lq1 = _fixed(mpmath.log(q)), _fixed(mpmath.log(q - 1))
+    gains = [_fixed(g) for g in (xing_gain(q, m), xing_gain_limit(q), new_gain(q))]
+    bn, bd = base.numerator, base.denominator
+    gv_den, line_den = G * lq, bd * G
+    gain_den = line_den << _FIX_BITS
+    for k in range(1, G):
+        line = bn * G - k * bd
+        if k * q < (q - 1) * G:
+            h = k * lq1 - k * logs[k] - (G - k) * logs[G - k] + G * logs[G]
+            gv = (gv_den - h, gv_den)
+        else:
+            gv = (0, 1)
+        cells = [gv, (line, line_den)]
+        cells += [((line << _FIX_BITS) + g * line_den, gain_den) for g in gains]
+        yield [(k, G)] + [(max(n, 0), d) for n, d in cells]
+
+
+def frontier_rows(q: int, grid: int, m: int = 1) -> list[dict]:
+    """One row per grid point delta = k/(grid+1), k = 1..grid, as exact
+    Fractions of the integers frontier_csv prints."""
+    return [
+        {c: Fraction(n, d) for c, (n, d) in zip(FRONTIER_COLUMNS, cells)}
+        for cells in _frontier_cells(q, grid, m)
+    ]
 
 
 def frontier_csv(q: int, grid: int, m: int = 1) -> str:
     """CSV text: header plus one row per delta, 12 significant digits,
-    LF line endings."""
+    LF line endings. Each cell is one correctly rounded int/int division."""
     out = [",".join(FRONTIER_COLUMNS)]
-    for row in frontier_rows(q, grid, m):
-        out.append(",".join(_fmt(row[c]) for c in FRONTIER_COLUMNS))
+    for cells in _frontier_cells(q, grid, m):
+        out.append(",".join(format(n / d, ".12g") for n, d in cells))
     return "\n".join(out) + "\n"
 
 

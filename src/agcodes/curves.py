@@ -483,8 +483,10 @@ def eval_points(curve, D: Divisor, points=None) -> tuple[Point, ...]:
 def distinct_points(points) -> tuple[Point, ...]:
     """The evaluation points as a tuple. A repeated point would repeat a
     coordinate of every word and void each distance claim, so it is
-    rejected."""
+    rejected, and so is an empty list."""
     points = tuple(points)
+    if not points:
+        raise PreconditionError("need at least one evaluation point")
     if len(set(points)) != len(points):
         raise PreconditionError("repeated evaluation point")
     return points

@@ -64,7 +64,8 @@ class SectionTable:
     """Sections u/v as padded coefficient arrays, one row per section with
     the constant term first (numer and denom, v monic and 1 for the zero
     section), with their heights. An index array or a slice gives the
-    table of the rows it selects."""
+    table of the rows it selects; an integer index is refused, so a table
+    is never iterated row by row either."""
 
     divisor: Divisor
     numer: np.ndarray
@@ -75,6 +76,8 @@ class SectionTable:
         return len(self.heights)
 
     def __getitem__(self, rows) -> SectionTable:
+        if isinstance(rows, (int, np.integer)):
+            raise TypeError("index a SectionTable with an index array or a slice")
         return SectionTable(self.divisor, self.numer[rows], self.denom[rows], self.heights[rows])
 
 

@@ -15,6 +15,9 @@ arithmetic, values and local expansions one function and point at a time
 line, series products of x and the branch of y on the Hermitian curve; the
 library runs one Taylor kernel on the field tables), and subspaces
 by set closure or, past its reach, by k pivot eliminations over every row.
+The frontier table is computed row by row at 60 digits, with one log per
+series term of each gain, as the library did before it kept the table on
+integers.
 Code words and code files have tuple-and-set versions, the form the library
 used before it kept words as one integer array.
 
@@ -34,6 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from mpmath import mp, mpf
 
@@ -345,6 +349,59 @@ def golden_section_max(fn, lo, hi, tol="1e-13", dps=60):
                 d = a + invphi * (b - a)
                 fd = fn(d)
         return (a + b) / 2
+
+
+FRONTIER_COLUMNS = ("delta", "R_GV", "R_Goppa", "R_Xing_m", "R_Xing_inf", "R_new")
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_frontier_gains(q, m):
+    """The finite-order, limit and projective-section gains at 60 digits,
+    one log per series term; the limit stops when the geometric tail bound
+    drops below 1e-45."""
+    with mp.workdps(60):
+        lq = mpmath.log(q)
+
+        def term(i):
+            return mpmath.log(1 + mpf(q - 1) / mpf(q) ** (2 * i)) / lq
+
+        g_m = sum(term(i) for i in range(2, m + 2))
+        g_inf, i = mpf(0), 2
+        while True:
+            g_inf += term(i)
+            i += 1
+            if (mpf(q - 1) / mpf(q) ** (2 * i)) / (1 - mpf(q) ** -2) / lq < mpf("1e-45"):
+                break
+        return g_m, g_inf, mpmath.log(1 + mpf(q) ** -3) / lq
+
+
+def oracle_frontier_rows(q, grid, m=1):
+    """The frontier rows as 60-digit mpfs, clipped at zero: per row the
+    entropy from four logs, R_Goppa = 1 - 1/(sqrt(q) - 1) - delta and the
+    gains added to it."""
+    q0 = math.isqrt(q)
+    gains = _oracle_frontier_gains(q, m)
+    with mp.workdps(60):
+        lq, lq1 = mpmath.log(q), mpmath.log(q - 1)
+        base = mpf(q0 - 2) / (q0 - 1)
+        rows = []
+        for k in range(1, grid + 1):
+            d = mpf(k) / (grid + 1)
+            gv = mpf(0)
+            if k * q < (q - 1) * (grid + 1):
+                gv = 1 - (d * lq1 - d * mpmath.log(d) - (1 - d) * mpmath.log(1 - d)) / lq
+            rates = [gv, base - d] + [base + g - d for g in gains]
+            rows.append(dict(zip(FRONTIER_COLUMNS, [d] + [max(r, mpf(0)) for r in rates])))
+        return rows
+
+
+def oracle_frontier_csv(q, grid, m=1):
+    """oracle_frontier_rows as CSV text, each mpf rounded to a double and
+    printed to 12 significant digits."""
+    lines = [",".join(FRONTIER_COLUMNS)]
+    for row in oracle_frontier_rows(q, grid, m):
+        lines.append(",".join(format(float(row[c]), ".12g") for c in FRONTIER_COLUMNS))
+    return "\n".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=None)

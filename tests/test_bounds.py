@@ -7,7 +7,7 @@ from mpmath import mp, mpf
 
 from agcodes import bounds
 from agcodes.errors import PreconditionError
-from conftest import golden_section_max
+from conftest import golden_section_max, oracle_frontier_csv, oracle_frontier_rows
 
 
 def test_entropy_endpoints():
@@ -75,6 +75,15 @@ def test_xing_gain_monotone_in_m():
         values = [bounds.xing_gain(4, m) for m in range(1, 7)]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(v < bounds.xing_gain_limit(4) for v in values)
+
+
+def test_xing_gain_reaches_the_limit_past_the_summed_terms():
+    # terms past the limit's tail bound are left out, so a large order costs
+    # no more than the limit and never exceeds it
+    for q in (4, 49, 256):
+        limit = bounds.xing_gain_limit(q)
+        assert bounds.xing_gain(q, 10 ** 6) == limit
+        assert bounds.xing_gain(q, 5) < limit
 
 
 def test_xing_gain_limit_against_series_oracle():
@@ -194,10 +203,10 @@ def test_gv_profile_monotone_decreasing():
 
 
 def test_frontier_goppa_spot_value():
+    # R_Goppa is rational, so the row holds it exactly
     rows = bounds.frontier_rows(49, 99)
-    row = next(r for r in rows if abs(float(r["delta"]) - 0.3) < 1e-12)
-    with mp.workdps(60):
-        assert abs(row["R_Goppa"] - (1 - mpf(1) / 6 - mpf(3) / 10)) < mpf("1e-30")
+    row = next(r for r in rows if r["delta"] == Fraction(3, 10))
+    assert row["R_Goppa"] == 1 - Fraction(1, 6) - Fraction(3, 10)
 
 
 def test_frontier_family_ordering():
@@ -227,6 +236,24 @@ def test_frontier_csv_matches_golden_file():
 
     golden = pathlib.Path(__file__).parent / "golden" / "frontier_q49_grid99.csv"
     assert bounds.frontier_csv(49, 99) == golden.read_text()
+
+
+@pytest.mark.parametrize("q", [4, 9, 16, 25, 49, 121, 256])
+def test_frontier_csv_matches_oracle(q):
+    # the integer table prints the bytes of the row-by-row 60-digit oracle
+    for grid in list(range(1, 41)) + [62, 93, 99, 150]:
+        for m in (1, 3):
+            assert bounds.frontier_csv(q, grid, m) == oracle_frontier_csv(q, grid, m), (grid, m)
+
+
+@pytest.mark.parametrize("q,grid,m", [(4, 93, 1), (49, 99, 2), (256, 37, 3)])
+def test_frontier_rows_match_oracle(q, grid, m):
+    # the exact rows lie within the oracle's 60-digit rounding
+    with mp.workdps(60):
+        for row, expected in zip(bounds.frontier_rows(q, grid, m), oracle_frontier_rows(q, grid, m)):
+            for c in bounds.FRONTIER_COLUMNS:
+                x = row[c]
+                assert abs(mpf(x.numerator) / x.denominator - expected[c]) < mpf("1e-50")
 
 
 def test_frontier_requires_square_q():

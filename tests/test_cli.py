@@ -142,6 +142,18 @@ def test_repeated_points_exit_precondition(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["goppa", "build", "--q", "5", "--divisor", "inf:2"],
+    ["xing", "build", "--q", "2", "--divisor", "1,1,0,1:1;1,1,1:-1", "--m", "1", "--radii", "1"],
+    ["combined", "build", "--q", "3", "--h", "1", "--s0", "1", "--d0", "2"],
+])
+def test_empty_point_list_exits_precondition(tmp_path, capsys, argv):
+    out = tmp_path / "r"
+    assert main(argv + ["--points", ",", "--out", str(out)]) == EXIT_PRECONDITION
+    assert "need at least one evaluation point" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _SMALL_EXHAUSTIVE_BUILDS = {
     "xing": ["xing", "build", "--q", "3", "--divisor", "inf:1", "--m", "1", "--radii", "0"],
     "combined": ["combined", "build", "--q", "3", "--h", "1", "--s0", "0", "--d0", "2"],

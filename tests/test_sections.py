@@ -70,6 +70,19 @@ def test_height_one_sections_gf2():
     assert len(secs) == 8  # 2 constants + the 6 fractional linear maps
 
 
+def test_section_table_refuses_an_integer_index():
+    curve = _p1(3)
+    secs = enumerate_sections(curve, curve.zero_divisor(), 1)
+    for index in (0, -1, np.int64(2)):
+        with pytest.raises(TypeError, match="index array or a slice"):
+            secs[index]
+    with pytest.raises(TypeError):
+        for _ in secs:
+            pass
+    # an index array or a slice still selects rows
+    assert len(secs[np.array([0, 2])]) == 2 and len(secs[1:4]) == 3
+
+
 def test_section_heights_audited_by_full_factorization():
     curve = _p1(3)
     D = curve.zero_divisor()
