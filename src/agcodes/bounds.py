@@ -53,9 +53,13 @@ _FIX_BITS = 200
 
 
 def _fixed(x) -> int:
-    import mpmath
-
-    return int(mpmath.nint(mpmath.ldexp(x, _FIX_BITS)))
+    """round(2^_FIX_BITS * x) for an mpf x = man 2^exp, rounded on integers
+    so that the caller's working precision plays no part."""
+    man, exp = x.man_exp  # man is unsigned
+    if x < 0:
+        man = -man
+    shift = exp + _FIX_BITS
+    return man << shift if shift >= 0 else round(Fraction(man, 1 << -shift))
 
 
 def entropy(q: int, delta) -> mpf:
@@ -286,7 +290,8 @@ def _frontier_cells(q: int, grid: int, m: int):
 
 def frontier_rows(q: int, grid: int, m: int = 1) -> list[dict]:
     """One row per grid point delta = k/(grid+1), k = 1..grid, as exact
-    Fractions of the integers frontier_csv prints."""
+    Fractions of the integers frontier_csv prints. Only the tests read
+    these; the table commands print frontier_csv."""
     return [
         {c: Fraction(n, d) for c, (n, d) in zip(FRONTIER_COLUMNS, cells)}
         for cells in _frontier_cells(q, grid, m)

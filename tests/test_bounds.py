@@ -246,11 +246,25 @@ def test_frontier_csv_matches_oracle(q):
             assert bounds.frontier_csv(q, grid, m) == oracle_frontier_csv(q, grid, m), (grid, m)
 
 
+def test_fixed_point_rounding_ignores_the_working_precision():
+    # round(2^200 x), half to even, whatever mp.dps the caller has set
+    with mp.workdps(60):
+        xs = [mpmath.log(7), -mpmath.log(3) / 11, mpf(0), mpf(3) / 2 ** 201, mpf(5) / 2 ** 201]
+    with mp.workdps(120):  # ample for nint to round these exactly
+        expected = [int(mpmath.nint(mpmath.ldexp(x, 200))) for x in xs]
+    for dps in (15, 60, 100):
+        with mp.workdps(dps):
+            assert [bounds._fixed(x) for x in xs] == expected
+    assert expected[3:] == [2, 2]
+
+
 @pytest.mark.parametrize("q,grid,m", [(4, 93, 1), (49, 99, 2), (256, 37, 3)])
 def test_frontier_rows_match_oracle(q, grid, m):
-    # the exact rows lie within the oracle's 60-digit rounding
+    # the exact rows lie within the oracle's 60-digit rounding, at the
+    # working precision callers get (the rows are built outside workdps)
+    rows = bounds.frontier_rows(q, grid, m)
     with mp.workdps(60):
-        for row, expected in zip(bounds.frontier_rows(q, grid, m), oracle_frontier_rows(q, grid, m)):
+        for row, expected in zip(rows, oracle_frontier_rows(q, grid, m)):
             for c in bounds.FRONTIER_COLUMNS:
                 x = row[c]
                 assert abs(mpf(x.numerator) / x.denominator - expected[c]) < mpf("1e-50")
