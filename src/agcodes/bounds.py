@@ -253,8 +253,9 @@ def _fixed_logs(n: int) -> list[int]:
 
 
 def _frontier_cells(q: int, grid: int, m: int):
-    """Each row of the frontier table as (numerator, denominator) integer
-    pairs, one per column, every rate clipped at zero.
+    """Each row of the frontier table that frontier_csv prints, as exact
+    (numerator, denominator) integer pairs, one per column, every rate
+    clipped at zero.
 
     With G = grid + 1 and delta = k/G, R_Goppa = (b_n G - k b_d)/(b_d G)
     for the evaluation-code line b_n/b_d, and each gain column adds a
@@ -286,16 +287,6 @@ def _frontier_cells(q: int, grid: int, m: int):
         cells = [gv, (line, line_den)]
         cells += [((line << _FIX_BITS) + g * line_den, gain_den) for g in gains]
         yield [(k, G)] + [(max(n, 0), d) for n, d in cells]
-
-
-def frontier_rows(q: int, grid: int, m: int = 1) -> list[dict]:
-    """One row per grid point delta = k/(grid+1), k = 1..grid, as exact
-    Fractions of the integers frontier_csv prints. Only the tests read
-    these; the table commands print frontier_csv."""
-    return [
-        {c: Fraction(n, d) for c, (n, d) in zip(FRONTIER_COLUMNS, cells)}
-        for cells in _frontier_cells(q, grid, m)
-    ]
 
 
 def frontier_csv(q: int, grid: int, m: int = 1) -> str:

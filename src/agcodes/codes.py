@@ -107,17 +107,18 @@ def closest_pair(code: Code) -> tuple[int, tuple[int, int]] | None:
     order; None below two words. A proven subspace has its least nonzero
     weight as distance, and its zero word, row 0, lies in a closest pair, so
     the first such pair is (0, j) for the least j of that weight. Every
-    other code takes the pairwise scan, whatever its metadata claims."""
-    if code.size > DISTANCE_GUARD:
-        raise PreconditionError(
-            f"{code.size} words exceed the distance guard {DISTANCE_GUARD}"
-        )
+    other code takes the pairwise scan, whatever its metadata claims; that
+    scan alone is bounded by DISTANCE_GUARD words."""
     if code.size < 2:
         return None
     if subspace_proof(code):
         weights = np.count_nonzero(code.words, axis=1)
         j = 1 + int(weights[1:].argmin())
         return int(weights[j]), (0, j)
+    if code.size > DISTANCE_GUARD:
+        raise PreconditionError(
+            f"{code.size} words exceed the distance guard {DISTANCE_GUARD}"
+        )
     return kernels.pairwise_min_distance(code.words)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .errors import PreconditionError, VerificationError
-from .field import FieldSpec, Polynomial, factorize, linear_poly
+from .field import FieldSpec, Polynomial, is_irreducible, linear_poly
 
 
 @dataclass(frozen=True)
@@ -210,6 +210,10 @@ class ProjectiveLine:
         return Divisor(self, {})
 
     def parse_divisor(self, text: str) -> Divisor:
+        """The divisor of `place:coeff` entries joined by ";", each place
+        `inf` or a polynomial, constant term first, made monic. A place of
+        degree d must be irreducible: trial division by the irreducibles of
+        degree <= d // 2 (field.is_irreducible) builds no larger sieve."""
         text = text.strip()
         if text in ("", "0"):
             return self.zero_divisor()
@@ -222,7 +226,7 @@ class ProjectiveLine:
             else:
                 pi = Polynomial.parse(self.field, desc).monic()
                 pl = self.place_of_poly(pi)
-                if pi.degree > 1 and factorize(pi) != {pi: 1}:  # x - a is irreducible
+                if not is_irreducible(pi):
                     raise PreconditionError(
                         f"place polynomial {desc} is reducible over GF({self.field.q})"
                     )

@@ -21,9 +21,10 @@ Canonical conventions used by every downstream module and serialized file:
 A field builds its lookup data on first use: scalar digit and log/exp tables,
 read-only numpy (add, mul) tables when q^2 <= FIELD_SIZE_CAP (whose add table,
 as tuples, also serves scalar add, sub and neg in odd-characteristic extension
-fields), and a sieve of least factors over monic polynomials behind every
-factorization. A cache is
-only replaced whole and values are immutable, so all of it is thread-safe.
+fields), and a sieve of least factors over monic polynomials, which lists
+the irreducibles that trial division tests places with and gives the census
+its factorizations. A cache is only replaced whole and values are immutable,
+so all of it is thread-safe.
 """
 
 from __future__ import annotations
@@ -523,7 +524,8 @@ def linear_poly(field: FieldSpec, a: int) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Factorization from one least-factor sieve per field.
+# One least-factor sieve per field: its irreducibles, and irreducibility by
+# trial division with them.
 
 def _monic_index(poly: Polynomial) -> int:
     """The sieve index of the monic associate of a nonzero polynomial."""
@@ -588,33 +590,25 @@ def enumerate_irreducibles(field: FieldSpec, max_degree: int) -> tuple[Polynomia
     return tuple(Polynomial(field, row) for row in rows[index[least[index] == index]].tolist())
 
 
+def is_irreducible(poly: Polynomial) -> bool:
+    """Whether a polynomial of degree d >= 2 has no monic irreducible factor
+    of degree <= d // 2, by trial division in key order (Knuth, TAOCP vol. 2,
+    4.6.2); True below degree 2. Only the sieve up to degree d // 2 is built."""
+    if poly.degree < 2:
+        return True
+    divisors = enumerate_irreducibles(poly.field, poly.degree // 2)
+    return all(not (poly % pi).is_zero for pi in divisors)
+
+
 def _least_irreducible(p: int, degree: int) -> tuple[int, ...]:
     """Least monic irreducible of the given degree over GF(p), coefficient
-    tuples compared constant term first: the first candidate with no monic
-    irreducible factor of degree at most degree // 2."""
+    tuples compared constant term first. Candidates with constant term 0 are
+    divisible by x and never generated."""
     if degree == 1:
         return (0, 1)
     base = make_field(p, 1)
-    factors = enumerate_irreducibles(base, degree // 2)
-    for tail in itertools.product(range(p), repeat=degree):
-        if tail[0] == 0:
-            continue  # divisible by x
+    for tail in itertools.product(range(1, p), *[range(p)] * (degree - 1)):
         cand = Polynomial(base, tail + (1,))
-        if all(not (cand % pi).is_zero for pi in factors):
+        if is_irreducible(cand):
             return cand.coeffs
     raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-def factorize(poly: Polynomial) -> dict[Polynomial, int]:
-    """Factor a nonzero polynomial into monic irreducibles with
-    multiplicities, in key order (the leading unit is dropped)."""
-    if poly.is_zero:
-        raise PreconditionError("cannot factor the zero polynomial")
-    least, cofactor, rows = _factor_sieve(poly.field, poly.degree)
-    index = _monic_index(poly)
-    out: dict[Polynomial, int] = {}
-    while index:
-        pi = Polynomial(poly.field, rows[least[index]].tolist())
-        out[pi] = out.get(pi, 0) + 1
-        index = int(cofactor[index])
-    return out

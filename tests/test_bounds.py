@@ -182,8 +182,14 @@ def test_entropy_gap_max_requires_two_symbols(q):
 # frontier table
 
 
+def _frontier_rows(q, grid, m=1):
+    """The table's rows as exact Fractions of the integers frontier_csv prints."""
+    return [{c: Fraction(n, d) for c, (n, d) in zip(bounds.FRONTIER_COLUMNS, cells)}
+            for cells in bounds._frontier_cells(q, grid, m)]
+
+
 def test_frontier_rows_basics():
-    rows = bounds.frontier_rows(49, 99)
+    rows = _frontier_rows(49, 99)
     assert len(rows) == 99
     assert float(rows[0]["delta"]) == 0.01
     assert float(rows[-1]["delta"]) == 0.99
@@ -195,7 +201,7 @@ def test_frontier_rows_basics():
 
 def test_gv_profile_monotone_decreasing():
     # the feasibility rate falls strictly with delta inside its domain
-    rows = bounds.frontier_rows(49, 99)
+    rows = _frontier_rows(49, 99)
     interior = [r["R_GV"] for r in rows if 0 < float(r["delta"]) < 48 / 49]
     for a, b in zip(interior, interior[1:]):
         if b > 0:
@@ -204,7 +210,7 @@ def test_gv_profile_monotone_decreasing():
 
 def test_frontier_goppa_spot_value():
     # R_Goppa is rational, so the row holds it exactly
-    rows = bounds.frontier_rows(49, 99)
+    rows = _frontier_rows(49, 99)
     row = next(r for r in rows if r["delta"] == Fraction(3, 10))
     assert row["R_Goppa"] == 1 - Fraction(1, 6) - Fraction(3, 10)
 
@@ -212,7 +218,7 @@ def test_frontier_goppa_spot_value():
 def test_frontier_family_ordering():
     # gains order the families; ties only at the zero clip
     for q in (16, 49):
-        for row in bounds.frontier_rows(q, 99):
+        for row in _frontier_rows(q, 99):
             seq = [row["R_Goppa"], row["R_Xing_m"], row["R_Xing_inf"], row["R_new"]]
             for a, b in zip(seq, seq[1:]):
                 assert b >= a
@@ -262,7 +268,7 @@ def test_fixed_point_rounding_ignores_the_working_precision():
 def test_frontier_rows_match_oracle(q, grid, m):
     # the exact rows lie within the oracle's 60-digit rounding, at the
     # working precision callers get (the rows are built outside workdps)
-    rows = bounds.frontier_rows(q, grid, m)
+    rows = _frontier_rows(q, grid, m)
     with mp.workdps(60):
         for row, expected in zip(rows, oracle_frontier_rows(q, grid, m)):
             for c in bounds.FRONTIER_COLUMNS:

@@ -233,6 +233,17 @@ def test_precondition_exit_code(tmp_path):
     assert rc == EXIT_PRECONDITION
 
 
+def test_goppa_build_on_a_sextic_place_over_gf16(tmp_path, capsys):
+    # an irreducible sextic: checked on the irreducibles of degree <= 3,
+    # although a sieve of degree 6 over GF(16) is past the size cap
+    argv = ["goppa", "build", "--q", "16", "--divisor", "14,0,10,2,9,11,1:1;inf:-6",
+            "--out", str(tmp_path / "s")]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    for line in ("n: 16", "dim: 1", "claimed_distance: 16", "measured_distance: 16"):
+        assert f"  {line}\n" in printed
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["goppa", "demolish"])

@@ -20,6 +20,7 @@ from conftest import (
     monomial,
     oracle_divisor_of,
     oracle_evaluate,
+    oracle_factorize,
     oracle_local_expansion,
     oracle_rational_valuation,
     oracle_riemann_roch_basis,
@@ -119,8 +120,6 @@ def test_rr_p1_dimension_formula_randomized():
 def test_rr_p1_basis_divisor_bound():
     # every basis element f satisfies (f) + D >= 0: poles can only sit inside
     # supp(D), and there the order is bounded by the divisor coefficient
-    from agcodes.field import factorize
-
     curve = build_curve("p1", make_field(3, 1))
     F = curve.field
     rng = random.Random(23)
@@ -136,7 +135,7 @@ def test_rr_p1_basis_divisor_bound():
         checked += 1
         supp = set(D.support)
         for f in basis_functions(curve, curve.riemann_roch_basis(D)):
-            for pi in factorize(f.denom):
+            for pi in oracle_factorize(f.denom):
                 assert curve.place_of_poly(pi) in supp
             for pl in supp | {curve.place_inf()}:
                 assert oracle_valuation(curve, f, pl) + D.coeff(pl) >= 0
@@ -349,6 +348,24 @@ def test_parse_divisor_builds_no_sieve_for_rational_places(monkeypatch):
     argv = ["sections", "proposition", "--q", "4", "--h-max", "8", "--divisor", "0,1:1;inf:-1"]
     assert main(argv) == 0
     assert builds == [9]
+
+
+def test_parse_divisor_checks_a_place_on_the_sieve_of_half_its_degree(monkeypatch):
+    # x^20 + x^3 + 1 over GF(2) is tested by the irreducibles of degree <= 10,
+    # not by a degree-20 sieve of 2^21 monics
+    field = make_field_q(2)
+    real = agcodes.field._factor_sieve
+    degrees = []
+
+    def counted(F, degree):
+        degrees.append(degree)
+        return real(F, degree)
+
+    monkeypatch.setattr(agcodes.field, "_factor_sieve", counted)
+    agcodes.field.enumerate_irreducibles.cache_clear()
+    curve = build_curve("p1", field)
+    assert curve.parse_divisor("1,0,0,1" + ",0" * 16 + ",1:1").degree == 20
+    assert degrees == [10]
 
 
 @pytest.mark.parametrize("q,text,reducible", [

@@ -9,7 +9,7 @@ from agcodes.errors import PreconditionError
 from agcodes.field import (
     Polynomial,
     enumerate_irreducibles,
-    factorize,
+    is_irreducible,
     linear_poly,
     make_field,
     make_field_q,
@@ -407,32 +407,26 @@ FACTOR_Q = (2, 3, 4, 5, 7, 8, 9, 25)
 
 
 def _factor_degree(q):
-    """Largest degree the factorization properties draw over GF(q)."""
+    """Largest degree the irreducibility property draws over GF(q)."""
     return max(d for d in range(1, 12) if q ** d <= 2000)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.sampled_from(FACTOR_Q), st.data())
-def test_factorize_recovers_a_product_of_irreducibles(q, data):
+def test_is_irreducible_matches_trial_division(q, data):
+    # irreducible exactly when the oracle finds one factor, of multiplicity
+    # 1; drawn as a random polynomial or as a unit times 1-3 irreducibles
     F = make_field_q(q)
     top = _factor_degree(q)
-    irreducibles = oracle_enumerate_irreducibles(F, top)
-    lead = data.draw(st.integers(1, q - 1))
-    expected, poly = {}, Polynomial.constant(F, lead)
-    for pi in data.draw(st.lists(st.sampled_from(irreducibles), max_size=4, unique=True)):
-        e = data.draw(st.integers(1, 3))
-        if poly.degree + e * pi.degree <= top:
-            expected[pi] = e
-            poly = poly * pi ** e
-    assert list(factorize(poly).items()) == sorted(expected.items(), key=lambda pe: pe[0].key())
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(FACTOR_Q), st.data())
-def test_factorize_matches_trial_division(q, data):
-    F = make_field_q(q)
-    poly = Polynomial(F, data.draw(_polys(q, _factor_degree(q) + 1).filter(any)))
-    assert list(factorize(poly).items()) == list(oracle_factorize(poly).items())
+    if data.draw(st.booleans()):
+        poly = Polynomial(F, data.draw(_polys(q, top + 1).filter(lambda cs: any(cs[1:]))))
+    else:
+        poly = Polynomial.constant(F, data.draw(st.integers(1, q - 1)))
+        irreducibles = oracle_enumerate_irreducibles(F, top)
+        for pi in data.draw(st.lists(st.sampled_from(irreducibles), min_size=1, max_size=3)):
+            if poly.degree + pi.degree <= top:
+                poly = poly * pi
+    assert is_irreducible(poly) == (list(oracle_factorize(poly).values()) == [1])
 
 
 # ---------------------------------------------------------------------------

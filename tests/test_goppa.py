@@ -141,6 +141,28 @@ def test_exact_min_distance_guard():
         exact_min_distance(oversized)
 
 
+def test_distance_guard_bounds_only_the_pairwise_scan(monkeypatch):
+    from agcodes import codes as codes_mod
+
+    monkeypatch.setattr(codes_mod, "DISTANCE_GUARD", 10)
+    F = make_field(5, 1)
+    curve = build_curve("p1", F)
+    code = build_goppa(curve, curve.divisor({curve.place_inf(): 1}))
+    assert code.size == 25 and exact_min_distance(code) == 4  # the least nonzero weight
+    shifted = make_code(Alphabet("field", 5), 3, [(a, b, 1) for a in range(5) for b in range(5)],
+                        field=F)
+    with pytest.raises(PreconditionError, match="25 words exceed the distance guard 10"):
+        exact_min_distance(shifted)
+
+
+def test_goppa_past_the_distance_guard_is_measured_as_a_subspace():
+    # 16^5 words, ten times the guard of the pairwise scan
+    curve = build_curve("p1", make_field(2, 4))
+    code = build_goppa(curve, curve.divisor({curve.place_inf(): 4}))
+    assert code.size == 16 ** 5
+    assert code.metadata["measured_distance"] == code.metadata["claimed_distance"] == 12
+
+
 def test_linear_shortcut_agrees_with_pairwise():
     curve = build_curve("p1", make_field(5, 1))
     code = build_goppa(curve, curve.divisor({curve.place_inf(): 2}))
